@@ -3,14 +3,13 @@ for monic integer polynomials with the p-adic valuation."""
 
 __version__ = "0.1.0"
 
-from .valuation import INFINITY, ValuationDomain, is_prime, reduce_rational
+from .valuation import INFINITY, ValuationDomain, is_prime
 from .polyring import (
     IntPoly,
     PhiExpansion,
     gauss_valuation,
     is_power_of_phibar,
     phi_expand,
-    poly_divmod,
 )
 from .residue_field import (
     ExtField,
@@ -30,7 +29,6 @@ from .polygon import (
     Side,
     build_polygon,
     minkowski_sum,
-    principal_part,
 )
 from .residual import ResidualPolynomial, residual_coefficient, residual_polynomial
 from .criteria import (
@@ -42,10 +40,9 @@ from .criteria import (
     SideAnalysis,
     SingleSideHypothesis,
     analyze,
+    analyze_phi,
     bound_full,
-    bound_single_phi,
     check_single_side_hypothesis,
-    irreducibility_test,
 )
 from .expr import ParseError, parse_poly, render_poly
 
@@ -53,13 +50,11 @@ __all__ = [
     "INFINITY",
     "ValuationDomain",
     "is_prime",
-    "reduce_rational",
     "IntPoly",
     "PhiExpansion",
     "gauss_valuation",
     "is_power_of_phibar",
     "phi_expand",
-    "poly_divmod",
     "ExtField",
     "ExtFieldElem",
     "ExtPoly",
@@ -75,7 +70,6 @@ __all__ = [
     "Side",
     "build_polygon",
     "minkowski_sum",
-    "principal_part",
     "ResidualPolynomial",
     "residual_coefficient",
     "residual_polynomial",
@@ -87,10 +81,9 @@ __all__ = [
     "SideAnalysis",
     "SingleSideHypothesis",
     "analyze",
+    "analyze_phi",
     "bound_full",
-    "bound_single_phi",
     "check_single_side_hypothesis",
-    "irreducibility_test",
     "ParseError",
     "parse_poly",
     "render_poly",

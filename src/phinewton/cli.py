@@ -1,8 +1,10 @@
 """Command-line front end: parse, analyze, and render certificates.
 
 Exit codes: 0 on success, 1 on input errors (syntax, non-prime p, non-monic
-f), 2 when the requested single-phi criteria are inapplicable to the input,
-so batch scripts can tell "theorems don't apply" from "bad input".
+f, phi not monic of degree >= 1), 2 when the requested single-phi criteria
+are inapplicable to the input, so batch scripts can tell "theorems don't
+apply" from "bad input".  An exact power f = phi^n is certified with exit 0,
+and --check-only exits with the code the full run would return.
 
 The JSON report is stable under re-runs: feeding the embedded input, prime,
 phi, and seed back through the tool reproduces the report byte for byte.
@@ -29,11 +31,11 @@ from .criteria import (
     MODE_SINGLE_PHI,
     AnalysisReport,
     analyze,
+    analyze_phi,
     check_single_side_hypothesis,
+    single_phi_gate,
 )
 from .expr import ParseError, parse_poly, render_poly
-from .polyring import is_power_of_phibar, phi_expand
-from .residue_field import fp_is_irreducible
 from .valuation import INFINITY, ValuationDomain
 
 ENV_SEED = "PHINEWTON_SEED"
@@ -227,17 +229,17 @@ RENDERERS = {"text": render_text, "json": render_json, "svg": render_svg}
 
 
 def _check_only(f, phi_expr, domain) -> tuple[str, int]:
+    """One line and the exit code the full run would return."""
     if phi_expr is None:
         return f"ok: monic degree-{f.degree} polynomial, p = {domain.prime}", 0
     phi = parse_poly(phi_expr)
-    if not phi.is_monic or phi.degree < 1:
-        return "inapplicable: phi must be monic of degree >= 1", 2
-    phibar = phi.reduce_mod(domain.prime)
-    if not fp_is_irreducible(phibar):
-        return f"inapplicable: phi mod {domain.prime} is reducible", 2
-    if not is_power_of_phibar(f, phi, domain):
-        return f"inapplicable: f mod {domain.prime} is not a power of phi", 2
-    hyp = check_single_side_hypothesis(phi_expand(f, phi, domain))
+    reason = single_phi_gate(f, phi, domain)
+    if reason is not None:
+        return f"inapplicable: {reason}", 2
+    pr = analyze_phi(f, phi, f.degree // phi.degree, domain)
+    if pr.is_exact_power:
+        return f"ok: f equals phi^{pr.multiplicity} exactly", 0
+    hyp = check_single_side_hypothesis(pr.expansion)
     if hyp.holds:
         return f"ok: single-side hypothesis holds (lambda = {hyp.lam})", 0
     return "inapplicable: single-side hypothesis fails", 2

@@ -13,6 +13,10 @@ Two modes are supported for a monic f in Z[x] and a prime p:
   are summed into a factor-count bound; residual factor counts give an
   informational refinement.
 
+Both modes send each phi through `analyze_phi` and turn the per-phi bounds
+into a verdict with the same certifier; single-phi mode only adds its gate
+and the single-side hypothesis, which can make the verdict INAPPLICABLE.
+
 Verdicts are one-directional: the tool certifies IRREDUCIBLE or a BOUNDED
 factor count, never reducibility.
 """
@@ -22,13 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expr import render_poly
 from .polygon import NewtonPolygon, Side, build_polygon, single_vertex_polygon
 from .polyring import IntPoly, PhiExpansion, is_power_of_phibar, phi_expand
 from .residual import ResidualPolynomial, residual_polynomial
 from .residue_field import (
-    FpPoly,
     ext_count_irreducible_factors,
     ext_is_irreducible,
     fp_factorize,
@@ -94,47 +98,6 @@ def check_single_side_hypothesis(exp: PhiExpansion) -> SingleSideHypothesis:
 
 
 @dataclass(frozen=True)
-class SingleSideBound:
-    """The gcd factor bound for an expansion satisfying the hypothesis."""
-
-    applicable: bool
-    factor_bound: int | None = None
-    min_factor_degree: int | None = None
-    gcd_d: int | None = None
-    ramification_e: int | None = None
-    lam: Fraction | None = None
-
-
-def bound_single_phi(exp: PhiExpansion) -> SingleSideBound:
-    """At most gcd(nu(a_0), n) factors, each of degree at least e*deg(phi)."""
-    hyp = check_single_side_hypothesis(exp)
-    if not hyp.applicable or not hyp.holds:
-        return SingleSideBound(False)
-    n = exp.length
-    u0 = exp.valuations[0]
-    d = math.gcd(u0, n)
-    e = n // d
-    return SingleSideBound(True, d, e * exp.phi.degree, d, e, hyp.lam)
-
-
-def irreducibility_test(exp: PhiExpansion, seed: int = 0) -> str:
-    """Single-side verdict: IRREDUCIBLE when the gcd bound is 1 or the
-    residual polynomial is irreducible over F_phi; BOUNDED otherwise;
-    INAPPLICABLE when the hypothesis fails."""
-    bound = bound_single_phi(exp)
-    if not bound.applicable:
-        return INAPPLICABLE
-    if bound.gcd_d == 1:
-        return IRREDUCIBLE
-    np = build_polygon(exp.points())
-    phibar = exp.phi.reduce_mod(exp.domain.prime)
-    rp = residual_polynomial(exp, np.sides[0], phibar)
-    if ext_is_irreducible(rp.as_ext_poly()):
-        return IRREDUCIBLE
-    return BOUNDED
-
-
-@dataclass(frozen=True)
 class SideAnalysis:
     """One principal side with its residual data."""
 
@@ -155,10 +118,48 @@ class PhiReport:
 
     phi: IntPoly
     multiplicity: int
+    expansion: PhiExpansion
     polygon: NewtonPolygon
     sides: tuple
-    side_degree_sum: int
-    exact_power_exponent: int = 0
+    exact_power_exponent: int
+
+    @property
+    def side_degree_sum(self) -> int:
+        return sum(r.side.degree for r in self.sides)
+
+    @property
+    def bound(self) -> int:
+        """At most this many irreducible factors of f belong to phi."""
+        return self.exact_power_exponent + self.side_degree_sum
+
+    @property
+    def refined(self) -> int:
+        """The bound with each side degree replaced by its residual's
+        factor count (informational)."""
+        return self.exact_power_exponent + sum(r.factor_count for r in self.sides)
+
+    @property
+    def degree_floors(self) -> list[int]:
+        """Lower bounds on the degrees of the factors that belong to phi."""
+        m = self.phi.degree
+        floors = [r.side.e * m for r in self.sides]
+        if self.exact_power_exponent:
+            floors.append(m)
+        return floors
+
+    @property
+    def is_exact_power(self) -> bool:
+        """f = phi^n exactly: the polygon is one vertex with no side."""
+        return self.exact_power_exponent == self.expansion.length
+
+
+class Certificate(NamedTuple):
+    """The certified part of a report."""
+
+    verdict: str
+    factor_bound: int
+    refined_bound: int | None
+    min_factor_degree: int | None
 
 
 @dataclass
@@ -180,60 +181,100 @@ class AnalysisReport:
     phi_reports: list = field(default_factory=list)
 
 
-def _leading_infinity_run(exp: PhiExpansion) -> int:
+def analyze_phi(
+    f: IntPoly, phi: IntPoly, multiplicity: int, domain: ValuationDomain
+) -> PhiReport:
+    """Expand f in phi, split off the exact power phi^w dividing f, and build
+    N_phi(f) with the residual polynomials of its principal sides.
+
+    `multiplicity` is the exponent of phi mod p in f mod p, recorded as given.
+    """
+    exp = phi_expand(f, phi, domain)
     w = 0
     while w < len(exp.valuations) and exp.valuations[w] is INFINITY:
         w += 1
-    return w
-
-
-def _polygon_of(exp: PhiExpansion) -> NewtonPolygon:
-    finite = [(i, u) for i, u in exp.points() if u is not INFINITY]
-    if len(finite) < 2:
-        i, u = finite[0]
-        return single_vertex_polygon(i, u, exp.points())
-    return build_polygon(exp.points())
-
-
-def _zero_interior_notes(exp: PhiExpansion, rp: ResidualPolynomial) -> list[str]:
-    """Explain vanishing interior residual coefficients of a side."""
-    side = rp.side
-    notes = []
-    for j in range(1, rp.degree):
-        if not rp.ts[j].is_zero:
-            continue
-        abscissa = rp.anchor + j * side.e
-        u = exp.valuations[abscissa]
-        if u is INFINITY:
-            why = f"expansion coefficient a_{abscissa} vanishes"
-        else:
-            why = f"({abscissa}, {u}) lies strictly above the side"
-        notes.append(
-            f"side ({side.start[0]},{side.start[1]})->({side.end[0]},{side.end[1]}): "
-            f"residual coefficient at y^{rp.degree - j} is zero ({why})"
-        )
-    return notes
-
-
-def _analyze_sides(exp: PhiExpansion, polygon: NewtonPolygon, phibar: FpPoly, seed: int):
-    records = []
-    notes = []
+    if w == exp.length:
+        # f = phi^n exactly: phi is irreducible over the henselization, so
+        # the factor count is exactly n.
+        polygon = single_vertex_polygon(exp.length, 0, exp.points())
+        return PhiReport(phi, multiplicity, exp, polygon, (), w)
+    polygon = build_polygon(exp.points())
+    phibar = phi.reduce_mod(domain.prime)
+    sides = []
     for side in polygon.principal_part().sides:
         rp = residual_polynomial(exp, side, phibar)
         g = rp.as_ext_poly()
-        records.append(
-            SideAnalysis(side, rp, ext_is_irreducible(g),
-                         ext_count_irreducible_factors(g, seed))
-        )
-        notes.extend(_zero_interior_notes(exp, rp))
-    return records, notes
+        sides.append(SideAnalysis(side, rp, ext_is_irreducible(g),
+                                  ext_count_irreducible_factors(g)))
+    return PhiReport(phi, multiplicity, exp, polygon, tuple(sides), w)
 
 
-def _corollary_note(bound: int, p: int) -> str:
+def _certify(phi_reports) -> Certificate:
+    """Sum the per-phi bounds into a certificate.
+
+    A total bound of 1 means f is irreducible.  So does an irreducible
+    residual when there is one phi and its polygon is a single side
+    spanning the whole principal part.
+    """
+    bound = sum(pr.bound for pr in phi_reports)
+    floors = [d for pr in phi_reports for d in pr.degree_floors]
+    min_degree = min(floors) if floors else None
+    if bound == 1:
+        return Certificate(IRREDUCIBLE, 1, 1, min_degree)
+    if len(phi_reports) == 1:
+        pr = phi_reports[0]
+        if pr.exact_power_exponent == 0 and len(pr.sides) == 1:
+            rec = pr.sides[0]
+            span = (rec.side.start[0], rec.side.end)
+            if span == (0, (pr.multiplicity, 0)) and rec.irreducible:
+                return Certificate(IRREDUCIBLE, 1, 1, min_degree)
+    refined = sum(pr.refined for pr in phi_reports)
+    return Certificate(BOUNDED, bound, refined, min_degree)
+
+
+def _zero_interior_notes(pr: PhiReport) -> list[str]:
+    """Explain vanishing interior residual coefficients of the sides."""
+    notes = []
+    for rec in pr.sides:
+        rp, side = rec.residual, rec.side
+        for j in range(1, rp.degree):
+            if not rp.ts[j].is_zero:
+                continue
+            abscissa = rp.anchor + j * side.e
+            u = pr.expansion.valuations[abscissa]
+            if u is INFINITY:
+                why = f"expansion coefficient a_{abscissa} vanishes"
+            else:
+                why = f"({abscissa}, {u}) lies strictly above the side"
+            notes.append(
+                f"side ({side.start[0]},{side.start[1]})->"
+                f"({side.end[0]},{side.end[1]}): "
+                f"residual coefficient at y^{rp.degree - j} is zero ({why})"
+            )
+    return notes
+
+
+def _residual_irreducible_note(rec: SideAnalysis) -> str:
     return (
-        f"if f is irreducible over the base field, at most {bound} valuation(s) "
-        f"extend nu to the root field, equivalently at most {bound} prime "
-        f"ideal(s) lie above {p}"
+        f"residual polynomial {rec.residual} is irreducible over F_phi: "
+        f"f is irreducible over the henselization"
+    )
+
+
+def _report(input_str, f, domain, seed, mode, cert, notes, phi_reports):
+    notes.append(
+        f"if f is irreducible over the base field, at most {cert.factor_bound} "
+        f"valuation(s) extend nu to the root field, equivalently at most "
+        f"{cert.factor_bound} prime ideal(s) lie above {domain.prime}"
+    )
+    return AnalysisReport(
+        input=input_str, f=f, prime=domain.prime, seed=seed, mode=mode,
+        verdict=cert.verdict, factor_bound=cert.factor_bound,
+        min_factor_degree=cert.min_factor_degree,
+        refined_bound=cert.refined_bound,
+        valuation_count_bound=cert.factor_bound,
+        prime_ideal_count_bound=cert.factor_bound,
+        notes=notes, phi_reports=list(phi_reports),
     )
 
 
@@ -257,139 +298,79 @@ def analyze(
         input_str = render_poly(f)
     if phi is None:
         return bound_full(f, domain, seed, input_str)
-    return _analyze_single_phi(f, phi, domain, seed, input_str)
+    cert, notes, phi_reports = _single_phi(f, phi, domain)
+    return _report(input_str, f, domain, seed, MODE_SINGLE_PHI, cert, notes,
+                   phi_reports)
 
 
-def _inapplicable_report(input_str, f, domain, seed, reasons, phi_reports=()):
-    bound = f.degree
-    notes = list(reasons)
-    notes.append(
-        f"factor bound falls back to the trivial degree bound {bound}"
-    )
-    notes.append(_corollary_note(bound, domain.prime))
-    return AnalysisReport(
-        input=input_str, f=f, prime=domain.prime, seed=seed,
-        mode=MODE_SINGLE_PHI, verdict=INAPPLICABLE, factor_bound=bound,
-        min_factor_degree=None, refined_bound=None,
-        valuation_count_bound=bound, prime_ideal_count_bound=bound,
-        notes=notes, phi_reports=list(phi_reports),
-    )
+def single_phi_gate(f: IntPoly, phi: IntPoly, domain: ValuationDomain) -> str | None:
+    """Why the single-phi criteria cannot start for (f, phi), or None.
 
-
-def _analyze_single_phi(f, phi, domain, seed, input_str) -> AnalysisReport:
+    They need phi mod p irreducible and f mod p a power of it.  A phi that
+    is not monic of degree >= 1 is an input error and raises ValueError.
+    """
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
     p = domain.prime
     phibar = phi.reduce_mod(p)
     if not fp_is_irreducible(phibar):
-        return _inapplicable_report(
-            input_str, f, domain, seed,
-            [f"phi mod {p} = {phibar} is reducible over F_{p}"],
-        )
+        return f"phi mod {p} = {phibar} is reducible over F_{p}"
     if not is_power_of_phibar(f, phi, domain):
-        return _inapplicable_report(
-            input_str, f, domain, seed,
-            [f"f mod {p} is not a power of {phibar}"],
-        )
+        return f"f mod {p} is not a power of {phibar}"
+    return None
 
-    exp = phi_expand(f, phi, domain)
-    n = exp.length
-    m = phi.degree
-    w = _leading_infinity_run(exp)
 
-    if w == n:
-        # f = phi^n exactly: phi is irreducible over the henselization, so
-        # the factor count is exactly n.
-        verdict = IRREDUCIBLE if n == 1 else BOUNDED
-        polygon = single_vertex_polygon(n, 0, exp.points())
-        notes = [
-            f"f equals phi^{n} exactly: exactly {_count_word(n)} irreducible "
-            f"factor(s) over the henselization",
-            _corollary_note(n, p),
-        ]
-        return AnalysisReport(
-            input=input_str, f=f, prime=p, seed=seed, mode=MODE_SINGLE_PHI,
-            verdict=verdict, factor_bound=n, min_factor_degree=m,
-            refined_bound=n, valuation_count_bound=n,
-            prime_ideal_count_bound=n,
-            notes=notes, phi_reports=[PhiReport(phi, n, polygon, (), 0, w)],
-        )
+def _single_phi(f, phi, domain) -> tuple[Certificate, list[str], list[PhiReport]]:
+    reason = single_phi_gate(f, phi, domain)
+    if reason is not None:
+        notes = [reason,
+                 f"factor bound falls back to the trivial degree bound {f.degree}"]
+        return Certificate(INAPPLICABLE, f.degree, None, None), notes, []
 
-    polygon = _polygon_of(exp)
-    records, side_notes = _analyze_sides(exp, polygon, phibar, seed)
-    dsum = sum(r.side.degree for r in records)
-    hyp = check_single_side_hypothesis(exp)
-    phi_report = PhiReport(phi, n, polygon, tuple(records), dsum, w)
+    pr = analyze_phi(f, phi, f.degree // phi.degree, domain)
+    cert = _certify([pr])
+    n, w = pr.multiplicity, pr.exact_power_exponent
+    if pr.is_exact_power:
+        notes = [f"f equals phi^{n} exactly: exactly {_count_word(n)} irreducible "
+                 f"factor(s) over the henselization"]
+        return cert, notes, [pr]
 
+    hyp = check_single_side_hypothesis(pr.expansion)
     if not hyp.holds:
-        reasons = []
+        notes = []
         if hyp.a0_is_zero:
-            reasons.append(f"a_0 = 0: f is divisible by phi (phi^{w} divides f)")
+            notes.append(f"a_0 = 0: f is divisible by phi (phi^{w} divides f)")
         for i, required, actual in hyp.violations:
-            reasons.append(
+            notes.append(
                 f"single-side hypothesis fails at index {i}: "
                 f"need nu(a_{i}) >= {required}, got {actual}"
             )
-        bound = w + dsum
-        refined = w + sum(r.factor_count for r in records)
-        degrees = [r.side.e * m for r in records]
-        if w > 0:
-            degrees.append(m)
-        notes = reasons + side_notes
+        notes.extend(_zero_interior_notes(pr))
         notes.append(
-            f"polygon has {len(records)} principal side(s); per-side degree "
-            f"bound still applies: at most {bound} irreducible factor(s)"
+            f"polygon has {len(pr.sides)} principal side(s); per-side degree "
+            f"bound still applies: at most {pr.bound} irreducible factor(s)"
         )
-        notes.append(_corollary_note(bound, p))
-        return AnalysisReport(
-            input=input_str, f=f, prime=p, seed=seed, mode=MODE_SINGLE_PHI,
-            verdict=INAPPLICABLE, factor_bound=bound,
-            min_factor_degree=min(degrees) if degrees else None,
-            refined_bound=refined, valuation_count_bound=bound,
-            prime_ideal_count_bound=bound,
-            notes=notes, phi_reports=[phi_report],
-        )
+        return cert._replace(verdict=INAPPLICABLE), notes, [pr]
 
-    # Single side from (0, u_0) to (n, 0).
-    u0 = exp.valuations[0]
-    side = records[0].side
+    # Single side from (0, u_0) to (n, 0): its degree is the gcd bound.
+    u0 = pr.expansion.valuations[0]
     d = math.gcd(u0, n)
-    assert len(records) == 1 and side.degree == d == n // side.e, (
-        "single-side gcd identity violated"
-    )
-    e = n // d
-    rp = records[0]
+    assert len(pr.sides) == 1 and pr.bound == d, "single-side gcd identity violated"
+    rec = pr.sides[0]
     notes = [f"single side from (0, {u0}) to ({n}, 0): slope -{hyp.lam}, "
              f"gcd({u0}, {n}) = {d}"]
-    notes.extend(side_notes)
+    notes.extend(_zero_interior_notes(pr))
     if d == 1:
-        verdict = IRREDUCIBLE
-        notes.append(
-            f"gcd({u0}, {n}) = 1: f is irreducible (Eisenstein/Dumas shape)"
-        )
-    elif rp.irreducible:
-        verdict = IRREDUCIBLE
-        notes.append(
-            f"residual polynomial {rp.residual} is irreducible over F_phi: "
-            f"f is irreducible over the henselization"
-        )
+        notes.append(f"gcd({u0}, {n}) = 1: f is irreducible (Eisenstein/Dumas shape)")
+    elif cert.verdict == IRREDUCIBLE:
+        notes.append(_residual_irreducible_note(rec))
     else:
-        verdict = BOUNDED
         notes.append(
-            f"residual polynomial {rp.residual} factors over F_phi "
-            f"({rp.factor_count} factor(s) with multiplicity): "
+            f"residual polynomial {rec.residual} factors over F_phi "
+            f"({rec.factor_count} factor(s) with multiplicity): "
             f"keeping the gcd bound {d}"
         )
-    factor_bound = 1 if verdict == IRREDUCIBLE else d
-    refined = 1 if verdict == IRREDUCIBLE else rp.factor_count
-    notes.append(_corollary_note(factor_bound, p))
-    return AnalysisReport(
-        input=input_str, f=f, prime=p, seed=seed, mode=MODE_SINGLE_PHI,
-        verdict=verdict, factor_bound=factor_bound,
-        min_factor_degree=e * m, refined_bound=refined,
-        valuation_count_bound=factor_bound, prime_ideal_count_bound=factor_bound,
-        notes=notes, phi_reports=[phi_report],
-    )
+    return cert, notes, [pr]
 
 
 def bound_full(
@@ -410,73 +391,33 @@ def bound_full(
     _validate_input(f)
     if input_str is None:
         input_str = render_poly(f)
-    p = domain.prime
-    factorization = fp_factorize(f.reduce_mod(p), seed)
-
-    phi_reports = []
+    factorization = fp_factorize(f.reduce_mod(domain.prime), seed)
+    phi_reports = [
+        analyze_phi(f, IntPoly(phibar.coeffs), n_i, domain)
+        for phibar, n_i in factorization.factors
+    ]
     notes = []
-    total_bound = 0
-    refined = 0
-    degree_floors = []
-    for phibar, n_i in factorization.factors:
-        phi = IntPoly(phibar.coeffs)
-        m = phi.degree
-        exp = phi_expand(f, phi, domain)
-        w = _leading_infinity_run(exp)
-        if w == exp.length:
-            polygon = single_vertex_polygon(exp.length, 0, exp.points())
-            records, side_notes = [], []
-        else:
-            polygon = _polygon_of(exp)
-            records, side_notes = _analyze_sides(exp, polygon, phibar, seed)
-        dsum = sum(r.side.degree for r in records)
-        phi_reports.append(PhiReport(phi, n_i, polygon, tuple(records), dsum, w))
-        total_bound += w + dsum
-        refined += w + sum(r.factor_count for r in records)
-        if w > 0:
-            degree_floors.append(m)
-            notes.append(f"phi = {render_poly(phi)} divides f exactly {w} time(s)")
-        degree_floors.extend(r.side.e * m for r in records)
-        notes.extend(side_notes)
+    for pr in phi_reports:
+        name = render_poly(pr.phi)
+        if pr.exact_power_exponent:
+            notes.append(
+                f"phi = {name} divides f exactly {pr.exact_power_exponent} time(s)"
+            )
+        notes.extend(_zero_interior_notes(pr))
         notes.append(
-            f"phi = {render_poly(phi)}: multiplicity {n_i}, "
-            f"{len(records)} principal side(s), degree sum {dsum}"
+            f"phi = {name}: multiplicity {pr.multiplicity}, "
+            f"{len(pr.sides)} principal side(s), degree sum {pr.side_degree_sum}"
         )
 
-    hensel_lower = len(factorization.factors)
-    verdict = BOUNDED
-    factor_bound = total_bound
-    refined_bound = refined
-    if total_bound == 1:
-        verdict = IRREDUCIBLE
+    cert = _certify(phi_reports)
+    if sum(pr.bound for pr in phi_reports) == 1:
         notes.append("factor bound is 1: f is irreducible")
-    elif len(factorization.factors) == 1:
-        # Single phibar: when the polygon is one side covering the whole
-        # principal part, an irreducible residual certifies irreducibility.
-        pr = phi_reports[0]
-        if pr.exact_power_exponent == 0 and len(pr.sides) == 1:
-            side = pr.sides[0].side
-            full_span = side.start[0] == 0 and side.end == (pr.multiplicity, 0)
-            if full_span and pr.sides[0].irreducible:
-                verdict = IRREDUCIBLE
-                factor_bound = 1
-                refined_bound = 1
-                notes.append(
-                    f"residual polynomial {pr.sides[0].residual} is irreducible "
-                    f"over F_phi: f is irreducible over the henselization"
-                )
-    if verdict == BOUNDED and total_bound == hensel_lower:
+    elif cert.verdict == IRREDUCIBLE:
+        notes.append(_residual_irreducible_note(phi_reports[0].sides[0]))
+    elif cert.factor_bound == len(phi_reports):
         notes.append(
             f"coprime-factor lower bound matches the polygon bound: exactly "
-            f"{_count_word(total_bound)} irreducible factor(s) over the "
+            f"{_count_word(cert.factor_bound)} irreducible factor(s) over the "
             f"henselization"
         )
-    notes.append(_corollary_note(factor_bound, p))
-    return AnalysisReport(
-        input=input_str, f=f, prime=p, seed=seed, mode=MODE_FULL,
-        verdict=verdict, factor_bound=factor_bound,
-        min_factor_degree=min(degree_floors) if degree_floors else None,
-        refined_bound=refined_bound, valuation_count_bound=factor_bound,
-        prime_ideal_count_bound=factor_bound,
-        notes=notes, phi_reports=phi_reports,
-    )
+    return _report(input_str, f, domain, seed, MODE_FULL, cert, notes, phi_reports)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .valuation import INFINITY, ExtInt, reduce_rational
+from .valuation import INFINITY, ExtInt
 
 
 class PolygonPoint(NamedTuple):
@@ -45,7 +45,7 @@ class Side:
         length = end[0] - start[0]
         if length <= 0:
             raise ValueError("side endpoints must have increasing indices")
-        slope = reduce_rational(end[1] - start[1], length)
+        slope = Fraction(end[1] - start[1], length)
         e = slope.denominator
         h = abs(slope.numerator)
         if length % e != 0:
@@ -149,10 +149,6 @@ def single_vertex_polygon(index: int, height: int, all_points=()) -> NewtonPolyg
     vertex = (int(index), int(height))
     pts = tuple(all_points) if all_points else (PolygonPoint(*vertex),)
     return NewtonPolygon((vertex,), (), pts)
-
-
-def principal_part(np: NewtonPolygon) -> NewtonPolygon:
-    return np.principal_part()
 
 
 def minkowski_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:

@@ -186,11 +186,6 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-def poly_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """num = q*den + r with deg r < deg den; den must be monic."""
-    return divmod(num, den)
-
-
 def gauss_valuation(a: IntPoly, domain: ValuationDomain) -> ExtInt:
     """Minimum p-adic valuation over the coefficients; INFINITY for zero."""
     if a.is_zero:

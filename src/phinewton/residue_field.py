@@ -739,14 +739,12 @@ def _ext_distinct_degree(g: ExtPoly) -> list[tuple[ExtPoly, int]]:
     return out
 
 
-def ext_count_irreducible_factors(g: ExtPoly, seed: int = 0) -> int:
+def ext_count_irreducible_factors(g: ExtPoly) -> int:
     """Number of monic irreducible factors of g over F_q, with multiplicity.
 
     The count comes from squarefree decomposition plus distinct-degree
-    splitting, so it is fully deterministic; the seed is accepted for
-    interface parity with the F_p factorizer and is unused.
+    splitting, so it is fully deterministic.
     """
-    del seed
     if g.degree < 1:
         raise ValueError("factor counting requires degree >= 1")
     total = 0

@@ -10,7 +10,6 @@ coefficient backend could be added without touching downstream modules.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -105,8 +104,8 @@ def is_prime(n: int) -> bool:
     """Primality check.
 
     Deterministic (trial division, then fixed-base Miller-Rabin) for all
-    n below ~3.3e24; above that the same test runs on the first 40 prime
-    bases, which is a standard production-strength check.
+    n below ~3.3e24; above that the same test runs on the 25 prime bases
+    below 100, which is probabilistic, not a proof of primality.
     """
     if n < 2:
         return False
@@ -164,13 +163,3 @@ class ValuationDomain:
             raise ValueError(f"{x} is not divisible by {self.prime}^{k}")
         return q
 
-
-def reduce_rational(num: int, den: int) -> Fraction:
-    """Exact rational num/den in lowest terms with positive denominator."""
-    if den == 0:
-        raise ValueError("zero denominator: malformed slope input")
-    return Fraction(num, den)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)

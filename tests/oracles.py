@@ -18,11 +18,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .polygon import NewtonPolygon, Side, build_polygon
-from .polyring import IntPoly, phi_expand
-from .residual import residual_polynomial
-from .residue_field import ExtPoly, FactorizationFp, FpPoly, fp_is_irreducible
-from .valuation import INFINITY, ValuationDomain
+from phinewton.polygon import NewtonPolygon, Side, build_polygon
+from phinewton.polyring import IntPoly, phi_expand
+from phinewton.residual import residual_polynomial
+from phinewton.residue_field import ExtPoly, FactorizationFp, FpPoly, fp_is_irreducible
+from phinewton.valuation import INFINITY, ValuationDomain
 
 
 def hull_oracle(points) -> NewtonPolygon:

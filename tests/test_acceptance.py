@@ -16,7 +16,7 @@ from phinewton.criteria import (
     check_single_side_hypothesis,
 )
 from phinewton.expr import parse_poly
-from phinewton.oracles import (
+from oracles import (
     enumerate_monic_fp,
     exhaustive_fp_factor,
     gen_eisenstein_family,

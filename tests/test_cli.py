@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
+from oracles import gen_power_family
 from phinewton.cli import main, report_to_dict, render_svg
 from phinewton.criteria import analyze
-from phinewton.expr import parse_poly
+from phinewton.expr import parse_poly, render_poly
+from phinewton.polyring import IntPoly
 from phinewton.valuation import ValuationDomain
 
 DEG12 = "(x^2+x+1)^6 + 24x*(x^2+x+1)^3 + 9*(16x+32)*(x^2+x+1) + 3*(16x+16)"
@@ -113,6 +116,25 @@ class TestCheckOnly:
         code, out, _ = run_cli(capsys, "x^2+2x+2", "-p", "2", "--check-only")
         assert code == 0
         assert "ok" in out
+
+    def test_exit_code_matches_full_run(self, capsys):
+        cases = [("x^2", "2", "x"), ("x", "3", "x"), ("x^2+2x+2", "2", "2x+1")]
+        rng = random.Random(113)
+        for p, phi in ((2, "x"), (2, "x^2+x+1"), (3, "x+2"), (5, "x^2+2")):
+            domain = ValuationDomain.p_adic(p)
+            phi_poly = parse_poly(phi)
+            fams = gen_power_family(domain, phi_poly, 12, seed=rng.randrange(2**30),
+                                    max_n=5, zero_a0_prob=0.3)
+            fams += [phi_poly**k for k in (1, 2, 3)]
+            fams.append(phi_poly * IntPoly([1, 1]))  # not a power mod p
+            cases += [(render_poly(f), str(p), phi) for f in fams]
+        for f, p, phi in cases:
+            full, _, _ = run_cli(capsys, f, "-p", p, "--phi", phi)
+            check, out, _ = run_cli(capsys, f, "-p", p, "--phi", phi, "--check-only")
+            assert check == full, (f, p, phi, out)
+        assert run_cli(capsys, "x^2", "-p", "2", "--phi", "x", "--check-only")[0] == 0
+        assert run_cli(capsys, "x^2+2x+2", "-p", "2", "--phi", "2x+1",
+                       "--check-only")[0] == 1
 
 
 class TestInputFile(object):

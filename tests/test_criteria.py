@@ -9,11 +9,9 @@ from phinewton.criteria import (
     IRREDUCIBLE,
     analyze,
     bound_full,
-    bound_single_phi,
     check_single_side_hypothesis,
-    irreducibility_test,
 )
-from phinewton.oracles import gen_eisenstein_family, gen_factor_witness, gen_power_family
+from oracles import gen_eisenstein_family, gen_factor_witness, gen_power_family
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.valuation import INFINITY, ValuationDomain
@@ -99,48 +97,44 @@ class TestSingleSideHypothesis:
 
 class TestBoundSinglePhi:
     def test_degree12_bound(self):
-        b = bound_single_phi(phi_expand(degree12_input(), PHI_QUAD, D2))
-        assert b.applicable
+        b = analyze(degree12_input(), D2, phi=PHI_QUAD)
+        assert b.verdict != INAPPLICABLE
         assert b.factor_bound == 2
         assert b.min_factor_degree == 6
-        assert b.ramification_e == 3
+        assert b.phi_reports[0].sides[0].side.e == 3
 
     def test_gcd_one_is_irreducible_case(self):
-        b = bound_single_phi(phi_expand(IntPoly([2, 2, 1]), X, D2))
+        b = analyze(IntPoly([2, 2, 1]), D2, phi=X)
         assert b.factor_bound == 1
 
     def test_gcd_arithmetic(self):
         # nu(a_0) = 6, n = 4 -> bound 2, e = 2
         f = X**4 + IntPoly.constant(2**6)
-        b = bound_single_phi(phi_expand(f, X, D2))
+        b = analyze(f, D2, phi=X)
         assert b.factor_bound == 2
-        assert b.ramification_e == 2
+        assert b.phi_reports[0].sides[0].side.e == 2
         assert b.min_factor_degree == 2
 
     def test_hypothesis_fails_inapplicable(self):
-        b = bound_single_phi(phi_expand(IntPoly([8, 2, 0, 1]), X, D2))
-        assert not b.applicable
+        b = analyze(IntPoly([8, 2, 0, 1]), D2, phi=X)
+        assert b.verdict == INAPPLICABLE
 
 
 class TestIrreducibilityTest:
     def test_linear_residual_is_irreducible(self):
-        assert irreducibility_test(phi_expand(IntPoly([2, 2, 1]), X, D2)) == (
-            IRREDUCIBLE
-        )
+        assert analyze(IntPoly([2, 2, 1]), D2, phi=X).verdict == IRREDUCIBLE
 
     def test_height4_length6_bounded(self):
         f = X**6 + 24 * X**5 + 24 * X**3 + 240 * X**2 + 480 * X + IntPoly([48])
-        assert irreducibility_test(phi_expand(f, X, D2)) == BOUNDED
+        assert analyze(f, D2, phi=X).verdict == BOUNDED
 
     def test_engineered_variant_irreducible(self):
         # lowering nu(a_3) to 2 puts (3,2) on the side: residual y^2+y+1
         f = X**6 + 24 * X**5 + 4 * X**3 + 240 * X**2 + 480 * X + IntPoly([48])
-        assert irreducibility_test(phi_expand(f, X, D2)) == IRREDUCIBLE
+        assert analyze(f, D2, phi=X).verdict == IRREDUCIBLE
 
     def test_inapplicable(self):
-        assert irreducibility_test(phi_expand(IntPoly([1, 0, 1]), X, D3)) == (
-            INAPPLICABLE
-        )
+        assert analyze(IntPoly([1, 0, 1]), D3, phi=X).verdict == INAPPLICABLE
 
 
 class TestAnalyzeSinglePhi:
@@ -277,3 +271,33 @@ class TestBoundFull:
             assert r.refined_bound <= r.factor_bound <= n
             assert r.valuation_count_bound == r.factor_bound
             assert r.prime_ideal_count_bound == r.factor_bound
+
+
+class TestCrossModeAgreement:
+    """For f = phibar^n mod p and phi the canonical lift of phibar, the two
+    modes analyze the same single phi, so their certificates agree."""
+
+    FAMILIES = (
+        (D2, X), (D2, PHI_QUAD), (D2, IntPoly([1, 1, 0, 1])),
+        (D3, IntPoly([2, 1])), (D3, IntPoly([1, 0, 1])),
+        (D5, IntPoly([1, 1])), (D5, IntPoly([2, 0, 1])),
+    )
+
+    def test_single_phi_matches_full_mode(self):
+        rng = random.Random(107)
+        applicable = 0
+        for domain, phi in self.FAMILIES:
+            max_n = 6 if phi.degree < 3 else 3
+            fams = gen_power_family(domain, phi, 16, seed=rng.randrange(2**30),
+                                    max_n=max_n, zero_a0_prob=0.15)
+            fams += gen_eisenstein_family(domain, phi, 6, rng.randrange(2**30))
+            for f in fams:
+                single = analyze(f, domain, phi=phi)
+                full = analyze(f, domain)
+                assert single.factor_bound == full.factor_bound, f
+                assert single.min_factor_degree == full.min_factor_degree, f
+                assert single.refined_bound == full.refined_bound, f
+                if single.verdict != INAPPLICABLE:
+                    applicable += 1
+                    assert single.verdict == full.verdict, f
+        assert applicable > 0

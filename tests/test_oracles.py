@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from phinewton.oracles import (
+from oracles import (
     enumerate_monic_fp,
     exhaustive_ext_factor_count,
     exhaustive_fp_factor,

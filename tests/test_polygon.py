@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from phinewton.oracles import gen_power_family, hull_oracle, validate_polygon
+from oracles import gen_power_family, hull_oracle, validate_polygon
 from phinewton.polygon import (
     Side,
     build_polygon,
     minkowski_sum,
-    principal_part,
     single_vertex_polygon,
 )
 from phinewton.polyring import IntPoly, phi_expand
@@ -109,7 +108,7 @@ class TestPrincipalPart:
 
     def test_mixed_polygon_negative_prefix(self):
         pts = [(0, 3), (1, 1), (3, 0), (5, 0), (6, 2)]
-        pp = principal_part(build_polygon(pts))
+        pp = build_polygon(pts).principal_part()
         assert [s.slope for s in pp.sides] == [Fraction(-2), Fraction(-1, 2)]
         assert pp.vertices[-1] == (3, 0)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from phinewton.oracles import gen_power_family
+from oracles import gen_power_family
 from phinewton.polygon import Side, build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.residual import residual_coefficient, residual_polynomial
