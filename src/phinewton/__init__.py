@@ -13,15 +13,13 @@ from .polyring import (
 )
 from .residue_field import (
     ExtField,
-    ExtFieldElem,
-    ExtPoly,
     FactorizationFp,
-    FpPoly,
-    ext_count_irreducible_factors,
+    FqPoly,
+    PrimeField,
+    count_irreducible_factors,
     ext_field,
-    ext_is_irreducible,
     fp_factorize,
-    fp_is_irreducible,
+    is_irreducible,
 )
 from .polygon import (
     NewtonPolygon,
@@ -56,15 +54,13 @@ __all__ = [
     "is_power_of_phibar",
     "phi_expand",
     "ExtField",
-    "ExtFieldElem",
-    "ExtPoly",
     "FactorizationFp",
-    "FpPoly",
-    "ext_count_irreducible_factors",
+    "FqPoly",
+    "PrimeField",
+    "count_irreducible_factors",
     "ext_field",
-    "ext_is_irreducible",
     "fp_factorize",
-    "fp_is_irreducible",
+    "is_irreducible",
     "NewtonPolygon",
     "PolygonPoint",
     "Side",

@@ -66,7 +66,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "h": s.h,
                 "e": s.e,
                 "degree": s.degree,
-                "residual_poly": [list(t.value.coeffs) for t in rec.residual.ts],
+                "residual_poly": [list(t.coeffs) for t in rec.residual.ts],
                 "residual_irreducible": rec.irreducible,
                 "residual_factor_count": rec.factor_count,
             })

@@ -10,11 +10,17 @@ Grammar (whitespace-insensitive, integers unbounded):
 The '*' between adjacent factors is optional, so inputs like
 "24x(x^2+x+1)^3" parse as written.  A single leading '-' is accepted so
 rendered polynomials always round-trip; doubled operators are rejected.
+Parentheses nest at most MAX_NESTING deep, and no power or product may have
+degree above MAX_DEGREE; both limits are checked before any arithmetic.
+Integer powers such as 2^9000 are not limited.
 """
 
 from __future__ import annotations
 
 from .polyring import IntPoly
+
+MAX_NESTING = 100
+MAX_DEGREE = 10_000
 
 
 class ParseError(ValueError):
@@ -29,6 +35,7 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -79,23 +86,31 @@ class _Parser:
             else:
                 return result
 
+    def _check_degree(self, degree: int, start: int):
+        if degree > MAX_DEGREE:
+            raise ParseError(f"degree {degree} exceeds the maximum {MAX_DEGREE}", start)
+
     def parse_term(self) -> IntPoly:
         result = self.parse_factor()
         while True:
             ch = self.peek()
             if ch == "*":
                 self.take()
-                result = result * self.parse_factor()
-            elif ch.isdigit() or ch == "x" or ch == "(":
-                result = result * self.parse_factor()
-            else:
+            elif not (ch.isdigit() or ch == "x" or ch == "("):
                 return result
+            start = self.pos
+            factor = self.parse_factor()
+            self._check_degree(result.degree + factor.degree, start)
+            result = result * factor
 
     def parse_factor(self) -> IntPoly:
         base = self.parse_base()
         if self.peek() == "^":
             self.take()
-            return base ** self.parse_uint()
+            start = self.pos
+            n = self.parse_uint()
+            self._check_degree(base.degree * n, start)
+            return base**n
         return base
 
     def parse_base(self) -> IntPoly:
@@ -106,9 +121,13 @@ class _Parser:
             self.take()
             return IntPoly.x()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.pos)
             self.take()
+            self.depth += 1
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if ch.isalpha():
             raise ParseError(f"unknown variable '{ch}'", self.pos)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .residue_field import FpPoly
+from .residue_field import FqPoly
 from .valuation import INFINITY, ExtInt, ValuationDomain
 
 
@@ -167,9 +167,9 @@ class IntPoly:
             y = y * x + c
         return y
 
-    def reduce_mod(self, p: int) -> FpPoly:
+    def reduce_mod(self, p: int) -> FqPoly:
         """Image in F_p[x]."""
-        return FpPoly(p, self.coeffs)
+        return FqPoly(p, self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -20,32 +20,33 @@ from dataclasses import dataclass
 
 from .polygon import Side
 from .polyring import PhiExpansion
-from .residue_field import ExtFieldElem, ExtPoly, FpPoly, ext_field
+from .residue_field import ExtField, FqPoly, ext_field
 from .valuation import INFINITY
 
 
 @dataclass(frozen=True)
 class ResidualPolynomial:
-    """f_S(y) for one side: coefficients t_0..t_d, t_i attached to y^(d-i)."""
+    """f_S(y) for one side: coefficients t_0..t_d in `field`, t_i attached
+    to y^(d-i)."""
 
     side: Side
     anchor: int
     ts: tuple
+    field: ExtField
 
     @property
     def degree(self) -> int:
         return len(self.ts) - 1
 
-    def as_ext_poly(self) -> ExtPoly:
-        """The same polynomial with coefficients in ascending powers of y."""
-        field = self.ts[0].field
-        return ExtPoly(field, tuple(reversed(self.ts)))
+    def as_poly(self) -> FqPoly:
+        """The same polynomial over F_phi, in ascending powers of y."""
+        return FqPoly(self.field, tuple(reversed(self.ts)))
 
     def __str__(self):
-        return str(self.as_ext_poly())
+        return str(self.as_poly())
 
 
-def _check_consistency(exp: PhiExpansion, phibar: FpPoly):
+def _check_consistency(exp: PhiExpansion, phibar: FqPoly):
     if exp.phi.reduce_mod(phibar.p) != phibar:
         raise ValueError("phibar does not match the expansion's phi mod p")
     if phibar.p != exp.domain.prime:
@@ -53,8 +54,8 @@ def _check_consistency(exp: PhiExpansion, phibar: FpPoly):
 
 
 def residual_coefficient(
-    exp: PhiExpansion, side: Side, i: int, phibar: FpPoly
-) -> ExtFieldElem:
+    exp: PhiExpansion, side: Side, i: int, phibar: FqPoly
+) -> FqPoly:
     """The residual coefficient c_i of the side, an element of F_phi."""
     if not 0 <= i <= side.length:
         raise ValueError(f"index {i} outside side of length {side.length}")
@@ -73,12 +74,11 @@ def residual_coefficient(
         )
     domain = exp.domain
     a = exp.coeffs[s + i]
-    reduced = FpPoly(phibar.p, [domain.exact_div(c, u) for c in a.coeffs])
-    return field.elem(reduced)
+    return field.elem([domain.exact_div(c, u) for c in a.coeffs])
 
 
 def residual_polynomial(
-    exp: PhiExpansion, side: Side, phibar: FpPoly
+    exp: PhiExpansion, side: Side, phibar: FqPoly
 ) -> ResidualPolynomial:
     """Assemble f_S(y) = t_0 y^d + ... + t_d from the side's lattice points.
 
@@ -93,4 +93,4 @@ def residual_polynomial(
     )
     if ts[0].is_zero or ts[-1].is_zero:
         raise RuntimeError("side endpoints must carry nonzero residual coefficients")
-    return ResidualPolynomial(side, side.start[0], ts)
+    return ResidualPolynomial(side, side.start[0], ts, ext_field(phibar))

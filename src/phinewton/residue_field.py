@@ -1,16 +1,26 @@
-"""Arithmetic and factorization over F_p and its simple extensions F_p[x]/(phibar).
+"""Dense polynomials over F_p and its simple extensions F_p[x]/(phibar).
 
-Polynomials over F_p are dense coefficient lists in ascending degree order,
-entries reduced to [0, p), no trailing zeros.  Extension fields are taken in
-the presentation the caller fixes (a monic irreducible modulus), with no
-canonical-model normalization, so residue classes stay auditable against the
-inputs that produced them.
+One immutable class, FqPoly, serves every finite field.  Its field is
+either a PrimeField (built from a prime p) or an ExtField F_p[x]/(phibar)
+for a monic irreducible phibar.  Both field types offer the same small
+interface: p, m, q = p^m, a `modulus` that reduces an element with `%`,
+`zero`, `one`, `elem(value)`, `inv(a)` and `pth_root(a)`.
 
-Factorization over F_p runs squarefree decomposition, then distinct-degree
-splitting, then seeded Cantor-Zassenhaus equal-degree splitting; the result
-is deterministic for a given (polynomial, seed).  Over an extension only
-irreducibility (Rabin's test) and factor counting (squarefree + distinct
-degree) are provided.
+* Over F_p the modulus is the int p, and elements are plain ints in [0, p).
+* Over F_phi the modulus is phibar, an FqPoly over F_p, and elements are
+  FqPolys over F_p of degree < deg phibar.
+
+Every coefficient loop therefore uses native operators only: products
+accumulate unreduced and each output coefficient is reduced once with
+`% modulus`.  Polynomials are coefficient tuples in ascending degree order
+with no trailing zeros.  Extension fields are taken in the presentation the
+caller fixes, with no canonical-model normalization, so residue classes stay
+auditable against the inputs that produced them.
+
+Rabin's irreducibility test and factor counting (squarefree decomposition
+plus distinct-degree splitting) work over any of these fields.  Complete
+factorization adds seeded Cantor-Zassenhaus equal-degree splitting over F_p
+only; its result is deterministic for a given (polynomial, seed).
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -41,30 +52,73 @@ def _term_str(coeff: str, power: int, var: str) -> str:
     return xpow if coeff == "1" else f"{coeff}{xpow}"
 
 
-class FpPoly:
-    """Dense polynomial over F_p."""
+class PrimeField:
+    """F_p with elements the ints 0..p-1."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "m", "q", "modulus", "zero", "one")
 
-    def __init__(self, p: int, coeffs=()):
+    def __init__(self, p: int):
         if p < 2:
             raise ValueError("modulus must be >= 2")
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
+        for name, value in (("p", p), ("m", 1), ("q", p), ("modulus", p),
+                            ("zero", 0), ("one", 1)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PrimeField is immutable")
+
+    def elem(self, value: int) -> int:
+        return value % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+    def pth_root(self, a: int) -> int:
+        return a
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
+
+    def __repr__(self):
+        return f"PrimeField({self.p})"
+
+
+_prime_field = functools.lru_cache(maxsize=None)(PrimeField)
+
+
+class FqPoly:
+    """Dense polynomial over a PrimeField or an ExtField.
+
+    `FqPoly(p, coeffs)` builds a polynomial over F_p; `FqPoly(field, coeffs)`
+    one over an ExtField, whose coefficients may be ints, F_p coefficient
+    lists or FqPolys over F_p.
+    """
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs=()):
+        if isinstance(field, int):
+            field = _prime_field(field)
+        cs = [field.elem(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, *args):
-        raise AttributeError("FpPoly is immutable")
+        raise AttributeError("FqPoly is immutable")
 
     @classmethod
-    def x(cls, p: int) -> "FpPoly":
-        return cls(p, (0, 1))
+    def x(cls, field) -> "FqPoly":
+        """The polynomial variable (printed x over F_p, y over F_phi)."""
+        return cls(field, (0, 1))
 
-    @classmethod
-    def constant(cls, p: int, c: int) -> "FpPoly":
-        return cls(p, (c,))
+    @property
+    def p(self) -> int:
+        return self.field.p
 
     @property
     def degree(self) -> int:
@@ -74,52 +128,60 @@ class FpPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     @property
-    def lead(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
+    def lead(self):
+        return self.coeffs[-1] if self.coeffs else self.field.zero
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
 
-    def _check(self, other: "FpPoly"):
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
+    def _check(self, other: "FqPoly"):
+        if self.field is not other.field and self.field != other.field:
+            raise ValueError("mixed fields")
 
-    def __add__(self, other: "FpPoly") -> "FpPoly":
+    def __add__(self, other: "FqPoly") -> "FqPoly":
         self._check(other)
+        mod, zero = self.field.modulus, self.field.zero
+        return _poly(self.field, [(a + b) % mod for a, b in
+                                  zip_longest(self.coeffs, other.coeffs, fillvalue=zero)])
+
+    def __sub__(self, other: "FqPoly") -> "FqPoly":
+        self._check(other)
+        mod, zero = self.field.modulus, self.field.zero
+        return _poly(self.field, [(a - b) % mod for a, b in
+                                  zip_longest(self.coeffs, other.coeffs, fillvalue=zero)])
+
+    def __neg__(self) -> "FqPoly":
+        mod = self.field.modulus
+        return _poly(self.field, [-c % mod for c in self.coeffs])
+
+    def __mul__(self, other: "FqPoly") -> "FqPoly":
+        self._check(other)
+        field = self.field
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FpPoly(self.p, out)
+        if not a or not b:
+            return _poly(field, [])
+        out = [field.zero] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b):
+                    out[i + j] += c * d
+        mod = field.modulus
+        return _poly(field, [c % mod for c in out])
 
-    def __neg__(self) -> "FpPoly":
-        return FpPoly(self.p, [-c for c in self.coeffs])
+    def scale(self, c) -> "FqPoly":
+        """Multiply by the field element c."""
+        mod = self.field.modulus
+        return _poly(self.field, [c * a % mod for a in self.coeffs])
 
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return FpPoly(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return FpPoly(self.p, out)
-
-    def scale(self, c: int) -> "FpPoly":
-        return FpPoly(self.p, [c * a for a in self.coeffs])
-
-    def __pow__(self, n: int) -> "FpPoly":
+    def __pow__(self, n: int) -> "FqPoly":
         if n < 0:
             raise ValueError("negative exponent")
-        result = FpPoly.constant(self.p, 1)
+        result = _poly(self.field, [self.field.one])
         base = self
         while n:
             if n & 1:
@@ -128,65 +190,75 @@ class FpPoly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: "FpPoly"):
+    def __divmod__(self, other: "FqPoly"):
         self._check(other)
-        if other.is_zero:
+        if not other.coeffs:
             raise ZeroDivisionError("division by the zero polynomial")
-        p = self.p
-        inv = pow(other.lead, -1, p)
+        field = self.field
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        bs = other.coeffs
+        db = len(bs) - 1
+        dq = len(rem) - len(bs)
         if dq < 0:
-            return FpPoly(p), self
-        quo = [0] * (dq + 1)
+            return _poly(field, []), self
+        mod = field.modulus
+        inv = None if bs[-1] == field.one else field.inv(bs[-1])
+        low = bs[:-1]
+        quo = [field.zero] * (dq + 1)
+        # rem stays unreduced; each entry is reduced once, when it is read
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv % p
+            c = rem[k + db] % mod
+            if inv is not None:
+                c = c * inv % mod
             if c:
                 quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * b) % p
-        return FpPoly(p, quo), FpPoly(p, rem[: other.degree])
+                for j, b in enumerate(low):
+                    rem[k + j] -= c * b
+        return _poly(field, quo), _poly(field, [c % mod for c in rem[:db]])
 
-    def __floordiv__(self, other: "FpPoly") -> "FpPoly":
+    def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]
 
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
+    def __mod__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[1]
 
-    def monic(self) -> "FpPoly":
+    def monic(self) -> "FqPoly":
         if self.is_zero or self.is_monic:
             return self
-        return self.scale(pow(self.lead, -1, self.p))
+        return self.scale(self.field.inv(self.lead))
 
-    def gcd(self, other: "FpPoly") -> "FpPoly":
+    def gcd(self, other: "FqPoly") -> "FqPoly":
         a, b = self, other
-        while not b.is_zero:
+        while b:
             a, b = b, a % b
         return a.monic()
 
-    def xgcd(self, other: "FpPoly"):
+    def xgcd(self, other: "FqPoly"):
         """Extended gcd: returns monic (g, s, t) with s*self + t*other = g."""
-        p = self.p
+        field = self.field
         r0, r1 = self, other
-        s0, s1 = FpPoly.constant(p, 1), FpPoly(p)
-        t0, t1 = FpPoly(p), FpPoly.constant(p, 1)
-        while not r1.is_zero:
+        s0, s1 = _poly(field, [field.one]), _poly(field, [])
+        t0, t1 = s1, s0
+        while r1:
             q, r = divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
             t0, t1 = t1, t0 - q * t1
-        if r0.is_zero:
+        if not r0:
             return r0, s0, t0
-        inv = pow(r0.lead, -1, p)
+        inv = field.inv(r0.lead)
         return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
-    def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
+    def derivative(self) -> "FqPoly":
+        field = self.field
+        mod = field.modulus
+        return _poly(field, [c * field.elem(i) % mod
+                             for i, c in enumerate(self.coeffs)][1:])
 
-    def pow_mod(self, n: int, modulus: "FpPoly") -> "FpPoly":
+    def pow_mod(self, n: int, modulus: "FqPoly") -> "FqPoly":
         if n < 0:
             raise ValueError("negative exponent")
-        result = FpPoly.constant(self.p, 1) % modulus
+        result = _poly(self.field, [self.field.one]) % modulus
         base = self % modulus
         while n:
             if n & 1:
@@ -195,49 +267,61 @@ class FpPoly:
             n >>= 1
         return result
 
-    def evaluate(self, x: int) -> int:
-        y = 0
-        for c in reversed(self.coeffs):
-            y = (y * x + c) % self.p
-        return y
-
     def __eq__(self, other):
         return (
-            isinstance(other, FpPoly)
-            and self.p == other.p
+            isinstance(other, FqPoly)
+            and self.field == other.field
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        return f"FpPoly({self.p}, {list(self.coeffs)})"
+        return f"FqPoly({self.field!r}, {[str(c) for c in self.coeffs]})"
 
     def __str__(self):
-        if self.is_zero:
+        if not self.coeffs:
             return "0"
+        var = "x" if isinstance(self.field, PrimeField) else "y"
         terms = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
             if c:
-                terms.append(_term_str(str(c), i, "x"))
+                cs = str(c)
+                if i and not isinstance(c, int) and c.degree > 0:
+                    cs = f"({cs})*"
+                terms.append(_term_str(cs, i, var))
         return " + ".join(terms)
 
 
-def fp_is_irreducible(f: FpPoly) -> bool:
-    """Rabin's irreducibility test over F_p."""
+def _poly(field, cs: list) -> FqPoly:
+    """FqPoly from already reduced coefficients, trailing zeros stripped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    f = object.__new__(FqPoly)
+    object.__setattr__(f, "field", field)
+    object.__setattr__(f, "coeffs", tuple(cs))
+    return f
+
+
+def is_irreducible(f: FqPoly) -> bool:
+    """Rabin's irreducibility test over F_q, q = p^m.
+
+    Checks x^(q^n) = x mod f and gcd(x^(q^(n/ell)) - x, f) = 1 for every
+    prime ell dividing n = deg f.  Constants are not irreducible.
+    """
     n = f.degree
     if n <= 0:
         return False
     if n == 1:
         return True
-    p = f.p
+    q = f.field.q
     f = f.monic()
-    x = FpPoly.x(p)
+    x = FqPoly.x(f.field)
     powers = [x % f]
     for _ in range(n):
-        powers.append(powers[-1].pow_mod(p, f))
+        powers.append(powers[-1].pow_mod(q, f))
     if powers[n] != x % f:
         return False
     for ell in _prime_factors(n):
@@ -246,37 +330,81 @@ def fp_is_irreducible(f: FpPoly) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactorizationFp:
-    """Complete factorization over F_p: unit * prod(factor^multiplicity)."""
+class ExtField:
+    """The extension field F_p[x]/(phibar) for a monic irreducible phibar.
 
-    factors: tuple  # ((FpPoly, int), ...), monic irreducible, canonically sorted
-    unit: int
+    Elements are FqPolys over F_p reduced modulo phibar.
+    """
 
-    def recompose(self) -> FpPoly:
-        if not self.factors:
-            p = 2
-        else:
-            p = self.factors[0][0].p
-        out = FpPoly.constant(p, self.unit)
-        for g, k in self.factors:
-            out = out * g**k
-        return out
+    __slots__ = ("p", "m", "q", "modulus", "zero", "one")
+
+    def __init__(self, modulus: FqPoly):
+        if not isinstance(modulus.field, PrimeField):
+            raise ValueError("modulus must be a polynomial over a prime field")
+        if not modulus.is_monic or modulus.degree < 1:
+            raise ValueError("modulus must be monic of degree >= 1")
+        if not is_irreducible(modulus):
+            raise ValueError(f"modulus {modulus} is reducible over F_{modulus.p}")
+        p, m = modulus.p, modulus.degree
+        for name, value in (("p", p), ("m", m), ("q", p**m), ("modulus", modulus),
+                            ("zero", _poly(modulus.field, [])),
+                            ("one", _poly(modulus.field, [1]))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("ExtField is immutable")
+
+    def elem(self, value) -> FqPoly:
+        """The reduced element for an int, an F_p coefficient list or an FqPoly."""
+        if isinstance(value, int):
+            value = FqPoly(self.p, (value,))
+        elif not isinstance(value, FqPoly):
+            value = FqPoly(self.p, value)
+        return value % self.modulus
 
     @property
-    def factor_count(self) -> int:
-        """Number of irreducible factors counted with multiplicity."""
-        return sum(k for _, k in self.factors)
+    def gen(self) -> FqPoly:
+        """The class of x, a root of the modulus."""
+        return self.elem(FqPoly.x(self.p))
+
+    def inv(self, a: FqPoly) -> FqPoly:
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        _, s, _ = a.xgcd(self.modulus)
+        return s % self.modulus
+
+    def pth_root(self, a: FqPoly) -> FqPoly:
+        """The unique p-th root: a^(p^(m-1))."""
+        return a.pow_mod(self.p ** (self.m - 1), self.modulus)
+
+    def __eq__(self, other):
+        return isinstance(other, ExtField) and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash(self.modulus)
+
+    def __repr__(self):
+        return f"ExtField(F_{self.p}[x]/({self.modulus}))"
 
 
-def _squarefree_parts(f: FpPoly) -> list[tuple[FpPoly, int]]:
+@functools.lru_cache(maxsize=None)
+def _cached_field(modulus: FqPoly) -> ExtField:
+    return ExtField(modulus)
+
+
+def ext_field(modulus: FqPoly) -> ExtField:
+    """Shared-instance constructor for F_p[x]/(modulus)."""
+    return _cached_field(modulus)
+
+
+def _squarefree_parts(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """Split monic f into (monic squarefree part, multiplicity) pairs."""
-    p = f.p
+    field = f.field
     parts = []
     n = 1
     while f.degree > 0:
         deriv = f.derivative()
-        if not deriv.is_zero:
+        if deriv:
             g = f.gcd(deriv)
             h = f // g
             i = 1
@@ -289,16 +417,16 @@ def _squarefree_parts(f: FpPoly) -> list[tuple[FpPoly, int]]:
             if g.degree == 0:
                 return parts
             f = g
-        # f is now a perfect p-th power; over F_p the root keeps coefficients
-        f = FpPoly(p, f.coeffs[::p])
-        n *= p
+        # f is a perfect p-th power; take the p-th root of each kept coefficient
+        f = _poly(field, [field.pth_root(c) for c in f.coeffs[::field.p]])
+        n *= field.p
     return parts
 
 
-def _distinct_degree(f: FpPoly, q: int) -> list[tuple[FpPoly, int]]:
+def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """Split monic squarefree f into (product of degree-e irreducibles, e)."""
-    p = f.p
-    x = FpPoly.x(p)
+    q = f.field.q
+    x = FqPoly.x(f.field)
     out = []
     h = x % f
     e = 1
@@ -315,15 +443,50 @@ def _distinct_degree(f: FpPoly, q: int) -> list[tuple[FpPoly, int]]:
     return out
 
 
-def _equal_degree(f: FpPoly, e: int, rng: random.Random) -> list[FpPoly]:
+def count_irreducible_factors(g: FqPoly) -> int:
+    """Number of monic irreducible factors of g, counted with multiplicity.
+
+    The count comes from squarefree decomposition plus distinct-degree
+    splitting, so it is fully deterministic.
+    """
+    if g.degree < 1:
+        raise ValueError("factor counting requires degree >= 1")
+    total = 0
+    for part, mult in _squarefree_parts(g.monic()):
+        for prod, e in _distinct_degree(part):
+            total += mult * (prod.degree // e)
+    return total
+
+
+@dataclass(frozen=True)
+class FactorizationFp:
+    """Complete factorization over F_p: unit * prod(factor^multiplicity)."""
+
+    factors: tuple  # ((FqPoly, int), ...), monic irreducible, canonically sorted
+    unit: int
+    p: int
+
+    def recompose(self) -> FqPoly:
+        out = FqPoly(self.p, [self.unit])
+        for g, k in self.factors:
+            out = out * g**k
+        return out
+
+    @property
+    def factor_count(self) -> int:
+        """Number of irreducible factors counted with multiplicity."""
+        return sum(k for _, k in self.factors)
+
+
+def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
     """Cantor-Zassenhaus split of a monic product of degree-e irreducibles."""
     n = f.degree
     if n == e:
         return [f]
     p = f.p
-    one = FpPoly.constant(p, 1)
+    one = FqPoly(p, [1])
     while True:
-        r = FpPoly(p, [rng.randrange(p) for _ in range(2 * e)])
+        r = FqPoly(p, [rng.randrange(p) for _ in range(2 * e)])
         if r.degree < 1:
             continue
         if p == 2:
@@ -343,412 +506,22 @@ def _equal_degree(f: FpPoly, e: int, rng: random.Random) -> list[FpPoly]:
             return _equal_degree(g, e, rng) + _equal_degree(f // g, e, rng)
 
 
-def fp_factorize(f: FpPoly, seed: int = 0) -> FactorizationFp:
+def fp_factorize(f: FqPoly, seed: int = 0) -> FactorizationFp:
     """Complete factorization of a nonzero polynomial over F_p.
 
     Deterministic for fixed (f, seed): the equal-degree stage draws from a
     PRNG seeded by the caller, and factors are returned in a canonical order
     (degree, then coefficient tuple).
     """
+    if not isinstance(f.field, PrimeField):
+        raise ValueError("complete factorization needs a prime field")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(seed)
-    unit = f.lead
     factors = []
     for part, mult in _squarefree_parts(f.monic()):
-        for prod, e in _distinct_degree(part, f.p):
+        for prod, e in _distinct_degree(part):
             for irr in _equal_degree(prod, e, rng):
                 factors.append((irr, mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return FactorizationFp(tuple(factors), unit)
-
-
-class ExtField:
-    """The extension field F_p[x]/(phibar) for a monic irreducible phibar."""
-
-    __slots__ = ("p", "modulus", "m", "q")
-
-    def __init__(self, modulus: FpPoly):
-        if not modulus.is_monic or modulus.degree < 1:
-            raise ValueError("modulus must be monic of degree >= 1")
-        if not fp_is_irreducible(modulus):
-            raise ValueError(f"modulus {modulus} is reducible over F_{modulus.p}")
-        object.__setattr__(self, "p", modulus.p)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "m", modulus.degree)
-        object.__setattr__(self, "q", modulus.p**modulus.degree)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ExtField is immutable")
-
-    def elem(self, value) -> "ExtFieldElem":
-        if isinstance(value, ExtFieldElem):
-            if value.field is not self and value.field != self:
-                raise ValueError("element of a different field")
-            return value
-        if isinstance(value, int):
-            value = FpPoly.constant(self.p, value)
-        elif not isinstance(value, FpPoly):
-            value = FpPoly(self.p, value)
-        return ExtFieldElem(self, value % self.modulus)
-
-    @property
-    def zero(self) -> "ExtFieldElem":
-        return self.elem(0)
-
-    @property
-    def one(self) -> "ExtFieldElem":
-        return self.elem(1)
-
-    @property
-    def gen(self) -> "ExtFieldElem":
-        """The class of x, a root of the modulus."""
-        return self.elem(FpPoly.x(self.p))
-
-    def __eq__(self, other):
-        return isinstance(other, ExtField) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(self.modulus)
-
-    def __repr__(self):
-        return f"ExtField(F_{self.p}[x]/({self.modulus}))"
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_field(modulus: FpPoly) -> ExtField:
-    return ExtField(modulus)
-
-
-def ext_field(modulus: FpPoly) -> ExtField:
-    """Shared-instance constructor for F_p[x]/(modulus)."""
-    return _cached_field(modulus)
-
-
-class ExtFieldElem:
-    """An element of an ExtField, stored as its reduced representative."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: ExtField, value: FpPoly):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ExtFieldElem is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-    def _check(self, other: "ExtFieldElem"):
-        if self.field != other.field:
-            raise ValueError("mixed fields")
-
-    def __add__(self, other: "ExtFieldElem") -> "ExtFieldElem":
-        self._check(other)
-        return ExtFieldElem(self.field, (self.value + other.value) % self.field.modulus)
-
-    def __sub__(self, other: "ExtFieldElem") -> "ExtFieldElem":
-        self._check(other)
-        return ExtFieldElem(self.field, (self.value - other.value) % self.field.modulus)
-
-    def __neg__(self) -> "ExtFieldElem":
-        return ExtFieldElem(self.field, (-self.value) % self.field.modulus)
-
-    def __mul__(self, other: "ExtFieldElem") -> "ExtFieldElem":
-        self._check(other)
-        return ExtFieldElem(self.field, self.value * other.value % self.field.modulus)
-
-    def inverse(self) -> "ExtFieldElem":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        g, s, _ = self.value.xgcd(self.field.modulus)
-        if g.degree != 0:
-            raise ValueError("modulus is not irreducible")
-        return ExtFieldElem(self.field, s % self.field.modulus)
-
-    def __pow__(self, n: int) -> "ExtFieldElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return ExtFieldElem(self.field, self.value.pow_mod(n, self.field.modulus))
-
-    def frobenius_inv(self) -> "ExtFieldElem":
-        """The unique p-th root: c^(p^(m-1))."""
-        return self ** (self.field.p ** (self.field.m - 1))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtFieldElem)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.field.modulus, self.value))
-
-    def __repr__(self):
-        return f"ExtFieldElem({self.value!r} mod {self.field.modulus!r})"
-
-    def __str__(self):
-        return str(self.value)
-
-
-class ExtPoly:
-    """Dense polynomial in y over an ExtField."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: ExtField, coeffs=()):
-        cs = [field.elem(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ExtPoly is immutable")
-
-    @classmethod
-    def y(cls, field: ExtField) -> "ExtPoly":
-        return cls(field, (0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lead(self) -> ExtFieldElem:
-        return self.coeffs[-1] if self.coeffs else self.field.zero
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
-    def _check(self, other: "ExtPoly"):
-        if self.field != other.field:
-            raise ValueError("mixed fields")
-
-    def __add__(self, other: "ExtPoly") -> "ExtPoly":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ExtPoly(self.field, out)
-
-    def __neg__(self) -> "ExtPoly":
-        return ExtPoly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "ExtPoly") -> "ExtPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ExtPoly") -> "ExtPoly":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return ExtPoly(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return ExtPoly(self.field, out)
-
-    def scale(self, c: ExtFieldElem) -> "ExtPoly":
-        c = self.field.elem(c)
-        return ExtPoly(self.field, [c * a for a in self.coeffs])
-
-    def __pow__(self, n: int) -> "ExtPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = ExtPoly(self.field, (1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "ExtPoly"):
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        inv = other.lead.inverse()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return ExtPoly(self.field), self
-        zero = self.field.zero
-        quo = [zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv
-            if not c.is_zero:
-                quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return ExtPoly(self.field, quo), ExtPoly(self.field, rem[: other.degree])
-
-    def __floordiv__(self, other: "ExtPoly") -> "ExtPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "ExtPoly") -> "ExtPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "ExtPoly":
-        if self.is_zero or self.is_monic:
-            return self
-        return self.scale(self.lead.inverse())
-
-    def gcd(self, other: "ExtPoly") -> "ExtPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def derivative(self) -> "ExtPoly":
-        p = self.field.p
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i:
-                out.append(c * self.field.elem(i % p))
-        return ExtPoly(self.field, out)
-
-    def pow_mod(self, n: int, modulus: "ExtPoly") -> "ExtPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = ExtPoly(self.field, (1,)) % modulus
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = result * base % modulus
-            base = base * base % modulus
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.modulus, self.coeffs))
-
-    def __repr__(self):
-        return f"ExtPoly({self.field!r}, {[str(c) for c in self.coeffs]})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            cs = str(c)
-            if i == 0:
-                terms.append(cs)
-                continue
-            ypow = "y" if i == 1 else f"y^{i}"
-            if cs == "1":
-                terms.append(ypow)
-            elif c.value.degree > 0:
-                terms.append(f"({cs})*{ypow}")
-            else:
-                terms.append(f"{cs}{ypow}")
-        return " + ".join(terms)
-
-
-def ext_is_irreducible(g: ExtPoly) -> bool:
-    """Rabin's irreducibility test over F_q, q = p^m.
-
-    Checks y^(q^n) = y mod g and gcd(y^(q^(n/ell)) - y, g) = 1 for every
-    prime ell dividing n = deg g.
-    """
-    n = g.degree
-    if n < 1:
-        raise ValueError("irreducibility requires degree >= 1")
-    if n == 1:
-        return True
-    field = g.field
-    g = g.monic()
-    y = ExtPoly.y(field)
-    powers = [y % g]
-    for _ in range(n):
-        powers.append(powers[-1].pow_mod(field.q, g))
-    if powers[n] != y % g:
-        return False
-    for ell in _prime_factors(n):
-        if g.gcd(powers[n // ell] - y).degree != 0:
-            return False
-    return True
-
-
-def _ext_squarefree_parts(g: ExtPoly) -> list[tuple[ExtPoly, int]]:
-    """(monic squarefree part, multiplicity) pairs over F_q, characteristic p."""
-    field = g.field
-    p = field.p
-    parts = []
-    n = 1
-    while g.degree > 0:
-        deriv = g.derivative()
-        if not deriv.is_zero:
-            w = g.gcd(deriv)
-            h = g // w
-            i = 1
-            while h.degree > 0:
-                step = w.gcd(h)
-                quotient = h // step
-                if quotient.degree > 0:
-                    parts.append((quotient, i * n))
-                w, h, i = w // step, step, i + 1
-            if w.degree == 0:
-                return parts
-            g = w
-        # g is a perfect p-th power; invert Frobenius on each kept coefficient
-        g = ExtPoly(field, [c.frobenius_inv() for c in g.coeffs[::p]])
-        n *= p
-    return parts
-
-
-def _ext_distinct_degree(g: ExtPoly) -> list[tuple[ExtPoly, int]]:
-    field = g.field
-    y = ExtPoly.y(field)
-    out = []
-    h = y % g
-    e = 1
-    while g.degree >= 2 * e:
-        h = h.pow_mod(field.q, g)
-        w = g.gcd(h - y)
-        if w.degree > 0:
-            out.append((w, e))
-            g = g // w
-            h = h % g
-        e += 1
-    if g.degree > 0:
-        out.append((g, g.degree))
-    return out
-
-
-def ext_count_irreducible_factors(g: ExtPoly) -> int:
-    """Number of monic irreducible factors of g over F_q, with multiplicity.
-
-    The count comes from squarefree decomposition plus distinct-degree
-    splitting, so it is fully deterministic.
-    """
-    if g.degree < 1:
-        raise ValueError("factor counting requires degree >= 1")
-    total = 0
-    for part, mult in _ext_squarefree_parts(g.monic()):
-        for prod, e in _ext_distinct_degree(part):
-            total += mult * (prod.degree // e)
-    return total
+    return FactorizationFp(tuple(factors), f.lead, f.p)

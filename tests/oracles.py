@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.residual import residual_polynomial
-from phinewton.residue_field import ExtPoly, FactorizationFp, FpPoly, fp_is_irreducible
+from phinewton.residue_field import FactorizationFp, FqPoly, is_irreducible
 from phinewton.valuation import INFINITY, ValuationDomain
 
 
@@ -93,10 +93,10 @@ def validate_polygon(np: NewtonPolygon, points) -> bool:
 def enumerate_monic_fp(p: int, degree: int):
     """All monic polynomials over F_p of the given degree, lexicographically."""
     for tail in itertools.product(range(p), repeat=degree):
-        yield FpPoly(p, tail + (1,))
+        yield FqPoly(p, tail + (1,))
 
 
-def exhaustive_fp_factor(f: FpPoly) -> FactorizationFp:
+def exhaustive_fp_factor(f: FqPoly) -> FactorizationFp:
     """Factorization by trial division over all monic candidates.
 
     The smallest-degree nontrivial divisor is necessarily irreducible, so
@@ -109,7 +109,7 @@ def exhaustive_fp_factor(f: FpPoly) -> FactorizationFp:
         raise ValueError("enumeration bounds exceeded (p <= 7, degree <= 8)")
     unit = f.lead
     g = f.monic()
-    counts: dict[FpPoly, int] = {}
+    counts: dict[FqPoly, int] = {}
     while g.degree > 0:
         divisor = None
         for d in range(1, g.degree // 2 + 1):
@@ -124,10 +124,10 @@ def exhaustive_fp_factor(f: FpPoly) -> FactorizationFp:
         counts[divisor] = counts.get(divisor, 0) + 1
         g = g // divisor
     factors = tuple(sorted(counts.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
-    return FactorizationFp(factors, unit)
+    return FactorizationFp(factors, unit, f.p)
 
 
-def exhaustive_ext_factor_count(g: ExtPoly) -> int:
+def exhaustive_ext_factor_count(g: FqPoly) -> int:
     """Factor count (with multiplicity) by trial division over F_q, q <= 9."""
     field = g.field
     if field.q > 9 or g.degree > 6:
@@ -144,7 +144,7 @@ def exhaustive_ext_factor_count(g: ExtPoly) -> int:
         divisor = None
         for d in range(1, g.degree // 2 + 1):
             for tail in itertools.product(elems, repeat=d):
-                cand = ExtPoly(field, list(tail) + [field.one])
+                cand = FqPoly(field, list(tail) + [field.one])
                 if (g % cand).is_zero:
                     divisor = cand
                     break
@@ -178,7 +178,7 @@ def gen_eisenstein_family(
     (i, u_i) on or above the line to (n, 0), with gcd(H, n) cycling through
     the requested targets.
     """
-    if not fp_is_irreducible(phi.reduce_mod(domain.prime)):
+    if not is_irreducible(phi.reduce_mod(domain.prime)):
         raise ValueError("phi must reduce to an irreducible polynomial")
     rng = random.Random(seed)
     p = domain.prime
@@ -258,8 +258,8 @@ def _phi_pool(domain: ValuationDomain) -> list[IntPoly]:
     p = domain.prime
     pool = [IntPoly((0, 1)), IntPoly((1, 1))]
     for tail in itertools.product(range(p), repeat=2):
-        cand = FpPoly(p, tail + (1,))
-        if fp_is_irreducible(cand):
+        cand = FqPoly(p, tail + (1,))
+        if is_irreducible(cand):
             pool.append(IntPoly(cand.coeffs))
             if len(pool) >= 5:
                 break

@@ -28,12 +28,11 @@ from phinewton.polygon import build_polygon, minkowski_sum
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.residual import residual_polynomial
 from phinewton.residue_field import (
-    ExtPoly,
-    FpPoly,
-    ext_count_irreducible_factors,
+    FqPoly,
+    count_irreducible_factors,
     ext_field,
-    ext_is_irreducible,
     fp_factorize,
+    is_irreducible,
 )
 from phinewton.valuation import INFINITY, ValuationDomain
 
@@ -125,7 +124,7 @@ def test_criterion_3_height4_length6_partial_replay():
     expected_ts = (1, 0, 1)
 
     got_ts = tuple(
-        t.value.coeffs[0] if t.value.coeffs else 0 for t in sides[0].residual.ts
+        t.coeffs[0] if t.coeffs else 0 for t in sides[0].residual.ts
     )
     if got_ts != expected_ts:
         failures.append(f"residual {got_ts} != derived {expected_ts}")
@@ -168,14 +167,14 @@ def test_criterion_4_product_rule_suite():
         if np_gh != minkowski_sum(np_g, np_h):
             failures.append(f"pair {pairs}: polygons differ")
         for side in np_gh.sides:
-            expected = ExtPoly(field, [field.one])
+            expected = FqPoly(field, [field.one])
             for exp_f, np_f in ((exp_g, np_g), (exp_h, np_h)):
                 s = np_f.side_at_slope(side.slope)
                 if s is not None:
                     expected = expected * residual_polynomial(
                         exp_f, s, phibar
-                    ).as_ext_poly()
-            got = residual_polynomial(exp_gh, side, phibar).as_ext_poly()
+                    ).as_poly()
+            got = residual_polynomial(exp_gh, side, phibar).as_poly()
             if got.scale(expected.lead) != expected.scale(got.lead):
                 failures.append(f"pair {pairs}: residuals differ at {side.slope}")
         pairs += 1
@@ -274,15 +273,15 @@ def test_criterion_8_finite_field_stack():
         for _ in range(150):
             deg = rng.randint(1, 6)
             coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-            f = FpPoly(p, coeffs)
+            f = FqPoly(p, coeffs)
             if fp_factorize(f) != exhaustive_fp_factor(f):
                 failures.append(f"F_{p}: {f}")
     # extension fields: irreducibility test vs factor count
     moduli = [
-        FpPoly(2, [1, 1, 1]),
-        FpPoly(2, [1, 1, 0, 1]),
-        FpPoly(3, [1, 0, 1]),
-        FpPoly(5, [2, 0, 1]),
+        FqPoly(2, [1, 1, 1]),
+        FqPoly(2, [1, 1, 0, 1]),
+        FqPoly(3, [1, 0, 1]),
+        FqPoly(5, [2, 0, 1]),
     ]
     for trial in range(200):
         field = ext_field(moduli[trial % len(moduli)])
@@ -292,8 +291,8 @@ def test_criterion_8_finite_field_stack():
             for _ in range(deg)
         ]
         coeffs.append(field.one)
-        g = ExtPoly(field, coeffs)
-        if ext_is_irreducible(g) != (ext_count_irreducible_factors(g) == 1):
+        g = FqPoly(field, coeffs)
+        if is_irreducible(g) != (count_irreducible_factors(g) == 1):
             failures.append(f"ext {field}: {g}")
     _report(8, failures, "126 exhaustive + 300 random factorizations, 200 ext polys")
 
@@ -343,8 +342,8 @@ def test_criterion_10_slope_zero_reduction_suite():
             count += 1
             continue
         side = slope_zero[0]
-        rp = residual_polynomial(exp, side, FpPoly.x(p))
-        got = [t.value.coeffs[0] if t.value.coeffs else 0 for t in rp.ts]
+        rp = residual_polynomial(exp, side, FqPoly.x(p))
+        got = [t.coeffs[0] if t.coeffs else 0 for t in rp.ts]
         expected = [c % p for c in coeffs[side.start[0] : side.end[0] + 1]]
         if got != expected:
             failures.append(f"f={f!r}: {got} != {expected}")

@@ -1,12 +1,18 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import phinewton
 from oracles import gen_power_family
 from phinewton.cli import main, report_to_dict, render_svg
 from phinewton.criteria import analyze
-from phinewton.expr import parse_poly, render_poly
+from phinewton.expr import MAX_NESTING, parse_poly, render_poly
 from phinewton.polyring import IntPoly
 from phinewton.valuation import ValuationDomain
 
@@ -96,6 +102,36 @@ class TestExitCodes:
         assert code == 1
         code, _, err = run_cli(capsys, "x", "--input", "f.txt", "-p", "2")
         assert code == 1
+
+
+class TestHostileInput:
+    @staticmethod
+    def nested(levels):
+        return "(" * levels + "x" + ")" * levels
+
+    def test_deep_nesting_is_parse_error(self):
+        src = str(Path(phinewton.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "phinewton.cli", self.nested(300), "-p", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_nesting_at_limit_still_parses(self, capsys):
+        code, out, err = run_cli(capsys, self.nested(MAX_NESTING), "-p", "2")
+        assert code == 0
+        assert err == ""
+        assert "IRREDUCIBLE" in out
+
+    def test_huge_degree_exits_1_fast(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "x^999999999+1", "-p", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.startswith("error:")
 
 
 class TestCheckOnly:

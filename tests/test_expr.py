@@ -1,6 +1,6 @@
 import pytest
 
-from phinewton.expr import ParseError, parse_poly, render_poly
+from phinewton.expr import MAX_DEGREE, MAX_NESTING, ParseError, parse_poly, render_poly
 from phinewton.polyring import IntPoly
 
 
@@ -70,6 +70,33 @@ class TestParse:
             parse_poly("x^")
         with pytest.raises(ParseError):
             parse_poly("x^2^3")
+
+
+class TestLimits:
+    def test_nesting_limit(self):
+        assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == IntPoly.x()
+        with pytest.raises(ParseError) as err:
+            parse_poly("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
+        assert err.value.position == MAX_NESTING
+
+    def test_degree_limit_on_powers(self):
+        assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
+        with pytest.raises(ParseError) as err:
+            parse_poly(f"x^{MAX_DEGREE + 1}")
+        assert err.value.position == 2
+        with pytest.raises(ParseError):
+            parse_poly("(x^2+1)^999999999")
+
+    def test_degree_limit_on_products(self):
+        half = MAX_DEGREE // 2
+        assert parse_poly(f"x^{half} * x^{MAX_DEGREE - half}").degree == MAX_DEGREE
+        with pytest.raises(ParseError):
+            parse_poly(f"x^{half} * x^{MAX_DEGREE - half} * x")
+        with pytest.raises(ParseError):
+            parse_poly(f"x^{half}(x^{MAX_DEGREE - half} + 1)x")
+
+    def test_integer_powers_unrestricted(self):
+        assert parse_poly("2^20000 x").coeffs == (0, 2**20000)
 
 
 class TestRender:

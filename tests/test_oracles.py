@@ -14,7 +14,7 @@ from oracles import (
 )
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, is_power_of_phibar, phi_expand
-from phinewton.residue_field import ExtPoly, FpPoly, ext_field
+from phinewton.residue_field import FqPoly, ext_field
 from phinewton.valuation import ValuationDomain
 
 D2 = ValuationDomain.p_adic(2)
@@ -51,27 +51,27 @@ class TestHullOracle:
 
 class TestExhaustiveFpFactor:
     def test_irreducible(self):
-        fact = exhaustive_fp_factor(FpPoly(2, [1, 1, 1]))
-        assert fact.factors == ((FpPoly(2, [1, 1, 1]), 1),)
+        fact = exhaustive_fp_factor(FqPoly(2, [1, 1, 1]))
+        assert fact.factors == ((FqPoly(2, [1, 1, 1]), 1),)
 
     def test_fermat(self):
         # x^3 - x = x(x-1)(x-2) over F_3
-        fact = exhaustive_fp_factor(FpPoly(3, [0, -1, 0, 1]))
+        fact = exhaustive_fp_factor(FqPoly(3, [0, -1, 0, 1]))
         assert [g.coeffs for g, _ in fact.factors] == [(0, 1), (1, 1), (2, 1)]
 
     def test_multiplicities(self):
-        f = FpPoly(2, [1, 1]) ** 3 * FpPoly.x(2)
+        f = FqPoly(2, [1, 1]) ** 3 * FqPoly.x(2)
         fact = exhaustive_fp_factor(f)
         assert dict((g, k) for g, k in fact.factors) == {
-            FpPoly.x(2): 1,
-            FpPoly(2, [1, 1]): 3,
+            FqPoly.x(2): 1,
+            FqPoly(2, [1, 1]): 3,
         }
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
-            exhaustive_fp_factor(FpPoly(11, [1, 1]))
+            exhaustive_fp_factor(FqPoly(11, [1, 1]))
         with pytest.raises(ValueError):
-            exhaustive_fp_factor(FpPoly.x(2) ** 9)
+            exhaustive_fp_factor(FqPoly.x(2) ** 9)
 
     def test_recompose(self):
         rng = random.Random(5)
@@ -79,7 +79,7 @@ class TestExhaustiveFpFactor:
             for _ in range(40):
                 coeffs = [rng.randrange(p) for _ in range(rng.randint(2, 7))]
                 coeffs[-1] = rng.randrange(1, p)
-                f = FpPoly(p, coeffs)
+                f = FqPoly(p, coeffs)
                 if f.degree < 1:
                     continue
                 assert exhaustive_fp_factor(f).recompose() == f
@@ -87,13 +87,13 @@ class TestExhaustiveFpFactor:
 
 class TestExhaustiveExtCount:
     def test_bounds(self):
-        field = ext_field(FpPoly(5, [2, 0, 1]))  # F_25 too big
+        field = ext_field(FqPoly(5, [2, 0, 1]))  # F_25 too big
         with pytest.raises(ValueError):
-            exhaustive_ext_factor_count(ExtPoly(field, [1, 1]))
+            exhaustive_ext_factor_count(FqPoly(field, [1, 1]))
 
     def test_linear(self):
-        field = ext_field(FpPoly(2, [1, 1, 1]))
-        assert exhaustive_ext_factor_count(ExtPoly(field, [field.gen, field.one])) == 1
+        field = ext_field(FqPoly(2, [1, 1, 1]))
+        assert exhaustive_ext_factor_count(FqPoly(field, [field.gen, field.one])) == 1
 
 
 class TestEnumeration:

@@ -8,13 +8,11 @@ from oracles import (
     exhaustive_fp_factor,
 )
 from phinewton.residue_field import (
-    ExtPoly,
-    FpPoly,
-    ext_count_irreducible_factors,
+    FqPoly,
+    count_irreducible_factors,
     ext_field,
-    ext_is_irreducible,
     fp_factorize,
-    fp_is_irreducible,
+    is_irreducible,
 )
 
 
@@ -22,21 +20,21 @@ def random_fp(rng, p, max_degree, monic=False):
     deg = rng.randint(1, max_degree)
     coeffs = [rng.randrange(p) for _ in range(deg + 1)]
     coeffs[-1] = 1 if monic else rng.randrange(1, p)
-    return FpPoly(p, coeffs)
+    return FqPoly(p, coeffs)
 
 
 class TestFpPoly:
     def test_reduction_and_normalization(self):
-        f = FpPoly(5, [7, -1, 10])
+        f = FqPoly(5, [7, -1, 10])
         assert f.coeffs == (2, 4)
-        assert FpPoly(3, [3, 6]).is_zero
+        assert FqPoly(3, [3, 6]).is_zero
 
     def test_arithmetic(self):
-        f = FpPoly(5, [1, 2, 3])
-        g = FpPoly(5, [4, 1])
+        f = FqPoly(5, [1, 2, 3])
+        g = FqPoly(5, [4, 1])
         assert (f + g).coeffs == (0, 3, 3)
         assert (f - g).coeffs == (2, 1, 3)
-        assert (f * g) % g == FpPoly(5)
+        assert (f * g) % g == FqPoly(5)
         q, r = divmod(f, g)
         assert q * g + r == f
 
@@ -61,52 +59,52 @@ class TestFpPoly:
             assert (a % g).is_zero and (b % g).is_zero
 
     def test_pow_mod(self):
-        f = FpPoly(3, [1, 0, 1])
-        x = FpPoly.x(3)
+        f = FqPoly(3, [1, 0, 1])
+        x = FqPoly.x(3)
         assert x.pow_mod(9, f) == x.pow_mod(8, f) * x % f
 
     def test_derivative(self):
-        assert FpPoly(3, [2, 1, 1, 1]).derivative() == FpPoly(3, [1, 2])
+        assert FqPoly(3, [2, 1, 1, 1]).derivative() == FqPoly(3, [1, 2])
         # derivative of a cube vanishes in characteristic 3
-        f = FpPoly(3, [1, 1]) ** 3
+        f = FqPoly(3, [1, 1]) ** 3
         assert f.derivative().is_zero
 
     def test_str(self):
-        assert str(FpPoly(2, [1, 1, 1])) == "x^2 + x + 1"
-        assert str(FpPoly(5, [])) == "0"
+        assert str(FqPoly(2, [1, 1, 1])) == "x^2 + x + 1"
+        assert str(FqPoly(5, [])) == "0"
 
 
 class TestFpIrreducible:
     def test_known_cases(self):
-        assert fp_is_irreducible(FpPoly(2, [1, 1, 1]))
-        assert not fp_is_irreducible(FpPoly(2, [1, 0, 1]))  # (x+1)^2
-        assert fp_is_irreducible(FpPoly(2, [1, 1]))
-        assert not fp_is_irreducible(FpPoly(2, [1]))
+        assert is_irreducible(FqPoly(2, [1, 1, 1]))
+        assert not is_irreducible(FqPoly(2, [1, 0, 1]))  # (x+1)^2
+        assert is_irreducible(FqPoly(2, [1, 1]))
+        assert not is_irreducible(FqPoly(2, [1]))
 
     def test_against_exhaustive_enumeration(self):
         for p in (2, 3):
             for d in range(1, 5):
                 for f in enumerate_monic_fp(p, d):
                     expected = exhaustive_fp_factor(f).factor_count == 1
-                    assert fp_is_irreducible(f) == expected, f
+                    assert is_irreducible(f) == expected, f
 
 
 class TestFpFactorize:
     def test_irreducible_quadratic(self):
-        fact = fp_factorize(FpPoly(2, [1, 1, 1]))
-        assert fact.factors == ((FpPoly(2, [1, 1, 1]), 1),)
+        fact = fp_factorize(FqPoly(2, [1, 1, 1]))
+        assert fact.factors == ((FqPoly(2, [1, 1, 1]), 1),)
         assert fact.unit == 1
 
     def test_monomial_power(self):
-        fact = fp_factorize(FpPoly(3, [0, 0, 1]))
-        assert fact.factors == ((FpPoly.x(3), 2),)
+        fact = fp_factorize(FqPoly(3, [0, 0, 1]))
+        assert fact.factors == ((FqPoly.x(3), 2),)
         assert fact.unit == 1
 
     def test_construct_then_factor(self):
         # three known irreducibles over F_5
-        parts = [FpPoly(5, [1, 1]), FpPoly(5, [2, 0, 1]), FpPoly(5, [1, 1, 1])]
+        parts = [FqPoly(5, [1, 1]), FqPoly(5, [2, 0, 1]), FqPoly(5, [1, 1, 1])]
         for g in parts:
-            assert fp_is_irreducible(g)
+            assert is_irreducible(g)
         product = parts[0] * parts[1] * parts[2]
         fact = fp_factorize(product)
         assert sorted(f.coeffs for f, _ in fact.factors) == sorted(
@@ -115,16 +113,16 @@ class TestFpFactorize:
         assert all(k == 1 for _, k in fact.factors)
 
     def test_unit_preserved(self):
-        f = FpPoly(5, [1, 1]) * FpPoly(5, [2, 1])
+        f = FqPoly(5, [1, 1]) * FqPoly(5, [2, 1])
         fact = fp_factorize(f.scale(3))
         assert fact.unit == 3
         assert fact.recompose() == f.scale(3)
 
     def test_pth_power_char2(self):
-        f = FpPoly(2, [1, 1, 1]) ** 4
+        f = FqPoly(2, [1, 1, 1]) ** 4
         assert f.derivative().is_zero
         fact = fp_factorize(f)
-        assert fact.factors == ((FpPoly(2, [1, 1, 1]), 4),)
+        assert fact.factors == ((FqPoly(2, [1, 1, 1]), 4),)
 
     def test_recompose_and_determinism_random(self):
         rng = random.Random(9)
@@ -133,77 +131,82 @@ class TestFpFactorize:
                 f = random_fp(rng, p, 8)
                 fact = fp_factorize(f, seed=42)
                 assert fact.recompose() == f
-                assert all(fp_is_irreducible(g) for g, _ in fact.factors)
+                assert all(is_irreducible(g) for g, _ in fact.factors)
                 assert fp_factorize(f, seed=42) == fact
                 # different seed, same canonical factor list
                 assert fp_factorize(f, seed=43) == fact
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            fp_factorize(FpPoly(2))
+            fp_factorize(FqPoly(2))
+
+    def test_recompose_constant(self):
+        fact = fp_factorize(FqPoly(5, [3]))
+        assert fact.factors == ()
+        assert fact.recompose() == FqPoly(5, [3])
 
 
 class TestExtField:
     def test_f4_multiplication_table(self):
-        field = ext_field(FpPoly(2, [1, 1, 1]))
-        b = field.gen
-        assert b * b == b + field.one  # x^2 = x + 1 mod x^2+x+1
-        assert b * (b + field.one) == field.one
-        assert (b + field.one).inverse() == b
+        field = ext_field(FqPoly(2, [1, 1, 1]))
+        b, mod = field.gen, field.modulus
+        assert b * b % mod == b + field.one  # x^2 = x + 1 mod x^2+x+1
+        assert b * (b + field.one) % mod == field.one
+        assert field.inv(b + field.one) == b
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):
-            ext_field(FpPoly(2, [1, 0, 1]))
+            ext_field(FqPoly(2, [1, 0, 1]))
 
     def test_frobenius_fixes_field(self):
         rng = random.Random(13)
         for modulus in (
-            FpPoly(2, [1, 1, 1]),
-            FpPoly(2, [1, 1, 0, 1]),
-            FpPoly(3, [1, 0, 1]),
-            FpPoly(5, [2, 0, 1]),
+            FqPoly(2, [1, 1, 1]),
+            FqPoly(2, [1, 1, 0, 1]),
+            FqPoly(3, [1, 0, 1]),
+            FqPoly(5, [2, 0, 1]),
         ):
             field = ext_field(modulus)
             for _ in range(20):
                 a = field.elem([rng.randrange(field.p) for _ in range(field.m)])
-                assert a ** field.q == a
-                assert a.frobenius_inv() ** field.p == a
+                assert a.pow_mod(field.q, field.modulus) == a
+                assert field.pth_root(a).pow_mod(field.p, field.modulus) == a
 
     def test_inverse_random(self):
         rng = random.Random(14)
-        field = ext_field(FpPoly(3, [2, 2, 1]))
+        field = ext_field(FqPoly(3, [2, 2, 1]))
         for _ in range(50):
             a = field.elem([rng.randrange(3) for _ in range(2)])
             if a.is_zero:
                 continue
-            assert a * a.inverse() == field.one
+            assert a * field.inv(a) % field.modulus == field.one
 
 
 class TestExtIrreducible:
     def test_y2_plus_y_plus_1_over_f2(self):
-        field = ext_field(FpPoly.x(2))  # F_2 presented as F_2[x]/(x)
-        g = ExtPoly(field, [1, 1, 1])
-        assert ext_is_irreducible(g)
-        assert ext_count_irreducible_factors(g) == 1
+        field = ext_field(FqPoly.x(2))  # F_2 presented as F_2[x]/(x)
+        g = FqPoly(field, [1, 1, 1])
+        assert is_irreducible(g)
+        assert count_irreducible_factors(g) == 1
 
     def test_y2_plus_1_over_f2(self):
-        field = ext_field(FpPoly.x(2))
-        g = ExtPoly(field, [1, 0, 1])  # (y+1)^2
-        assert not ext_is_irreducible(g)
-        assert ext_count_irreducible_factors(g) == 2
+        field = ext_field(FqPoly.x(2))
+        g = FqPoly(field, [1, 0, 1])  # (y+1)^2
+        assert not is_irreducible(g)
+        assert count_irreducible_factors(g) == 2
 
     def test_y2_minus_generator_over_f4(self):
-        field = ext_field(FpPoly(2, [1, 1, 1]))
+        field = ext_field(FqPoly(2, [1, 1, 1]))
         b = field.gen
-        g = ExtPoly(field, [-b, field.zero, field.one])
+        g = FqPoly(field, [-b, field.zero, field.one])
         expected = exhaustive_ext_factor_count(g)
         assert expected == 2  # y^2 + b = (y + (b+1))^2 in characteristic 2
-        assert not ext_is_irreducible(g)
-        assert ext_count_irreducible_factors(g) == expected
+        assert not is_irreducible(g)
+        assert count_irreducible_factors(g) == expected
 
     def test_agrees_with_exhaustive_count_small(self):
         rng = random.Random(21)
-        for modulus in (FpPoly(2, [1, 1, 1]), FpPoly(3, [1, 0, 1])):
+        for modulus in (FqPoly(2, [1, 1, 1]), FqPoly(3, [1, 0, 1])):
             field = ext_field(modulus)
             for _ in range(60):
                 deg = rng.randint(1, 4)
@@ -212,31 +215,48 @@ class TestExtIrreducible:
                     for _ in range(deg)
                 ]
                 coeffs.append(field.one)
-                g = ExtPoly(field, coeffs)
-                assert ext_count_irreducible_factors(g) == (
+                g = FqPoly(field, coeffs)
+                assert count_irreducible_factors(g) == (
                     exhaustive_ext_factor_count(g)
                 )
-                assert ext_is_irreducible(g) == (
+                assert is_irreducible(g) == (
                     exhaustive_ext_factor_count(g) == 1
                 )
 
     def test_two_distinct_linear_factors_over_f9(self):
-        field = ext_field(FpPoly(3, [1, 0, 1]))  # F_9
+        field = ext_field(FqPoly(3, [1, 0, 1]))  # F_9
         b = field.gen
-        g = ExtPoly(field, [b, field.one]) * ExtPoly(field, [b + field.one, field.one])
-        assert ext_count_irreducible_factors(g) == 2
+        g = FqPoly(field, [b, field.one]) * FqPoly(field, [b + field.one, field.one])
+        assert count_irreducible_factors(g) == 2
 
     def test_pth_power_over_extension(self):
         # (y + b)^2 has zero derivative over F_4; the Frobenius-inverse root
         # extraction must still count both factors
-        field = ext_field(FpPoly(2, [1, 1, 1]))
-        g = ExtPoly(field, [field.gen, field.one]) ** 2
+        field = ext_field(FqPoly(2, [1, 1, 1]))
+        g = FqPoly(field, [field.gen, field.one]) ** 2
         assert g.derivative().is_zero
-        assert ext_count_irreducible_factors(g) == 2
+        assert count_irreducible_factors(g) == 2
 
-    def test_degree_zero_rejected(self):
-        field = ext_field(FpPoly.x(2))
+    def test_degree_zero(self):
+        field = ext_field(FqPoly.x(2))
+        # a constant is not irreducible, as over F_p
+        assert not is_irreducible(FqPoly(field, [1]))
         with pytest.raises(ValueError):
-            ext_is_irreducible(ExtPoly(field, [1]))
-        with pytest.raises(ValueError):
-            ext_count_irreducible_factors(ExtPoly(field, [1]))
+            count_irreducible_factors(FqPoly(field, [1]))
+
+
+class TestFieldTypesAgree:
+    """F_p as a PrimeField and as the extension F_p[x]/(x) give one answer."""
+
+    def test_counts_and_verdicts(self):
+        rng = random.Random(31)
+        for p in (2, 3, 5):
+            field = ext_field(FqPoly.x(p))
+            for _ in range(40):
+                f = random_fp(rng, p, 8, monic=True)
+                count = count_irreducible_factors(f)
+                assert count == fp_factorize(f).factor_count, f
+                assert is_irreducible(f) == (count == 1), f
+                g = FqPoly(field, f.coeffs)
+                assert count_irreducible_factors(g) == count, f
+                assert is_irreducible(g) == (count == 1), f
