@@ -11,8 +11,13 @@ The '*' between adjacent factors is optional, so inputs like
 "24x(x^2+x+1)^3" parse as written.  A single leading '-' is accepted so
 rendered polynomials always round-trip; doubled operators are rejected.
 Parentheses nest at most MAX_NESTING deep, and no power or product may have
-degree above MAX_DEGREE; both limits are checked before any arithmetic.
-Integer powers such as 2^9000 are not limited.
+degree above MAX_DEGREE.  No integer literal, power or product may have
+coefficients above MAX_COEFF_BITS bits: a power base^n is refused when
+n * (bits of base's largest coefficient + bits of its length) exceeds it, a
+product when the two operands' such sums do.  Both limits are checked before
+any arithmetic, so 2^1000000000 is refused at once; 2^9000 still parses.
+Integers of any number of digits parse and render (in chunks, below CPython's
+int/str conversion limit).
 """
 
 from __future__ import annotations
@@ -21,6 +26,37 @@ from .polyring import IntPoly
 
 MAX_NESTING = 100
 MAX_DEGREE = 10_000
+MAX_COEFF_BITS = 1 << 20
+
+# CPython refuses int <-> str conversions of more than
+# sys.get_int_max_str_digits() digits (4300 by default, never below 640), so
+# longer integers are converted in chunks of at most this many digits.
+_CHUNK_DIGITS = 600
+_CHUNK_LIMIT = 10**_CHUNK_DIGITS
+
+
+def _parse_digits(digits: str) -> int:
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of the integer n >= 0, of any size."""
+    if n < _CHUNK_LIMIT:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _coeff_bits(poly: IntPoly) -> int:
+    """Bits of the largest coefficient plus bits of the length: a power
+    poly^n has coefficients of at most n times this many bits."""
+    if poly.is_zero:
+        return 0
+    return max(map(int.bit_length, poly.coeffs)) + len(poly.coeffs).bit_length()
 
 
 class ParseError(ValueError):
@@ -65,7 +101,9 @@ class _Parser:
             raise ParseError("expected an integer", start)
         if self.pos < len(self.src) and self.src[self.pos] == ".":
             raise ParseError("non-integer coefficient", self.pos)
-        return int(self.src[start : self.pos])
+        value = _parse_digits(self.src[start : self.pos])
+        self._check_bits(value.bit_length(), start)
+        return value
 
     def parse_expr(self) -> IntPoly:
         negate = False
@@ -88,7 +126,15 @@ class _Parser:
 
     def _check_degree(self, degree: int, start: int):
         if degree > MAX_DEGREE:
-            raise ParseError(f"degree {degree} exceeds the maximum {MAX_DEGREE}", start)
+            raise ParseError(
+                f"degree {_decimal(degree)} exceeds the maximum {MAX_DEGREE}", start
+            )
+
+    def _check_bits(self, bits: int, start: int):
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(
+                f"coefficients could exceed the maximum of {MAX_COEFF_BITS} bits", start
+            )
 
     def parse_term(self) -> IntPoly:
         result = self.parse_factor()
@@ -98,18 +144,22 @@ class _Parser:
                 self.take()
             elif not (ch.isdigit() or ch == "x" or ch == "("):
                 return result
+            self._skip_ws()
             start = self.pos
             factor = self.parse_factor()
             self._check_degree(result.degree + factor.degree, start)
+            self._check_bits(_coeff_bits(result) + _coeff_bits(factor), start)
             result = result * factor
 
     def parse_factor(self) -> IntPoly:
         base = self.parse_base()
         if self.peek() == "^":
             self.take()
+            self._skip_ws()
             start = self.pos
             n = self.parse_uint()
             self._check_degree(base.degree * n, start)
+            self._check_bits(n * _coeff_bits(base), start)
             return base**n
         return base
 
@@ -158,10 +208,10 @@ def render_poly(poly: IntPoly) -> str:
             continue
         mag = abs(c)
         if i == 0:
-            body = str(mag)
+            body = _decimal(mag)
         else:
             xpow = "x" if i == 1 else f"x^{i}"
-            body = xpow if mag == 1 else f"{mag}{xpow}"
+            body = xpow if mag == 1 else f"{_decimal(mag)}{xpow}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

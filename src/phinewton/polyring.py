@@ -143,17 +143,18 @@ class IntPoly:
         if not other.is_monic:
             raise ValueError("divisor must be monic for division over Z")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        d = other.degree
+        dq = len(rem) - 1 - d
         if dq < 0:
             return IntPoly(), self
         quo = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
+            c = rem[k + d]
             if c:
                 quo[k] = c
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
-        return IntPoly(quo), IntPoly(rem[: other.degree])
+        return IntPoly(quo), IntPoly(rem[:d])
 
     def __floordiv__(self, other: "IntPoly") -> "IntPoly":
         return divmod(self, other)[0]

@@ -53,14 +53,7 @@ def _check_consistency(exp: PhiExpansion, phibar: FqPoly):
         raise ValueError("phibar modulus differs from the domain's prime")
 
 
-def residual_coefficient(
-    exp: PhiExpansion, side: Side, i: int, phibar: FqPoly
-) -> FqPoly:
-    """The residual coefficient c_i of the side, an element of F_phi."""
-    if not 0 <= i <= side.length:
-        raise ValueError(f"index {i} outside side of length {side.length}")
-    _check_consistency(exp, phibar)
-    field = ext_field(phibar)
+def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPoly:
     s = side.start[0]
     u = exp.valuations[s + i]
     if u is INFINITY:
@@ -77,6 +70,16 @@ def residual_coefficient(
     return field.elem([domain.exact_div(c, u) for c in a.coeffs])
 
 
+def residual_coefficient(
+    exp: PhiExpansion, side: Side, i: int, phibar: FqPoly
+) -> FqPoly:
+    """The residual coefficient c_i of the side, an element of F_phi."""
+    if not 0 <= i <= side.length:
+        raise ValueError(f"index {i} outside side of length {side.length}")
+    _check_consistency(exp, phibar)
+    return _coefficient(exp, side, i, ext_field(phibar))
+
+
 def residual_polynomial(
     exp: PhiExpansion, side: Side, phibar: FqPoly
 ) -> ResidualPolynomial:
@@ -87,10 +90,11 @@ def residual_polynomial(
     """
     if side.slope > 0:
         raise ValueError("residual polynomials are attached to sides of slope <= 0")
+    _check_consistency(exp, phibar)
+    field = ext_field(phibar)
     ts = tuple(
-        residual_coefficient(exp, side, j * side.e, phibar)
-        for j in range(side.degree + 1)
+        _coefficient(exp, side, j * side.e, field) for j in range(side.degree + 1)
     )
     if ts[0].is_zero or ts[-1].is_zero:
         raise RuntimeError("side endpoints must carry nonzero residual coefficients")
-    return ResidualPolynomial(side, side.start[0], ts, ext_field(phibar))
+    return ResidualPolynomial(side, side.start[0], ts, field)

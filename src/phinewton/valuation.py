@@ -117,8 +117,36 @@ def is_prime(n: int) -> bool:
     if n < _MR_DETERMINISTIC_BOUND:
         bases = _MR_BASES
     else:
-        bases = _SMALL_PRIMES[:40]
+        bases = _SMALL_PRIMES
     return all(_miller_rabin(n, b) for b in bases)
+
+
+def _strip_powers(x: int, p: int) -> int:
+    """nu_p(x) for nonzero x, in O(log nu_p(x)) divisions.
+
+    Strip p, p^2, p^4, ... while each divides; what is left has valuation
+    below the next power's exponent, so each power met on the way back down
+    divides at most once, adding its exponent 2^i.
+    """
+    powers = []
+    v = 0
+    pk = p
+    while True:
+        q, r = divmod(x, pk)
+        if r:
+            break
+        x = q
+        v += 1 << len(powers)
+        powers.append(pk)
+        if 2 * pk.bit_length() - 1 > x.bit_length():
+            break  # pk^2 > |x|, so it cannot divide x
+        pk *= pk
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(x, powers[i])
+        if not r:
+            x = q
+            v += 1 << i
+    return v
 
 
 @dataclass(frozen=True)
@@ -142,15 +170,33 @@ class ValuationDomain:
         return cls(p, p, p)
 
     def valuation(self, x: int) -> ExtInt:
-        """Exact exponent of p in x; INFINITY iff x = 0."""
+        """Exact exponent of p in x; INFINITY iff x = 0.
+
+        The number of big-integer divisions grows with log nu_p(x), not with
+        nu_p(x): past the first four factors, a run of 2s is read from the
+        lowest set bit, and a run of odd p is stripped in blocks p^(2^i)
+        (see `_strip_powers`).
+        """
         if x == 0:
             return INFINITY
         p = self.prime
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
+        # Nearly every call has valuation 0-3.  Peeling those factors one at
+        # a time, unrolled, costs no more per call than a plain loop.
+        if x % p:
+            return 0
+        x //= p
+        if x % p:
+            return 1
+        x //= p
+        if x % p:
+            return 2
+        x //= p
+        if x % p:
+            return 3
+        x //= p
+        if p == 2:
+            return 3 + (x & -x).bit_length()  # 4 + index of the lowest set bit
+        return 4 + _strip_powers(x, p)
 
     def residue(self, x: int) -> int:
         """Image of x in F_p, represented in [0, p)."""

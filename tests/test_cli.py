@@ -109,13 +109,17 @@ class TestHostileInput:
     def nested(levels):
         return "(" * levels + "x" + ")" * levels
 
-    def test_deep_nesting_is_parse_error(self):
+    @staticmethod
+    def run_subprocess(*argv):
         src = str(Path(phinewton.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "phinewton.cli", self.nested(300), "-p", "2"],
+        return subprocess.run(
+            [sys.executable, "-m", "phinewton.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
+
+    def test_deep_nesting_is_parse_error(self):
+        proc = self.run_subprocess(self.nested(300), "-p", "2")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
@@ -132,6 +136,32 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert err.startswith("error:")
+
+
+    def test_phi_beyond_int_str_limit_renders(self):
+        # phi's constant 2^20000 has 6,021 digits, over CPython's default
+        # int-to-str limit of 4,300
+        proc = self.run_subprocess(
+            "(x+2^20000)^2+2", "-p", "2", "--phi", "x+2^20000", "--format", "json"
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        phi = json.loads(proc.stdout)["phi_reports"][0]["phi"]
+        assert parse_poly(phi) == parse_poly("x+2^20000")
+
+    def test_literal_beyond_int_str_limit_parses(self):
+        proc = self.run_subprocess("x^2 + 1" + "0" * 4999 + "x + 2", "-p", "2")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "IRREDUCIBLE" in proc.stdout
+
+    def test_huge_integer_power_exits_1_fast(self):
+        start = time.perf_counter()
+        proc = self.run_subprocess("2^1000000000", "-p", "2")
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCheckOnly:

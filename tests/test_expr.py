@@ -1,6 +1,13 @@
 import pytest
 
-from phinewton.expr import MAX_DEGREE, MAX_NESTING, ParseError, parse_poly, render_poly
+from phinewton.expr import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_NESTING,
+    ParseError,
+    parse_poly,
+    render_poly,
+)
 from phinewton.polyring import IntPoly
 
 
@@ -98,6 +105,33 @@ class TestLimits:
     def test_integer_powers_unrestricted(self):
         assert parse_poly("2^20000 x").coeffs == (0, 2**20000)
 
+    def test_coefficient_limit_on_powers(self):
+        # 2 has 2 bits and length 1 (1 bit): 2^n is bounded by 3n bits
+        n = MAX_COEFF_BITS // 3
+        assert parse_poly(f"2^{n}").coeffs == (2**n,)
+        with pytest.raises(ParseError) as err:
+            parse_poly(f"2^{n + 1}")
+        assert err.value.position == 2
+        with pytest.raises(ParseError):
+            parse_poly("2^1000000000")
+        with pytest.raises(ParseError):
+            parse_poly("x + (x + 2^20000)^100")
+
+    def test_coefficient_limit_on_products(self):
+        # 2^n has n + 1 bits and length 1: a product adds n + 2 per factor
+        n = MAX_COEFF_BITS // 3
+        assert parse_poly(f"2^{n} * 2^{n}").coeffs == (2 ** (2 * n),)
+        src = f"2^{n} * 2^{n} * 2^{n}"
+        with pytest.raises(ParseError) as err:
+            parse_poly(src)
+        assert err.value.position == src.rindex("2^")
+
+    def test_coefficient_limit_on_literals(self):
+        digits = MAX_COEFF_BITS // 3  # 10^d has more than 3d bits
+        with pytest.raises(ParseError) as err:
+            parse_poly("x + 1" + "0" * digits)
+        assert err.value.position == 4
+
 
 class TestRender:
     def test_canonical_forms(self):
@@ -116,6 +150,14 @@ class TestRender:
             coeffs = [rng.randint(-99, 99) for _ in range(rng.randint(1, 9))]
             f = IntPoly(coeffs)
             assert parse_poly(render_poly(f)) == f
+
+    def test_round_trip_beyond_int_str_limit(self):
+        # CPython's int/str conversion refuses more than 4300 digits by default
+        assert render_poly(IntPoly([10**5000])) == "1" + "0" * 5000
+        assert parse_poly("1" + "0" * 5000) == IntPoly([10**5000])
+        coeffs = [-(10**600), 10**601 - 1, 7**27001, -(2**60000 + 12345), 1]
+        f = IntPoly(coeffs)
+        assert parse_poly(render_poly(f)) == f
 
     def test_render_parse_idempotent(self):
         for src in ("x^2+2x+2", "(x+1)^3", " 7x - 4 ", "-x^2 + 3"):

@@ -54,6 +54,13 @@ class TestResidualCoefficient:
 
 
 class TestResidualPolynomial:
+    def test_mismatched_phibar_rejected(self):
+        exp, np_ = expansion_polygon(IntPoly([2, 2, 1]), IntPoly.x(), D2)
+        with pytest.raises(ValueError):
+            residual_polynomial(exp, np_.sides[0], FqPoly(2, [1, 1]))
+        with pytest.raises(ValueError):
+            residual_polynomial(exp, np_.sides[0], FqPoly.x(3))
+
     def test_eisenstein_linear(self):
         # x^2 + 2x + 2: side (0,1)->(2,0), e=2, d=1, residual y + 1
         exp, np_ = expansion_polygon(IntPoly([2, 2, 1]), IntPoly.x(), D2)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,41 @@ class TestValuation:
         for _ in range(300):
             x = rng.randint(-(10**12), 10**12)
             assert d.valuation(x) == naive_valuation(7, x)
+
+    def test_agrees_with_naive_across_run_lengths(self):
+        # u is a unit, so nu_p(u * p^k) = k by construction; the naive loop is
+        # checked as well where it is cheap enough to run
+        rng = random.Random(13)
+        ks = set(range(7)) | {20_000}
+        for j in range(1, 15):
+            ks |= {2**j - 1, 2**j, 2**j + 1}
+        for p in (2, 3, 7, 10007, 65521):
+            d = ValuationDomain.p_adic(p)
+            for k in sorted(ks):
+                u = rng.randrange(1, p) + p * rng.getrandbits(64)
+                x = (-1) ** k * u * p**k
+                assert d.valuation(x) == k, (p, k)
+                if k <= 2**10 + 1:
+                    assert d.valuation(x) == naive_valuation(p, x)
+
+    def test_random_signed_multiples(self):
+        rng = random.Random(17)
+        for p in (2, 3, 5, 7, 10007, 65521):
+            d = ValuationDomain.p_adic(p)
+            for _ in range(60):
+                k = rng.choice((rng.randrange(8), rng.randrange(600)))
+                x = rng.choice((-1, 1)) * rng.randrange(1, 10**30) * p**k
+                assert d.valuation(x) == naive_valuation(p, x)
+
+    def test_huge_valuation_is_fast(self):
+        # one division per unit of valuation would take minutes here
+        for p in (2, 3):
+            d = ValuationDomain.p_adic(p)
+            x = p**100_000 * (p + 1)
+            start = time.perf_counter()
+            assert d.valuation(x) == 100_000
+            assert d.valuation(-x) == 100_000
+            assert time.perf_counter() - start < 5.0
 
     def test_exact_div(self):
         d = ValuationDomain.p_adic(2)
