@@ -1,10 +1,11 @@
 """Command-line front end: parse, analyze, and render certificates.
 
 Exit codes: 0 on success, 1 on input errors (syntax, non-prime p, non-monic
-f, phi not monic of degree >= 1), 2 when the requested single-phi criteria
-are inapplicable to the input, so batch scripts can tell "theorems don't
-apply" from "bad input".  An exact power f = phi^n is certified with exit 0,
-and --check-only exits with the code the full run would return.
+f, phi not monic of degree >= 1, a usage error such as a missing or
+non-integer -p, an unwritable --output), 2 when the requested single-phi
+criteria are inapplicable to the input, so batch scripts can tell "theorems
+don't apply" from "bad input".  An exact power f = phi^n is certified with
+exit 0, and --check-only exits with the code the full run would return.
 
 The JSON report is stable under re-runs: feeding the embedded input, prime,
 phi, and seed back through the tool reproduces the report byte for byte.
@@ -264,7 +265,11 @@ def run(config: CliConfig) -> int:
         return 1
     rendered = RENDERERS[config.fmt](report)
     if config.output:
-        Path(config.output).write_text(rendered, encoding="utf-8")
+        try:
+            Path(config.output).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(rendered)
     if report.verdict == INAPPLICABLE and report.mode == MODE_SINGLE_PHI:
@@ -272,8 +277,16 @@ def run(config: CliConfig) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the code for bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="phinewton",
         description="phi-adic Newton polygons, residual polynomials, and "
                     "irreducibility bounds for monic integer polynomials.",

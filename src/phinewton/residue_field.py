@@ -21,6 +21,15 @@ Rabin's irreducibility test and factor counting (squarefree decomposition
 plus distinct-degree splitting) work over any of these fields.  Complete
 factorization adds seeded Cantor-Zassenhaus equal-degree splitting over F_p
 only; its result is deterministic for a given (polynomial, seed).
+
+Both Rabin's test and the distinct-degree split apply the q-power
+(Frobenius) map through a table T[i] = x^(i*q) mod f, built once per
+modulus f from one pow_mod and deg f - 2 products: h^q = sum h_i T[i],
+because every coefficient h_i of h is fixed by Frobenius.
+
+ext_field shares one ExtField per modulus.  A modulus it has not seen is
+checked in full, Rabin's test included; the factors of fp_factorize, which
+are irreducible by construction, enter that cache without a second test.
 """
 
 from __future__ import annotations
@@ -305,6 +314,32 @@ def _poly(field, cs: list) -> FqPoly:
     return f
 
 
+def _frobenius_table(f: FqPoly, xq: FqPoly) -> list[FqPoly]:
+    """T[i] = x^(i*q) mod f for 0 <= i < deg f, given T[1] = xq = x^q mod f.
+
+    The rows of Berlekamp's Q-matrix: deg f - 2 products mod monic f.
+    """
+    table = [_poly(f.field, [f.field.one]), xq]
+    while len(table) < f.degree:
+        table.append(table[-1] * xq % f)
+    return table[:f.degree]
+
+
+def _frobenius(h: FqPoly, table: list[FqPoly]) -> FqPoly:
+    """h^q mod f for h reduced mod f, from f's Frobenius table.
+
+    Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i].
+    """
+    field = h.field
+    out = [field.zero] * len(table)
+    for c, row in zip(h.coeffs, table):
+        if c:
+            for j, d in enumerate(row.coeffs):
+                out[j] += c * d
+    mod = field.modulus
+    return _poly(field, [c % mod for c in out])
+
+
 def is_irreducible(f: FqPoly) -> bool:
     """Rabin's irreducibility test over F_q, q = p^m.
 
@@ -316,13 +351,14 @@ def is_irreducible(f: FqPoly) -> bool:
         return False
     if n == 1:
         return True
-    q = f.field.q
     f = f.monic()
     x = FqPoly.x(f.field)
-    powers = [x % f]
-    for _ in range(n):
-        powers.append(powers[-1].pow_mod(q, f))
-    if powers[n] != x % f:
+    xq = x.pow_mod(f.field.q, f)
+    table = _frobenius_table(f, xq)
+    powers = [x, xq]
+    for _ in range(n - 1):
+        powers.append(_frobenius(powers[-1], table))
+    if powers[n] != x:
         return False
     for ell in _prime_factors(n):
         if f.gcd(powers[n // ell] - x).degree != 0:
@@ -345,6 +381,16 @@ class ExtField:
             raise ValueError("modulus must be monic of degree >= 1")
         if not is_irreducible(modulus):
             raise ValueError(f"modulus {modulus} is reducible over F_{modulus.p}")
+        self._fill(modulus)
+
+    @classmethod
+    def _proven(cls, modulus: FqPoly) -> "ExtField":
+        """The field of a modulus already proven monic irreducible; no test."""
+        field = object.__new__(cls)
+        field._fill(modulus)
+        return field
+
+    def _fill(self, modulus: FqPoly):
         p, m = modulus.p, modulus.degree
         for name, value in (("p", p), ("m", m), ("q", p**m), ("modulus", modulus),
                             ("zero", _poly(modulus.field, [])),
@@ -387,14 +433,20 @@ class ExtField:
         return f"ExtField(F_{self.p}[x]/({self.modulus}))"
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_field(modulus: FqPoly) -> ExtField:
-    return ExtField(modulus)
+# modulus -> its ExtField, shared by ext_field and the factors of fp_factorize
+_fields: dict[FqPoly, ExtField] = {}
 
 
 def ext_field(modulus: FqPoly) -> ExtField:
-    """Shared-instance constructor for F_p[x]/(modulus)."""
-    return _cached_field(modulus)
+    """Shared-instance constructor for F_p[x]/(modulus).
+
+    A modulus seen for the first time gets every check of ExtField, Rabin's
+    test included, unless fp_factorize has already proven it irreducible.
+    """
+    field = _fields.get(modulus)
+    if field is None:
+        field = _fields[modulus] = ExtField(modulus)
+    return field
 
 
 def _squarefree_parts(f: FqPoly) -> list[tuple[FqPoly, int]]:
@@ -424,19 +476,26 @@ def _squarefree_parts(f: FqPoly) -> list[tuple[FqPoly, int]]:
 
 
 def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
-    """Split monic squarefree f into (product of degree-e irreducibles, e)."""
-    q = f.field.q
+    """Split monic squarefree f into (product of degree-e irreducibles, e).
+
+    h = x^(q^e) stays reduced modulo the undivided f, so one Frobenius table
+    serves every step; the first step is its row T[1] = x^q.
+    """
+    whole = f
     x = FqPoly.x(f.field)
     out = []
-    h = x % f
     e = 1
     while f.degree >= 2 * e:
-        h = h.pow_mod(q, f)
+        if e == 1:
+            h = x.pow_mod(f.field.q, whole)
+        else:
+            if e == 2:
+                table = _frobenius_table(whole, h)
+            h = _frobenius(h, table)
         g = f.gcd(h - x)
         if g.degree > 0:
             out.append((g, e))
             f = f // g
-            h = h % f
         e += 1
     if f.degree > 0:
         out.append((f, f.degree))
@@ -512,6 +571,10 @@ def fp_factorize(f: FqPoly, seed: int = 0) -> FactorizationFp:
     Deterministic for fixed (f, seed): the equal-degree stage draws from a
     PRNG seeded by the caller, and factors are returned in a canonical order
     (degree, then coefficient tuple).
+
+    Each factor is irreducible by construction: the distinct-degree split and
+    Cantor-Zassenhaus stop only at degree e.  So its field enters the
+    ext_field cache without a second Rabin test.
     """
     if not isinstance(f.field, PrimeField):
         raise ValueError("complete factorization needs a prime field")
@@ -523,5 +586,7 @@ def fp_factorize(f: FqPoly, seed: int = 0) -> FactorizationFp:
         for prod, e in _distinct_degree(part):
             for irr in _equal_degree(prod, e, rng):
                 factors.append((irr, mult))
+                if irr not in _fields:
+                    _fields[irr] = ExtField._proven(irr)
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return FactorizationFp(tuple(factors), f.lead, f.p)

@@ -157,6 +157,31 @@ def exhaustive_ext_factor_count(g: FqPoly) -> int:
     return count
 
 
+def plain_distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
+    """Distinct-degree split of monic squarefree f with one pow_mod per step.
+
+    h = x^(q^e) is raised to the q-th power by square-and-multiply and kept
+    reduced modulo the shrinking f, where the library applies a Frobenius
+    table modulo the undivided f.
+    """
+    q = f.field.q
+    x = FqPoly.x(f.field)
+    out = []
+    h = x % f
+    e = 1
+    while f.degree >= 2 * e:
+        h = h.pow_mod(q, f)
+        g = f.gcd(h - x)
+        if g.degree > 0:
+            out.append((g, e))
+            f = f // g
+            h = h % f
+        e += 1
+    if f.degree > 0:
+        out.append((f, f.degree))
+    return out
+
+
 def _random_unit_poly(rng: random.Random, p: int, max_degree: int) -> IntPoly:
     """Random nonzero polynomial of degree < max_degree with unit content."""
     while True:

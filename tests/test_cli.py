@@ -25,6 +25,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv):
+    src = str(Path(phinewton.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "phinewton.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestRuns:
     def test_degree12_json(self, capsys):
         code, out, _ = run_cli(
@@ -74,6 +83,13 @@ class TestRuns:
 
 
 class TestExitCodes:
+    def test_unwritable_output_is_1(self, tmp_path, capsys):
+        # the target is a directory, so the write raises IsADirectoryError
+        code, out, err = run_cli(capsys, "x^2+2", "-p", "2", "--output", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_parse_error_is_1(self, capsys):
         code, _, err = run_cli(capsys, "x^3 - - 1", "-p", "2")
         assert code == 1
@@ -104,22 +120,34 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestUsageErrors:
+    """argparse errors are bad input: exit 1 with the usage line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("x", "-p", "abc"),
+        ("x",),
+        ("x", "-p", "2", "--bogus"),
+    ])
+    def test_usage_error_is_1(self, argv):
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: phinewton")
+        assert "phinewton: error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_help_is_0(self):
+        proc = run_subprocess("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: phinewton")
+
+
 class TestHostileInput:
     @staticmethod
     def nested(levels):
         return "(" * levels + "x" + ")" * levels
 
-    @staticmethod
-    def run_subprocess(*argv):
-        src = str(Path(phinewton.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run(
-            [sys.executable, "-m", "phinewton.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-
     def test_deep_nesting_is_parse_error(self):
-        proc = self.run_subprocess(self.nested(300), "-p", "2")
+        proc = run_subprocess(self.nested(300), "-p", "2")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
@@ -141,7 +169,7 @@ class TestHostileInput:
     def test_phi_beyond_int_str_limit_renders(self):
         # phi's constant 2^20000 has 6,021 digits, over CPython's default
         # int-to-str limit of 4,300
-        proc = self.run_subprocess(
+        proc = run_subprocess(
             "(x+2^20000)^2+2", "-p", "2", "--phi", "x+2^20000", "--format", "json"
         )
         assert proc.returncode == 0
@@ -150,14 +178,14 @@ class TestHostileInput:
         assert parse_poly(phi) == parse_poly("x+2^20000")
 
     def test_literal_beyond_int_str_limit_parses(self):
-        proc = self.run_subprocess("x^2 + 1" + "0" * 4999 + "x + 2", "-p", "2")
+        proc = run_subprocess("x^2 + 1" + "0" * 4999 + "x + 2", "-p", "2")
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         assert "IRREDUCIBLE" in proc.stdout
 
     def test_huge_integer_power_exits_1_fast(self):
         start = time.perf_counter()
-        proc = self.run_subprocess("2^1000000000", "-p", "2")
+        proc = run_subprocess("2^1000000000", "-p", "2")
         assert time.perf_counter() - start < 1.0
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")

@@ -6,9 +6,14 @@ from oracles import (
     enumerate_monic_fp,
     exhaustive_ext_factor_count,
     exhaustive_fp_factor,
+    plain_distinct_degree,
 )
+from phinewton import residue_field
 from phinewton.residue_field import (
     FqPoly,
+    _distinct_degree,
+    _frobenius,
+    _frobenius_table,
     count_irreducible_factors,
     ext_field,
     fp_factorize,
@@ -260,3 +265,92 @@ class TestFieldTypesAgree:
                 g = FqPoly(field, f.coeffs)
                 assert count_irreducible_factors(g) == count, f
                 assert is_irreducible(g) == (count == 1), f
+
+
+def small_fields():
+    """F_2, F_3, F_65521, F_4, F_8 and F_9."""
+    return [
+        FqPoly(2).field,
+        FqPoly(3).field,
+        FqPoly(65521).field,
+        ext_field(FqPoly(2, [1, 1, 1])),
+        ext_field(FqPoly(2, [1, 1, 0, 1])),
+        ext_field(FqPoly(3, [1, 0, 1])),
+    ]
+
+
+def random_elem(rng, field):
+    if field.m == 1:
+        return rng.randrange(field.p)
+    return field.elem([rng.randrange(field.p) for _ in range(field.m)])
+
+
+def random_monic(rng, field, degree):
+    return FqPoly(field, [random_elem(rng, field) for _ in range(degree)] + [field.one])
+
+
+class TestFrobeniusTable:
+    def test_matches_pow_mod(self):
+        rng = random.Random(41)
+        for field in small_fields():
+            x = FqPoly.x(field)
+            for degree in (1, 2, 3, 4, 5, 7):
+                for _ in range(6):
+                    f = random_monic(rng, field, degree)
+                    table = _frobenius_table(f, x.pow_mod(field.q, f))
+                    assert len(table) == degree
+                    assert table[0] == FqPoly(field, [field.one])
+                    for _ in range(4):
+                        h = FqPoly(field, [random_elem(rng, field)
+                                           for _ in range(degree)])
+                        assert _frobenius(h, table) == h.pow_mod(field.q, f), (f, h)
+
+    def test_distinct_degree_matches_reference(self):
+        rng = random.Random(42)
+        for field in small_fields():
+            checked = 0
+            while checked < 12:
+                f = random_monic(rng, field, rng.randint(1, 9))
+                if f.gcd(f.derivative()).degree != 0:
+                    continue  # not squarefree
+                assert _distinct_degree(f) == plain_distinct_degree(f), f
+                checked += 1
+
+
+class TestProvenFields:
+    def test_reducible_modulus_still_rejected_after_factoring(self):
+        square = FqPoly(2, [1, 0, 1])  # (x+1)^2
+        assert fp_factorize(square).factors == ((FqPoly(2, [1, 1]), 2),)
+        with pytest.raises(ValueError):
+            ext_field(square)
+
+    def test_factor_fields_are_cached_without_rabin(self, monkeypatch):
+        f = random_monic(random.Random(43), FqPoly(10007).field, 24)
+        factors = [g for g, _ in fp_factorize(f).factors]
+
+        def no_rabin(g):
+            raise AssertionError("Rabin's test ran on a proven factor")
+
+        monkeypatch.setattr(residue_field, "is_irreducible", no_rabin)
+        for g in factors:
+            assert ext_field(g).modulus == g
+            assert ext_field(g) is ext_field(g)
+        monkeypatch.undo()
+        for g in factors:
+            assert is_irreducible(g), g
+
+    def test_unseen_modulus_runs_rabin(self, monkeypatch):
+        # the factors of f enter the cache as proven; f itself is still tested
+        f = FqPoly(65521, [5, 1]) * FqPoly(65521, [7, 1])
+        fp_factorize(f)
+        calls = []
+        rabin = residue_field.is_irreducible
+
+        def counted(g):
+            calls.append(g)
+            return rabin(g)
+
+        monkeypatch.setattr(residue_field, "is_irreducible", counted)
+        with pytest.raises(ValueError):
+            ext_field(f)
+        assert calls == [f]
