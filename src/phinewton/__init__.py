@@ -3,7 +3,7 @@ for monic integer polynomials with the p-adic valuation."""
 
 __version__ = "0.1.0"
 
-from .valuation import INFINITY, ValuationDomain, is_prime
+from .valuation import INFINITY, is_prime
 from .polyring import (
     IntPoly,
     PhiExpansion,
@@ -26,7 +26,6 @@ from .polygon import (
     PolygonPoint,
     Side,
     build_polygon,
-    minkowski_sum,
 )
 from .residual import ResidualPolynomial, residual_coefficient, residual_polynomial
 from .criteria import (
@@ -46,7 +45,6 @@ from .expr import ParseError, parse_poly, render_poly
 
 __all__ = [
     "INFINITY",
-    "ValuationDomain",
     "is_prime",
     "IntPoly",
     "PhiExpansion",
@@ -65,7 +63,6 @@ __all__ = [
     "PolygonPoint",
     "Side",
     "build_polygon",
-    "minkowski_sum",
     "ResidualPolynomial",
     "residual_coefficient",
     "residual_polynomial",

@@ -37,7 +37,7 @@ from .criteria import (
     single_phi_gate,
 )
 from .expr import ParseError, parse_poly, render_poly
-from .valuation import INFINITY, ValuationDomain
+from .valuation import INFINITY, is_prime
 
 ENV_SEED = "PHINEWTON_SEED"
 
@@ -229,15 +229,15 @@ def render_svg(report: AnalysisReport) -> str:
 RENDERERS = {"text": render_text, "json": render_json, "svg": render_svg}
 
 
-def _check_only(f, phi_expr, domain) -> tuple[str, int]:
+def _check_only(f, phi_expr, p) -> tuple[str, int]:
     """One line and the exit code the full run would return."""
     if phi_expr is None:
-        return f"ok: monic degree-{f.degree} polynomial, p = {domain.prime}", 0
+        return f"ok: monic degree-{f.degree} polynomial, p = {p}", 0
     phi = parse_poly(phi_expr)
-    reason = single_phi_gate(f, phi, domain)
+    reason = single_phi_gate(f, phi, p)
     if reason is not None:
         return f"inapplicable: {reason}", 2
-    pr = analyze_phi(f, phi, f.degree // phi.degree, domain)
+    pr = analyze_phi(f, phi, f.degree // phi.degree, p)
     if pr.is_exact_power:
         return f"ok: f equals phi^{pr.multiplicity} exactly", 0
     hyp = check_single_side_hypothesis(pr.expansion)
@@ -249,16 +249,17 @@ def _check_only(f, phi_expr, domain) -> tuple[str, int]:
 def run(config: CliConfig) -> int:
     """Execute one analysis; returns the process exit code."""
     try:
-        domain = ValuationDomain.p_adic(config.prime)
+        if not is_prime(config.prime):
+            raise ValueError(f"{config.prime} is not prime")
         f = parse_poly(config.expression)
         if f.degree < 1 or not f.is_monic:
             raise ValueError("input polynomial must be monic of degree >= 1")
         if config.check_only:
-            message, code = _check_only(f, config.phi, domain)
+            message, code = _check_only(f, config.phi, config.prime)
             print(message)
             return code
         phi = parse_poly(config.phi) if config.phi is not None else None
-        report = analyze(f, domain, phi=phi, seed=config.seed,
+        report = analyze(f, config.prime, phi=phi, seed=config.seed,
                          input_str=config.expression)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,10 +82,6 @@ class NewtonPolygon:
         return hash(self.vertices)
 
     @property
-    def slopes(self) -> list[Fraction]:
-        return [s.slope for s in self.sides]
-
-    @property
     def length(self) -> int:
         """Horizontal span of the hull."""
         if len(self.vertices) < 2:
@@ -99,12 +95,6 @@ class NewtonPolygon:
         if not kept:
             vertices = self.vertices[:1]
         return NewtonPolygon(tuple(vertices), tuple(kept), self.all_points)
-
-    def side_at_slope(self, slope: Fraction):
-        for s in self.sides:
-            if s.slope == slope:
-                return s
-        return None
 
     def __repr__(self):
         return f"NewtonPolygon(vertices={list(self.vertices)})"
@@ -145,38 +135,8 @@ def build_polygon(points) -> NewtonPolygon:
 
 
 def single_vertex_polygon(index: int, height: int, all_points=()) -> NewtonPolygon:
-    """A polygon with one vertex and no sides (Minkowski identity element)."""
+    """A polygon with one vertex and no sides."""
     vertex = (int(index), int(height))
     pts = tuple(all_points) if all_points else (PolygonPoint(*vertex),)
     return NewtonPolygon((vertex,), (), pts)
 
-
-def minkowski_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:
-    """Slope-ordered concatenation of the two polygons' sides.
-
-    Sides with equal slope merge (lengths and drops add); the start vertex is
-    the componentwise sum of the operands' start vertices.  This realizes the
-    product rule N(f*g) = N(f) + N(g) and serves as its test oracle.
-    """
-    if not a.vertices or not b.vertices:
-        raise ValueError("minkowski_sum requires nonempty polygons")
-    segs = [[s.slope, s.length, s.end[1] - s.start[1]] for s in a.sides + b.sides]
-    segs.sort(key=lambda t: t[0])
-    merged: list[list] = []
-    for slope, length, dy in segs:
-        if merged and merged[-1][0] == slope:
-            merged[-1][1] += length
-            merged[-1][2] += dy
-        else:
-            merged.append([slope, length, dy])
-    i = a.vertices[0][0] + b.vertices[0][0]
-    u = a.vertices[0][1] + b.vertices[0][1]
-    verts = [(i, u)]
-    for _, length, dy in merged:
-        i += length
-        u += dy
-        verts.append((i, u))
-    sides = tuple(
-        Side.from_endpoints(verts[k], verts[k + 1]) for k in range(len(verts) - 1)
-    )
-    return NewtonPolygon(tuple(verts), sides, tuple(PolygonPoint(*v) for v in verts))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .residue_field import FqPoly
-from .valuation import INFINITY, ExtInt, ValuationDomain
+from .valuation import INFINITY, ExtInt, valuation
 
 
 class IntPoly:
@@ -49,10 +49,6 @@ class IntPoly:
     @classmethod
     def constant(cls, c: int) -> "IntPoly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, c: int, k: int) -> "IntPoly":
-        return cls((0,) * k + (c,))
 
     @property
     def degree(self) -> int:
@@ -162,12 +158,6 @@ class IntPoly:
     def __mod__(self, other: "IntPoly") -> "IntPoly":
         return divmod(self, other)[1]
 
-    def evaluate(self, x: int) -> int:
-        y = 0
-        for c in reversed(self.coeffs):
-            y = y * x + c
-        return y
-
     def reduce_mod(self, p: int) -> FqPoly:
         """Image in F_p[x]."""
         return FqPoly(p, self.coeffs)
@@ -187,11 +177,11 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-def gauss_valuation(a: IntPoly, domain: ValuationDomain) -> ExtInt:
+def gauss_valuation(a: IntPoly, p: int) -> ExtInt:
     """Minimum p-adic valuation over the coefficients; INFINITY for zero."""
     if a.is_zero:
         return INFINITY
-    return min(domain.valuation(c) for c in a.coeffs if c != 0)
+    return min(valuation(c, p) for c in a.coeffs if c != 0)
 
 
 @dataclass(frozen=True)
@@ -206,7 +196,7 @@ class PhiExpansion:
     phi: IntPoly
     coeffs: tuple
     valuations: tuple
-    domain: ValuationDomain
+    p: int
 
     @property
     def length(self) -> int:
@@ -226,7 +216,7 @@ class PhiExpansion:
         return out
 
 
-def phi_expand(f: IntPoly, phi: IntPoly, domain: ValuationDomain) -> PhiExpansion:
+def phi_expand(f: IntPoly, phi: IntPoly, p: int) -> PhiExpansion:
     """Expand f in powers of phi by repeated Euclidean division."""
     if f.is_zero:
         raise ValueError("cannot expand the zero polynomial")
@@ -237,16 +227,15 @@ def phi_expand(f: IntPoly, phi: IntPoly, domain: ValuationDomain) -> PhiExpansio
     while not rest.is_zero:
         rest, a = divmod(rest, phi)
         coeffs.append(a)
-    valuations = tuple(gauss_valuation(a, domain) for a in coeffs)
-    return PhiExpansion(f, phi, tuple(coeffs), valuations, domain)
+    valuations = tuple(gauss_valuation(a, p) for a in coeffs)
+    return PhiExpansion(f, phi, tuple(coeffs), valuations, p)
 
 
-def is_power_of_phibar(f: IntPoly, phi: IntPoly, domain: ValuationDomain) -> bool:
+def is_power_of_phibar(f: IntPoly, phi: IntPoly, p: int) -> bool:
     """True iff the reduction of f mod p equals (phi mod p)^(deg f / deg phi)."""
     if not f.is_monic or not phi.is_monic:
         raise ValueError("monic polynomials required")
     m = phi.degree
     if m < 1 or f.degree % m != 0:
         return False
-    p = domain.prime
     return f.reduce_mod(p) == phi.reduce_mod(p) ** (f.degree // m)

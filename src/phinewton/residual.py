@@ -49,8 +49,8 @@ class ResidualPolynomial:
 def _check_consistency(exp: PhiExpansion, phibar: FqPoly):
     if exp.phi.reduce_mod(phibar.p) != phibar:
         raise ValueError("phibar does not match the expansion's phi mod p")
-    if phibar.p != exp.domain.prime:
-        raise ValueError("phibar modulus differs from the domain's prime")
+    if phibar.p != exp.p:
+        raise ValueError("phibar modulus differs from the expansion's prime")
 
 
 def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPoly:
@@ -65,9 +65,14 @@ def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPo
         raise RuntimeError(
             f"point ({s + i}, {u}) lies below its own polygon side"
         )
-    domain = exp.domain
-    a = exp.coeffs[s + i]
-    return field.elem([domain.exact_div(c, u) for c in a.coeffs])
+    pu = exp.p**u
+    quotients = []
+    for c in exp.coeffs[s + i].coeffs:
+        q, r = divmod(c, pu)
+        if r:
+            raise ValueError(f"{c} is not divisible by {exp.p}^{u}")
+        quotients.append(q)
+    return field.elem(quotients)
 
 
 def residual_coefficient(

@@ -408,11 +408,6 @@ class ExtField:
             value = FqPoly(self.p, value)
         return value % self.modulus
 
-    @property
-    def gen(self) -> FqPoly:
-        """The class of x, a root of the modulus."""
-        return self.elem(FqPoly.x(self.p))
-
     def inv(self, a: FqPoly) -> FqPoly:
         if not a:
             raise ZeroDivisionError("inverse of zero")

@@ -1,66 +1,19 @@
-"""Exact arithmetic for a rank-one discrete valuation, instantiated p-adically on Z.
+"""The p-adic valuation on Z, and primality checking.
 
-The coefficient domain is Z with the normalized p-adic valuation nu_p
-(nu_p(p) = 1).  Everything here is exact: valuations are non-negative
-integers or INFINITY, slopes are `fractions.Fraction`, and there is no
-floating point anywhere.  The abstraction (valuation, exact division by
-powers of the uniformizer, residue reduction) is kept narrow so another
-coefficient backend could be added without touching downstream modules.
+nu_p is normalized (nu_p(p) = 1).  Everything here is exact: valuations are
+non-negative integers or INFINITY, slopes elsewhere are
+`fractions.Fraction`, and there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 
 class _Infinity:
-    """Valuation of zero: bigger than every finite value, absorbing under +."""
+    """Valuation of zero; callers test it with `is INFINITY`."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def _comparable(self, other):
-        return isinstance(other, (int, Fraction, _Infinity))
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("phinewton-infinity")
-
-    def __gt__(self, other):
-        if not self._comparable(other):
-            return NotImplemented
-        return other is not self
-
-    def __ge__(self, other):
-        if not self._comparable(other):
-            return NotImplemented
-        return True
-
-    def __lt__(self, other):
-        if not self._comparable(other):
-            return NotImplemented
-        return False
-
-    def __le__(self, other):
-        if not self._comparable(other):
-            return NotImplemented
-        return other is self
-
-    def __add__(self, other):
-        if not self._comparable(other):
-            return NotImplemented
-        return self
-
-    __radd__ = __add__
 
     def __repr__(self):
         return "INFINITY"
@@ -149,63 +102,30 @@ def _strip_powers(x: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class ValuationDomain:
-    """The pair (Z, nu_p): prime p, uniformizer pi = p, residue field F_p."""
+def valuation(x: int, p: int) -> ExtInt:
+    """Exact exponent of the prime p in x; INFINITY iff x = 0.
 
-    prime: int
-    uniformizer: int
-    residue_characteristic: int
-
-    def __post_init__(self):
-        if self.prime < 2 or not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.uniformizer != self.prime:
-            raise ValueError("the integer instantiation uses pi = p")
-        if self.residue_characteristic != self.prime:
-            raise ValueError("residue characteristic must equal p over Z")
-
-    @classmethod
-    def p_adic(cls, p: int) -> "ValuationDomain":
-        return cls(p, p, p)
-
-    def valuation(self, x: int) -> ExtInt:
-        """Exact exponent of p in x; INFINITY iff x = 0.
-
-        The number of big-integer divisions grows with log nu_p(x), not with
-        nu_p(x): past the first four factors, a run of 2s is read from the
-        lowest set bit, and a run of odd p is stripped in blocks p^(2^i)
-        (see `_strip_powers`).
-        """
-        if x == 0:
-            return INFINITY
-        p = self.prime
-        # Nearly every call has valuation 0-3.  Peeling those factors one at
-        # a time, unrolled, costs no more per call than a plain loop.
-        if x % p:
-            return 0
-        x //= p
-        if x % p:
-            return 1
-        x //= p
-        if x % p:
-            return 2
-        x //= p
-        if x % p:
-            return 3
-        x //= p
-        if p == 2:
-            return 3 + (x & -x).bit_length()  # 4 + index of the lowest set bit
-        return 4 + _strip_powers(x, p)
-
-    def residue(self, x: int) -> int:
-        """Image of x in F_p, represented in [0, p)."""
-        return x % self.prime
-
-    def exact_div(self, x: int, k: int) -> int:
-        """x / p^k, required to be exact."""
-        q, r = divmod(x, self.prime**k)
-        if r != 0:
-            raise ValueError(f"{x} is not divisible by {self.prime}^{k}")
-        return q
-
+    The number of big-integer divisions grows with log nu_p(x), not with
+    nu_p(x): past the first four factors, a run of 2s is read from the
+    lowest set bit, and a run of odd p is stripped in blocks p^(2^i) (see
+    `_strip_powers`).
+    """
+    if x == 0:
+        return INFINITY
+    # Nearly every call has valuation 0-3.  Peeling those factors one at a
+    # time, unrolled, costs no more per call than a plain loop.
+    if x % p:
+        return 0
+    x //= p
+    if x % p:
+        return 1
+    x //= p
+    if x % p:
+        return 2
+    x //= p
+    if x % p:
+        return 3
+    x //= p
+    if p == 2:
+        return 3 + (x & -x).bit_length()  # 4 + index of the lowest set bit
+    return 4 + _strip_powers(x, p)

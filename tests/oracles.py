@@ -18,11 +18,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from phinewton.polygon import NewtonPolygon, Side, build_polygon
+from phinewton.polygon import NewtonPolygon, PolygonPoint, Side, build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.residual import residual_polynomial
-from phinewton.residue_field import FactorizationFp, FqPoly, is_irreducible
-from phinewton.valuation import INFINITY, ValuationDomain
+from phinewton.residue_field import ExtField, FactorizationFp, FqPoly, is_irreducible
+from phinewton.valuation import INFINITY
 
 
 def hull_oracle(points) -> NewtonPolygon:
@@ -76,7 +76,7 @@ def validate_polygon(np: NewtonPolygon, points) -> bool:
         raise ValueError("polygon does not start at the lowest finite index")
     if np.vertices[-1][0] != finite[-1][0]:
         raise ValueError("polygon does not end at the highest finite index")
-    slopes = np.slopes
+    slopes = [s.slope for s in np.sides]
     for a, b in zip(slopes, slopes[1:]):
         if not a < b:
             raise ValueError("side slopes are not strictly increasing")
@@ -88,6 +88,50 @@ def validate_polygon(np: NewtonPolygon, points) -> bool:
         if prev.end != cur.start:
             raise ValueError("sides are not contiguous")
     return True
+
+
+def side_at_slope(np: NewtonPolygon, slope):
+    """The side of the given slope, or None."""
+    for s in np.sides:
+        if s.slope == slope:
+            return s
+    return None
+
+
+def minkowski_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:
+    """Slope-ordered concatenation of the two polygons' sides.
+
+    Sides with equal slope merge (lengths and drops add); the start vertex is
+    the componentwise sum of the operands' start vertices.  This realizes the
+    product rule N(f*g) = N(f) + N(g) and serves as its test oracle.
+    """
+    if not a.vertices or not b.vertices:
+        raise ValueError("minkowski_sum requires nonempty polygons")
+    segs = [[s.slope, s.length, s.end[1] - s.start[1]] for s in a.sides + b.sides]
+    segs.sort(key=lambda t: t[0])
+    merged: list[list] = []
+    for slope, length, dy in segs:
+        if merged and merged[-1][0] == slope:
+            merged[-1][1] += length
+            merged[-1][2] += dy
+        else:
+            merged.append([slope, length, dy])
+    i = a.vertices[0][0] + b.vertices[0][0]
+    u = a.vertices[0][1] + b.vertices[0][1]
+    verts = [(i, u)]
+    for _, length, dy in merged:
+        i += length
+        u += dy
+        verts.append((i, u))
+    sides = tuple(
+        Side.from_endpoints(verts[k], verts[k + 1]) for k in range(len(verts) - 1)
+    )
+    return NewtonPolygon(tuple(verts), sides, tuple(PolygonPoint(*v) for v in verts))
+
+
+def gen(field: ExtField) -> FqPoly:
+    """The class of x in F_p[x]/(phibar), a root of the modulus."""
+    return field.elem(FqPoly.x(field.p))
 
 
 def enumerate_monic_fp(p: int, degree: int):
@@ -191,7 +235,7 @@ def _random_unit_poly(rng: random.Random, p: int, max_degree: int) -> IntPoly:
 
 
 def gen_eisenstein_family(
-    domain: ValuationDomain,
+    p: int,
     phi: IntPoly,
     count: int,
     seed: int,
@@ -203,10 +247,9 @@ def gen_eisenstein_family(
     (i, u_i) on or above the line to (n, 0), with gcd(H, n) cycling through
     the requested targets.
     """
-    if not is_irreducible(phi.reduce_mod(domain.prime)):
+    if not is_irreducible(phi.reduce_mod(p)):
         raise ValueError("phi must reduce to an irreducible polynomial")
     rng = random.Random(seed)
-    p = domain.prime
     m = phi.degree
     out = []
     for j in range(count):
@@ -230,7 +273,7 @@ def gen_eisenstein_family(
 
 
 def gen_power_family(
-    domain: ValuationDomain,
+    p: int,
     phi: IntPoly,
     count: int,
     seed: int,
@@ -244,7 +287,6 @@ def gen_power_family(
     [1, max_height], so the resulting polygons have arbitrary shapes.
     """
     rng = random.Random(seed)
-    p = domain.prime
     m = phi.degree
     out = []
     for _ in range(count):
@@ -279,8 +321,7 @@ class FactorWitness:
         return len(self.factors)
 
 
-def _phi_pool(domain: ValuationDomain) -> list[IntPoly]:
-    p = domain.prime
+def _phi_pool(p: int) -> list[IntPoly]:
     pool = [IntPoly((0, 1)), IntPoly((1, 1))]
     for tail in itertools.product(range(p), repeat=2):
         cand = FqPoly(p, tail + (1,))
@@ -291,10 +332,10 @@ def _phi_pool(domain: ValuationDomain) -> list[IntPoly]:
     return pool
 
 
-def gen_factor_witness(domain: ValuationDomain, k: int, seed: int) -> FactorWitness:
+def gen_factor_witness(p: int, k: int, seed: int) -> FactorWitness:
     """Product of k analyzable monic polynomials with per-factor polygon data."""
     rng = random.Random(seed)
-    pool = _phi_pool(domain)
+    pool = _phi_pool(p)
     factors = []
     phis = []
     polygons = []
@@ -302,12 +343,12 @@ def gen_factor_witness(domain: ValuationDomain, k: int, seed: int) -> FactorWitn
     for j in range(k):
         phi = pool[rng.randrange(len(pool))]
         f = gen_eisenstein_family(
-            domain, phi, 1, rng.randrange(2**30), gcd_targets=(1, 2, 3)
+            p, phi, 1, rng.randrange(2**30), gcd_targets=(1, 2, 3)
         )[0]
-        exp = phi_expand(f, phi, domain)
+        exp = phi_expand(f, phi, p)
         polygon = build_polygon(exp.points())
         side_data = tuple(
-            residual_polynomial(exp, side, phi.reduce_mod(domain.prime))
+            residual_polynomial(exp, side, phi.reduce_mod(p))
             for side in polygon.principal_part().sides
         )
         factors.append(f)

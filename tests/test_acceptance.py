@@ -23,8 +23,10 @@ from oracles import (
     gen_factor_witness,
     gen_power_family,
     hull_oracle,
+    minkowski_sum,
+    side_at_slope,
 )
-from phinewton.polygon import build_polygon, minkowski_sum
+from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.residual import residual_polynomial
 from phinewton.residue_field import (
@@ -34,9 +36,8 @@ from phinewton.residue_field import (
     fp_factorize,
     is_irreducible,
 )
-from phinewton.valuation import INFINITY, ValuationDomain
+from phinewton.valuation import INFINITY
 
-D2 = ValuationDomain.p_adic(2)
 X = IntPoly.x()
 
 
@@ -54,7 +55,7 @@ def test_criterion_1_degree12_single_phi_replay():
         parse_poly(
             "(x^2+x+1)^6 + 24x*(x^2+x+1)^3 + 9*(16x+32)*(x^2+x+1) + 3*(16x+16)"
         ),
-        D2,
+        2,
         phi=parse_poly("x^2+x+1"),
     )
     sides = r.phi_reports[0].sides
@@ -78,11 +79,10 @@ def test_criterion_2_two_coprime_factors_replay():
     start = time.monotonic()
     failures = []
     for p in (2, 3, 5):
-        domain = ValuationDomain.p_adic(p)
         f = (X**5 + IntPoly.constant(p**3)) * (
             IntPoly([1, 1]) ** 4 + IntPoly.constant(p**3)
         )
-        r = bound_full(f, domain)
+        r = bound_full(f, p)
         if r.factor_bound != 2:
             failures.append(f"p={p}: bound {r.factor_bound}")
         for pr in r.phi_reports:
@@ -107,7 +107,7 @@ def test_criterion_3_height4_length6_partial_replay():
         + 15 * IntPoly([32, 16]) * phi
         + IntPoly([48])
     )
-    r = analyze(f, D2, phi=phi)
+    r = analyze(f, 2, phi=phi)
     sides = r.phi_reports[0].sides
     s = sides[0].side
     if (s.length, s.height, s.degree) != (6, 4, 2):
@@ -152,15 +152,14 @@ def test_criterion_4_product_rule_suite():
     pairs = 0
     while pairs < 200:
         p, phi, max_n = configs[pairs % len(configs)]
-        domain = ValuationDomain.p_adic(p)
         phibar = phi.reduce_mod(p)
         field = ext_field(phibar)
         g, h = gen_power_family(
-            domain, phi, 2, seed=rng.randrange(2**30), max_n=max_n
+            p, phi, 2, seed=rng.randrange(2**30), max_n=max_n
         )
-        exp_g = phi_expand(g, phi, domain)
-        exp_h = phi_expand(h, phi, domain)
-        exp_gh = phi_expand(g * h, phi, domain)
+        exp_g = phi_expand(g, phi, p)
+        exp_h = phi_expand(h, phi, p)
+        exp_gh = phi_expand(g * h, phi, p)
         np_g = build_polygon(exp_g.points())
         np_h = build_polygon(exp_h.points())
         np_gh = build_polygon(exp_gh.points())
@@ -169,7 +168,7 @@ def test_criterion_4_product_rule_suite():
         for side in np_gh.sides:
             expected = FqPoly(field, [field.one])
             for exp_f, np_f in ((exp_g, np_g), (exp_h, np_h)):
-                s = np_f.side_at_slope(side.slope)
+                s = side_at_slope(np_f, side.slope)
                 if s is not None:
                     expected = expected * residual_polynomial(
                         exp_f, s, phibar
@@ -190,9 +189,8 @@ def test_criterion_5_bound_soundness_suite():
     for trial in range(200):
         k = 2 + trial % 3
         p = (2, 3, 5)[trial % 3]
-        domain = ValuationDomain.p_adic(p)
-        witness = gen_factor_witness(domain, k, seed=rng.randrange(2**30))
-        r = bound_full(witness.product, domain)
+        witness = gen_factor_witness(p, k, seed=rng.randrange(2**30))
+        r = bound_full(witness.product, p)
         if r.factor_bound < witness.k:
             failures.append(
                 f"trial {trial}: bound {r.factor_bound} < k={witness.k}"
@@ -213,11 +211,10 @@ def test_criterion_6_hypothesis_polygon_equivalence():
     count = 0
     while count < 500:
         p, phi = configs[count % len(configs)]
-        domain = ValuationDomain.p_adic(p)
         f = gen_power_family(
-            domain, phi, 1, seed=rng.randrange(2**30), zero_a0_prob=0.05
+            p, phi, 1, seed=rng.randrange(2**30), zero_a0_prob=0.05
         )[0]
-        exp = phi_expand(f, phi, domain)
+        exp = phi_expand(f, phi, p)
         hyp = check_single_side_hypothesis(exp)
         n = exp.length
         finite = [(i, u) for i, u in exp.points() if u is not INFINITY]
@@ -310,15 +307,14 @@ def test_criterion_9_gcd_one_regression():
     count = 0
     while count < 100:
         p, phi = configs[count % len(configs)]
-        domain = ValuationDomain.p_adic(p)
         f = gen_eisenstein_family(
-            domain, phi, 1, seed=rng.randrange(2**30), gcd_targets=(1,)
+            p, phi, 1, seed=rng.randrange(2**30), gcd_targets=(1,)
         )[0]
-        r = analyze(f, domain, phi=phi)
+        r = analyze(f, p, phi=phi)
         if r.verdict != IRREDUCIBLE:
             failures.append(f"f={f!r} phi={phi!r} p={p}: {r.verdict}")
         count += 1
-    r = analyze(parse_poly("x^2+2x+2"), D2, phi=X)
+    r = analyze(parse_poly("x^2+2x+2"), 2, phi=X)
     if r.verdict != IRREDUCIBLE:
         failures.append(f"x^2+2x+2: {r.verdict}")
     _report(9, failures, "100 gcd=1 instances + x^2+2x+2 all IRREDUCIBLE")
@@ -330,11 +326,10 @@ def test_criterion_10_slope_zero_reduction_suite():
     count = 0
     while count < 100:
         p = (2, 3, 5)[count % 3]
-        domain = ValuationDomain.p_adic(p)
         n = rng.randint(2, 12)
         coeffs = [rng.randrange(1, p) for _ in range(n)] + [1]
         f = IntPoly(coeffs)
-        exp = phi_expand(f, X, domain)
+        exp = phi_expand(f, X, p)
         np_ = build_polygon(exp.points())
         slope_zero = [s for s in np_.sides if s.slope == 0]
         if len(slope_zero) != 1:

@@ -10,11 +10,11 @@ import pytest
 
 import phinewton
 from oracles import gen_power_family
+from phinewton import residue_field
 from phinewton.cli import main, report_to_dict, render_svg
 from phinewton.criteria import analyze
 from phinewton.expr import MAX_NESTING, parse_poly, render_poly
 from phinewton.polyring import IntPoly
-from phinewton.valuation import ValuationDomain
 
 DEG12 = "(x^2+x+1)^6 + 24x*(x^2+x+1)^3 + 9*(16x+32)*(x^2+x+1) + 3*(16x+16)"
 
@@ -215,9 +215,8 @@ class TestCheckOnly:
         cases = [("x^2", "2", "x"), ("x", "3", "x"), ("x^2+2x+2", "2", "2x+1")]
         rng = random.Random(113)
         for p, phi in ((2, "x"), (2, "x^2+x+1"), (3, "x+2"), (5, "x^2+2")):
-            domain = ValuationDomain.p_adic(p)
             phi_poly = parse_poly(phi)
-            fams = gen_power_family(domain, phi_poly, 12, seed=rng.randrange(2**30),
+            fams = gen_power_family(p, phi_poly, 12, seed=rng.randrange(2**30),
                                     max_n=5, zero_a0_prob=0.3)
             fams += [phi_poly**k for k in (1, 2, 3)]
             fams.append(phi_poly * IntPoly([1, 1]))  # not a power mod p
@@ -229,6 +228,29 @@ class TestCheckOnly:
         assert run_cli(capsys, "x^2", "-p", "2", "--phi", "x", "--check-only")[0] == 0
         assert run_cli(capsys, "x^2+2x+2", "-p", "2", "--phi", "2x+1",
                        "--check-only")[0] == 1
+
+
+class TestRabinOnce:
+    """A single-phi run tests the irreducibility of phibar once."""
+
+    @pytest.mark.parametrize("extra", [(), ("--check-only",)])
+    def test_one_rabin_test_on_phibar(self, capsys, monkeypatch, extra):
+        monkeypatch.setattr(residue_field, "_fields", {})  # no field cached yet
+        rabin = residue_field.is_irreducible.__code__
+        tested = []
+
+        def profile(frame, event, arg):
+            # counts calls whatever name the caller bound the function to
+            if event == "call" and frame.f_code is rabin:
+                tested.append(str(frame.f_locals["f"]))
+
+        sys.setprofile(profile)
+        try:
+            code, _, _ = run_cli(capsys, DEG12, "-p", "2", "--phi", "x^2+x+1", *extra)
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        assert tested == ["x^2 + x + 1"]
 
 
 class TestInputFile(object):
@@ -277,7 +299,7 @@ class TestRoundTrip:
 
 class TestRenderHelpers:
     def test_report_dict_key_order(self):
-        report = analyze(parse_poly("x^2+2x+2"), ValuationDomain.p_adic(2))
+        report = analyze(parse_poly("x^2+2x+2"), 2)
         keys = list(report_to_dict(report).keys())
         assert keys == [
             "input", "prime", "mode", "phi_reports", "verdict", "factor_bound",
@@ -286,11 +308,7 @@ class TestRenderHelpers:
         ]
 
     def test_svg_hollow_and_solid_points(self):
-        report = analyze(
-            parse_poly(DEG12),
-            ValuationDomain.p_adic(2),
-            phi=parse_poly("x^2+x+1"),
-        )
+        report = analyze(parse_poly(DEG12), 2, phi=parse_poly("x^2+x+1"))
         svg = render_svg(report)
         assert 'fill="#fff"' in svg  # (3,3) strictly above the hull
         assert 'fill="#000"' in svg

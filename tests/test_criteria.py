@@ -14,11 +14,8 @@ from phinewton.criteria import (
 from oracles import gen_eisenstein_family, gen_factor_witness, gen_power_family
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
-from phinewton.valuation import INFINITY, ValuationDomain
+from phinewton.valuation import INFINITY
 
-D2 = ValuationDomain.p_adic(2)
-D3 = ValuationDomain.p_adic(3)
-D5 = ValuationDomain.p_adic(5)
 
 X = IntPoly.x()
 PHI_QUAD = IntPoly([1, 1, 1])
@@ -35,21 +32,21 @@ def degree12_input():
 
 class TestSingleSideHypothesis:
     def test_degree12_case_holds(self):
-        exp = phi_expand(degree12_input(), PHI_QUAD, D2)
+        exp = phi_expand(degree12_input(), PHI_QUAD, 2)
         hyp = check_single_side_hypothesis(exp)
         assert hyp.applicable and hyp.holds
         assert hyp.lam == Fraction(2, 3)
         assert hyp.violations == ()
 
     def test_eisenstein_shape_holds(self):
-        exp = phi_expand(IntPoly([2, 2, 1]), X, D2)
+        exp = phi_expand(IntPoly([2, 2, 1]), X, 2)
         hyp = check_single_side_hypothesis(exp)
         assert hyp.holds
         assert hyp.lam == Fraction(1, 2)
 
     def test_violation_reported(self):
         # x^3 + 2x + 8 at p=2: index 1 needs 3*u_1 >= 2*3, i.e. nu >= 2, got 1
-        exp = phi_expand(IntPoly([8, 2, 0, 1]), X, D2)
+        exp = phi_expand(IntPoly([8, 2, 0, 1]), X, 2)
         hyp = check_single_side_hypothesis(exp)
         assert not hyp.holds
         assert hyp.violations == ((1, Fraction(2), 1),)
@@ -57,29 +54,29 @@ class TestSingleSideHypothesis:
     def test_unit_a0_means_not_a_power(self):
         # a unit constant term forces f mod p != phibar^n, so the check is
         # inapplicable rather than merely violated
-        exp = phi_expand(IntPoly([1, 2, 1]), X, D2)
+        exp = phi_expand(IntPoly([1, 2, 1]), X, 2)
         hyp = check_single_side_hypothesis(exp)
         assert not hyp.applicable
         assert not hyp.holds
 
     def test_not_power_inapplicable(self):
-        exp = phi_expand(IntPoly([1, 0, 1]), X, D3)
+        exp = phi_expand(IntPoly([1, 0, 1]), X, 3)
         hyp = check_single_side_hypothesis(exp)
         assert not hyp.applicable and not hyp.holds
 
     def test_a0_zero(self):
-        exp = phi_expand(X**3 + 2 * X, X, D2)
+        exp = phi_expand(X**3 + 2 * X, X, 2)
         hyp = check_single_side_hypothesis(exp)
         assert hyp.applicable and not hyp.holds and hyp.a0_is_zero
 
     def test_equivalence_with_single_side_polygon(self):
         rng = random.Random(83)
-        for domain, phi in ((D2, X), (D2, PHI_QUAD), (D5, IntPoly([3, 1]))):
+        for p, phi in ((2, X), (2, PHI_QUAD), (5, IntPoly([3, 1]))):
             fams = gen_power_family(
-                domain, phi, 80, seed=rng.randrange(2**30), zero_a0_prob=0.05
+                p, phi, 80, seed=rng.randrange(2**30), zero_a0_prob=0.05
             )
             for f in fams:
-                exp = phi_expand(f, phi, domain)
+                exp = phi_expand(f, phi, p)
                 hyp = check_single_side_hypothesis(exp)
                 n = exp.length
                 finite = [(i, u) for i, u in exp.points() if u is not INFINITY]
@@ -97,49 +94,49 @@ class TestSingleSideHypothesis:
 
 class TestBoundSinglePhi:
     def test_degree12_bound(self):
-        b = analyze(degree12_input(), D2, phi=PHI_QUAD)
+        b = analyze(degree12_input(), 2, phi=PHI_QUAD)
         assert b.verdict != INAPPLICABLE
         assert b.factor_bound == 2
         assert b.min_factor_degree == 6
         assert b.phi_reports[0].sides[0].side.e == 3
 
     def test_gcd_one_is_irreducible_case(self):
-        b = analyze(IntPoly([2, 2, 1]), D2, phi=X)
+        b = analyze(IntPoly([2, 2, 1]), 2, phi=X)
         assert b.factor_bound == 1
 
     def test_gcd_arithmetic(self):
         # nu(a_0) = 6, n = 4 -> bound 2, e = 2
         f = X**4 + IntPoly.constant(2**6)
-        b = analyze(f, D2, phi=X)
+        b = analyze(f, 2, phi=X)
         assert b.factor_bound == 2
         assert b.phi_reports[0].sides[0].side.e == 2
         assert b.min_factor_degree == 2
 
     def test_hypothesis_fails_inapplicable(self):
-        b = analyze(IntPoly([8, 2, 0, 1]), D2, phi=X)
+        b = analyze(IntPoly([8, 2, 0, 1]), 2, phi=X)
         assert b.verdict == INAPPLICABLE
 
 
 class TestIrreducibilityTest:
     def test_linear_residual_is_irreducible(self):
-        assert analyze(IntPoly([2, 2, 1]), D2, phi=X).verdict == IRREDUCIBLE
+        assert analyze(IntPoly([2, 2, 1]), 2, phi=X).verdict == IRREDUCIBLE
 
     def test_height4_length6_bounded(self):
         f = X**6 + 24 * X**5 + 24 * X**3 + 240 * X**2 + 480 * X + IntPoly([48])
-        assert analyze(f, D2, phi=X).verdict == BOUNDED
+        assert analyze(f, 2, phi=X).verdict == BOUNDED
 
     def test_engineered_variant_irreducible(self):
         # lowering nu(a_3) to 2 puts (3,2) on the side: residual y^2+y+1
         f = X**6 + 24 * X**5 + 4 * X**3 + 240 * X**2 + 480 * X + IntPoly([48])
-        assert analyze(f, D2, phi=X).verdict == IRREDUCIBLE
+        assert analyze(f, 2, phi=X).verdict == IRREDUCIBLE
 
     def test_inapplicable(self):
-        assert analyze(IntPoly([1, 0, 1]), D3, phi=X).verdict == INAPPLICABLE
+        assert analyze(IntPoly([1, 0, 1]), 3, phi=X).verdict == INAPPLICABLE
 
 
 class TestAnalyzeSinglePhi:
     def test_degree12_report(self):
-        r = analyze(degree12_input(), D2, phi=PHI_QUAD)
+        r = analyze(degree12_input(), 2, phi=PHI_QUAD)
         assert r.verdict == BOUNDED
         assert r.factor_bound == 2
         assert r.min_factor_degree == 6
@@ -152,60 +149,59 @@ class TestAnalyzeSinglePhi:
         assert any("lies strictly above the side" in n for n in r.notes)
 
     def test_eisenstein_irreducible(self):
-        r = analyze(IntPoly([2, 2, 1]), D2, phi=X)
+        r = analyze(IntPoly([2, 2, 1]), 2, phi=X)
         assert r.verdict == IRREDUCIBLE
         assert r.factor_bound == 1
 
     def test_irreducible_implies_bound_one(self):
         rng = random.Random(89)
-        for phi, domain in ((X, D2), (PHI_QUAD, D2), (IntPoly([1, 1]), D5)):
-            for f in gen_eisenstein_family(domain, phi, 12, rng.randrange(2**30)):
-                r = analyze(f, domain, phi=phi)
+        for phi, p in ((X, 2), (PHI_QUAD, 2), (IntPoly([1, 1]), 5)):
+            for f in gen_eisenstein_family(p, phi, 12, rng.randrange(2**30)):
+                r = analyze(f, p, phi=phi)
                 if r.verdict == IRREDUCIBLE:
                     assert r.factor_bound == 1
                 if r.refined_bound is not None:
                     assert r.refined_bound <= r.factor_bound
 
     def test_phibar_reducible_inapplicable(self):
-        r = analyze(IntPoly([1, 0, 0, 0, 1]), D2, phi=IntPoly([1, 0, 1]))
+        r = analyze(IntPoly([1, 0, 0, 0, 1]), 2, phi=IntPoly([1, 0, 1]))
         assert r.verdict == INAPPLICABLE
         assert r.factor_bound == 4  # trivial degree bound
         assert r.phi_reports == []
 
     def test_not_power_inapplicable(self):
-        r = analyze(IntPoly([1, 0, 1]), D3, phi=X)
+        r = analyze(IntPoly([1, 0, 1]), 3, phi=X)
         assert r.verdict == INAPPLICABLE
 
     def test_hypothesis_fails_keeps_polygon_bound(self):
         f = IntPoly([8, 2, 0, 1])  # two sides, degrees 1 and 1
-        r = analyze(f, D2, phi=X)
+        r = analyze(f, 2, phi=X)
         assert r.verdict == INAPPLICABLE
         assert r.factor_bound == 2
         assert len(r.phi_reports[0].sides) == 2
 
     def test_exact_power(self):
-        r = analyze(PHI_QUAD**3, D2, phi=PHI_QUAD)
+        r = analyze(PHI_QUAD**3, 2, phi=PHI_QUAD)
         assert r.verdict == BOUNDED
         assert r.factor_bound == 3
         assert "exactly three" in " ".join(r.notes)
-        r1 = analyze(PHI_QUAD, D2, phi=PHI_QUAD)
+        r1 = analyze(PHI_QUAD, 2, phi=PHI_QUAD)
         assert r1.verdict == IRREDUCIBLE
 
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
-            analyze(IntPoly([1, 2]), D2, phi=X)
+            analyze(IntPoly([1, 2]), 2, phi=X)
         with pytest.raises(ValueError):
-            analyze(IntPoly([5]), D2)
+            analyze(IntPoly([5]), 2)
 
 
 class TestBoundFull:
     def test_product_of_two_coprime_pieces(self):
-        for domain in (D2, D3, D5):
-            p = domain.prime
+        for p in (2, 3, 5):
             f = (X**5 + IntPoly.constant(p**3)) * (
                 IntPoly([1, 1]) ** 4 + IntPoly.constant(p**3)
             )
-            r = bound_full(f, domain)
+            r = bound_full(f, p)
             assert r.verdict == BOUNDED
             assert r.factor_bound == 2
             assert [pr.side_degree_sum for pr in r.phi_reports] == [1, 1]
@@ -216,57 +212,57 @@ class TestBoundFull:
             assert any("exactly two" in n for n in r.notes)
 
     def test_eisenstein_without_phi(self):
-        r = bound_full(IntPoly([2, 2, 1]), D2)
+        r = bound_full(IntPoly([2, 2, 1]), 2)
         assert r.verdict == IRREDUCIBLE
         assert r.factor_bound == 1
 
     def test_residual_certificate_in_full_mode(self):
         f = X**6 + 24 * X**5 + 4 * X**3 + 240 * X**2 + 480 * X + IntPoly([48])
-        r = bound_full(f, D2)
+        r = bound_full(f, 2)
         assert r.verdict == IRREDUCIBLE
         assert r.factor_bound == 1
 
     def test_squarefree_reduction(self):
         # f mod 2 = x(x+1)(x^2+x+1), all simple: bound equals the factor count
         f = X * (X + 1) * PHI_QUAD + IntPoly.constant(2)
-        r = bound_full(f, D2)
+        r = bound_full(f, 2)
         assert r.factor_bound == 3
         assert all(pr.side_degree_sum == 1 for pr in r.phi_reports)
         assert any("exactly three" in n for n in r.notes)
 
     def test_irreducible_mod_p(self):
-        r = bound_full(PHI_QUAD, D2)
+        r = bound_full(PHI_QUAD, 2)
         assert r.verdict == IRREDUCIBLE
 
     def test_exact_power_divisor(self):
         # phi^2 divides f exactly: the power contributes to the bound
         f = PHI_QUAD**2 * (X + 2)
-        r = bound_full(f, D2)
+        r = bound_full(f, 2)
         phi_pr = [pr for pr in r.phi_reports if pr.phi == PHI_QUAD][0]
         assert phi_pr.exact_power_exponent == 2
         assert r.factor_bound == 3
 
     def test_exact_power_whole_input(self):
-        r = bound_full(PHI_QUAD**2, D2)
+        r = bound_full(PHI_QUAD**2, 2)
         assert r.factor_bound == 2
         assert r.verdict == BOUNDED
         assert r.phi_reports[0].exact_power_exponent == 2
 
     def test_soundness_random(self):
         rng = random.Random(97)
-        for domain in (D2, D3, D5):
+        for p in (2, 3, 5):
             for _ in range(15):
                 k = rng.randint(2, 4)
-                witness = gen_factor_witness(domain, k, rng.randrange(2**30))
-                r = bound_full(witness.product, domain)
+                witness = gen_factor_witness(p, k, rng.randrange(2**30))
+                r = bound_full(witness.product, p)
                 assert r.factor_bound >= witness.k
                 if r.refined_bound is not None:
                     assert r.refined_bound <= r.factor_bound
 
     def test_monotonicity_of_reports(self):
         rng = random.Random(101)
-        for f in gen_power_family(D2, PHI_QUAD, 25, seed=rng.randrange(2**30)):
-            r = bound_full(f, D2)
+        for f in gen_power_family(2, PHI_QUAD, 25, seed=rng.randrange(2**30)):
+            r = bound_full(f, 2)
             n = f.degree
             assert r.refined_bound <= r.factor_bound <= n
             assert r.valuation_count_bound == r.factor_bound
@@ -278,22 +274,22 @@ class TestCrossModeAgreement:
     modes analyze the same single phi, so their certificates agree."""
 
     FAMILIES = (
-        (D2, X), (D2, PHI_QUAD), (D2, IntPoly([1, 1, 0, 1])),
-        (D3, IntPoly([2, 1])), (D3, IntPoly([1, 0, 1])),
-        (D5, IntPoly([1, 1])), (D5, IntPoly([2, 0, 1])),
+        (2, X), (2, PHI_QUAD), (2, IntPoly([1, 1, 0, 1])),
+        (3, IntPoly([2, 1])), (3, IntPoly([1, 0, 1])),
+        (5, IntPoly([1, 1])), (5, IntPoly([2, 0, 1])),
     )
 
     def test_single_phi_matches_full_mode(self):
         rng = random.Random(107)
         applicable = 0
-        for domain, phi in self.FAMILIES:
+        for p, phi in self.FAMILIES:
             max_n = 6 if phi.degree < 3 else 3
-            fams = gen_power_family(domain, phi, 16, seed=rng.randrange(2**30),
+            fams = gen_power_family(p, phi, 16, seed=rng.randrange(2**30),
                                     max_n=max_n, zero_a0_prob=0.15)
-            fams += gen_eisenstein_family(domain, phi, 6, rng.randrange(2**30))
+            fams += gen_eisenstein_family(p, phi, 6, rng.randrange(2**30))
             for f in fams:
-                single = analyze(f, domain, phi=phi)
-                full = analyze(f, domain)
+                single = analyze(f, p, phi=phi)
+                full = analyze(f, p)
                 assert single.factor_bound == full.factor_bound, f
                 assert single.min_factor_degree == full.min_factor_degree, f
                 assert single.refined_bound == full.refined_bound, f

@@ -8,10 +8,7 @@ from phinewton.polyring import (
     is_power_of_phibar,
     phi_expand,
 )
-from phinewton.valuation import INFINITY, ValuationDomain
-
-D2 = ValuationDomain.p_adic(2)
-D3 = ValuationDomain.p_adic(3)
+from phinewton.valuation import INFINITY, valuation
 
 
 def random_poly(rng, max_degree, bound=50, monic=False):
@@ -42,7 +39,6 @@ class TestIntPoly:
         assert (f - f).is_zero
         assert (x + 1) * (x - 1) == x**2 - 1
         assert (x + 1) ** 2 == x**2 + 2 * x + 1
-        assert f.evaluate(2) == 11
 
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(TypeError):
@@ -97,7 +93,7 @@ class TestPhiExpand:
             + 9 * IntPoly([32, 16]) * phi
             + 3 * IntPoly([16, 16])
         )
-        exp = phi_expand(f, phi, D2)
+        exp = phi_expand(f, phi, 2)
         assert exp.coeffs == (
             IntPoly([48, 48]),
             IntPoly([288, 144]),
@@ -112,7 +108,7 @@ class TestPhiExpand:
 
     def test_exact_power(self):
         phi = IntPoly([3, 1, 1])
-        exp = phi_expand(phi**2, phi, D2)
+        exp = phi_expand(phi**2, phi, 2)
         assert exp.coeffs == (IntPoly(), IntPoly(), IntPoly.one())
         assert exp.valuations == (INFINITY, INFINITY, 0)
 
@@ -120,7 +116,7 @@ class TestPhiExpand:
         # x^4 + 4 = phi^2 - 4*phi + 8 for phi = x^2 + 2
         phi = IntPoly([2, 0, 1])
         f = IntPoly([4, 0, 0, 0, 1])
-        exp = phi_expand(f, phi, D2)
+        exp = phi_expand(f, phi, 2)
         assert exp.coeffs == (IntPoly([8]), IntPoly([-4]), IntPoly([1]))
         assert exp.valuations == (3, 2, 0)
         assert exp.recompose() == f
@@ -132,7 +128,7 @@ class TestPhiExpand:
             if phi.degree < 1:
                 continue
             f = random_poly(rng, 40, bound=1000, monic=True)
-            exp = phi_expand(f, phi, D2)
+            exp = phi_expand(f, phi, 2)
             assert exp.recompose() == f
             assert all(a.degree < phi.degree for a in exp.coeffs)
 
@@ -150,50 +146,50 @@ class TestPhiExpand:
             f = IntPoly.zero()
             for i, a in enumerate(coeffs):
                 f = f + a * phi**i
-            exp = phi_expand(f, phi, D2)
+            exp = phi_expand(f, phi, 2)
             assert list(exp.coeffs) == coeffs
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            phi_expand(IntPoly(), IntPoly.x(), D2)
+            phi_expand(IntPoly(), IntPoly.x(), 2)
         with pytest.raises(ValueError):
-            phi_expand(IntPoly.one(), IntPoly([2, 2]), D2)
+            phi_expand(IntPoly.one(), IntPoly([2, 2]), 2)
         with pytest.raises(ValueError):
-            phi_expand(IntPoly.one(), IntPoly([5]), D2)
+            phi_expand(IntPoly.one(), IntPoly([5]), 2)
 
 
 class TestGaussValuation:
     def test_examples(self):
-        assert gauss_valuation(IntPoly([480, 240]), D2) == 4
-        assert gauss_valuation(IntPoly(), D2) is INFINITY
-        assert gauss_valuation(IntPoly([27, 9]), D3) == 2
+        assert gauss_valuation(IntPoly([480, 240]), 2) == 4
+        assert gauss_valuation(IntPoly(), 2) is INFINITY
+        assert gauss_valuation(IntPoly([27, 9]), 3) == 2
 
     def test_per_coefficient_oracle(self):
         rng = random.Random(29)
         for _ in range(100):
             a = random_poly(rng, 8, bound=10**6)
             expected = min(
-                D3.valuation(c) for c in a.coeffs if c != 0
+                valuation(c, 3) for c in a.coeffs if c != 0
             )
-            assert gauss_valuation(a, D3) == expected
+            assert gauss_valuation(a, 3) == expected
 
     def test_gauss_lemma_multiplicativity(self):
         rng = random.Random(31)
-        for domain in (D2, D3):
+        for p in (2, 3):
             for _ in range(200):
                 a = random_poly(rng, 6)
                 b = random_poly(rng, 6)
-                assert gauss_valuation(a * b, domain) == gauss_valuation(
-                    a, domain
-                ) + gauss_valuation(b, domain)
+                assert gauss_valuation(a * b, p) == gauss_valuation(
+                    a, p
+                ) + gauss_valuation(b, p)
 
 
 class TestIsPowerOfPhibar:
     def test_difference_divisible(self):
-        assert is_power_of_phibar(IntPoly([3, 1, 1]), IntPoly([1, 1, 1]), D2)
+        assert is_power_of_phibar(IntPoly([3, 1, 1]), IntPoly([1, 1, 1]), 2)
 
     def test_nonzero_constant(self):
-        assert not is_power_of_phibar(IntPoly([1, 0, 1]), IntPoly.x(), D3)
+        assert not is_power_of_phibar(IntPoly([1, 0, 1]), IntPoly.x(), 3)
 
     def test_degree12_case(self):
         phi = IntPoly([1, 1, 1])
@@ -204,11 +200,11 @@ class TestIsPowerOfPhibar:
             + 9 * IntPoly([32, 16]) * phi
             + 3 * IntPoly([16, 16])
         )
-        assert is_power_of_phibar(f, phi, D2)
+        assert is_power_of_phibar(f, phi, 2)
 
     def test_degree_mismatch(self):
-        assert not is_power_of_phibar(IntPoly([1, 0, 0, 1]), IntPoly([1, 1, 1]), D2)
+        assert not is_power_of_phibar(IntPoly([1, 0, 0, 1]), IntPoly([1, 1, 1]), 2)
 
     def test_requires_monic(self):
         with pytest.raises(ValueError):
-            is_power_of_phibar(IntPoly([1, 2]), IntPoly.x(), D2)
+            is_power_of_phibar(IntPoly([1, 2]), IntPoly.x(), 2)
