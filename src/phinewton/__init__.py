@@ -35,11 +35,9 @@ from .criteria import (
     AnalysisReport,
     PhiReport,
     SideAnalysis,
-    SingleSideHypothesis,
     analyze,
     analyze_phi,
     bound_full,
-    check_single_side_hypothesis,
 )
 from .expr import ParseError, parse_poly, render_poly
 
@@ -72,11 +70,9 @@ __all__ = [
     "AnalysisReport",
     "PhiReport",
     "SideAnalysis",
-    "SingleSideHypothesis",
     "analyze",
     "analyze_phi",
     "bound_full",
-    "check_single_side_hypothesis",
     "ParseError",
     "parse_poly",
     "render_poly",

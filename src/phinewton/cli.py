@@ -5,7 +5,9 @@ f, phi not monic of degree >= 1, a usage error such as a missing or
 non-integer -p, an unwritable --output), 2 when the requested single-phi
 criteria are inapplicable to the input, so batch scripts can tell "theorems
 don't apply" from "bad input".  An exact power f = phi^n is certified with
-exit 0, and --check-only exits with the code the full run would return.
+exit 0.  With --phi, --check-only runs the same analysis and prints one line
+of the report instead of all of it, so it exits with the code the full run
+would return; without --phi it only validates f and p.
 
 The JSON report is stable under re-runs: feeding the embedded input, prime,
 phi, and seed back through the tool reproduces the report byte for byte.
@@ -32,9 +34,6 @@ from .criteria import (
     MODE_SINGLE_PHI,
     AnalysisReport,
     analyze,
-    analyze_phi,
-    check_single_side_hypothesis,
-    single_phi_gate,
 )
 from .expr import ParseError, parse_poly, render_poly
 from .valuation import INFINITY, is_prime
@@ -229,21 +228,16 @@ def render_svg(report: AnalysisReport) -> str:
 RENDERERS = {"text": render_text, "json": render_json, "svg": render_svg}
 
 
-def _check_only(f, phi_expr, p) -> tuple[str, int]:
-    """One line and the exit code the full run would return."""
-    if phi_expr is None:
-        return f"ok: monic degree-{f.degree} polynomial, p = {p}", 0
-    phi = parse_poly(phi_expr)
-    reason = single_phi_gate(f, phi, p)
-    if reason is not None:
-        return f"inapplicable: {reason}", 2
-    pr = analyze_phi(f, phi, f.degree // phi.degree, p)
+def _check_only_line(report: AnalysisReport) -> str:
+    """The one line --check-only prints for a single-phi report."""
+    if report.verdict == INAPPLICABLE:
+        if not report.phi_reports:
+            return f"inapplicable: {report.notes[0]}"
+        return "inapplicable: single-side hypothesis fails"
+    pr = report.phi_reports[0]
     if pr.is_exact_power:
-        return f"ok: f equals phi^{pr.multiplicity} exactly", 0
-    hyp = check_single_side_hypothesis(pr.expansion)
-    if hyp.holds:
-        return f"ok: single-side hypothesis holds (lambda = {hyp.lam})", 0
-    return "inapplicable: single-side hypothesis fails", 2
+        return f"ok: f equals phi^{pr.multiplicity} exactly"
+    return f"ok: single-side hypothesis holds (lambda = {-pr.sides[0].side.slope})"
 
 
 def run(config: CliConfig) -> int:
@@ -254,16 +248,20 @@ def run(config: CliConfig) -> int:
         f = parse_poly(config.expression)
         if f.degree < 1 or not f.is_monic:
             raise ValueError("input polynomial must be monic of degree >= 1")
-        if config.check_only:
-            message, code = _check_only(f, config.phi, config.prime)
-            print(message)
-            return code
+        if config.check_only and config.phi is None:
+            print(f"ok: monic degree-{f.degree} polynomial, p = {config.prime}")
+            return 0
         phi = parse_poly(config.phi) if config.phi is not None else None
         report = analyze(f, config.prime, phi=phi, seed=config.seed,
                          input_str=config.expression)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    inapplicable = report.verdict == INAPPLICABLE and report.mode == MODE_SINGLE_PHI
+    code = 2 if inapplicable else 0
+    if config.check_only:
+        print(_check_only_line(report))
+        return code
     rendered = RENDERERS[config.fmt](report)
     if config.output:
         try:
@@ -273,9 +271,7 @@ def run(config: CliConfig) -> int:
             return 1
     else:
         sys.stdout.write(rendered)
-    if report.verdict == INAPPLICABLE and report.mode == MODE_SINGLE_PHI:
-        return 2
-    return 0
+    return code
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -16,6 +16,9 @@ Two modes are supported for a monic f in Z[x] and a prime p:
 Both modes send each phi through `analyze_phi` and turn the per-phi bounds
 into a verdict with the same certifier; single-phi mode only adds its gate
 and the single-side hypothesis, which can make the verdict INAPPLICABLE.
+The hypothesis n*u_i >= (n-i)*u_0 > 0 is read off N_phi(f) itself
+(`PhiReport.is_single_side`); the inequalities are only re-evaluated to
+word the notes when it fails.
 
 Verdicts are one-directional: the tool certifies IRREDUCIBLE or a BOUNDED
 factor count, never reducibility.
@@ -53,46 +56,6 @@ _NUM_WORDS = {
 
 def _count_word(n: int) -> str:
     return _NUM_WORDS.get(n, str(n))
-
-
-@dataclass(frozen=True)
-class SingleSideHypothesis:
-    """Result of the single-side check n*u_i >= (n-i)*u_0 > 0.
-
-    `violations` lists (index, required height, actual valuation) for every
-    finite valuation falling strictly below the line; infinite valuations can
-    never violate the inequality.  `applicable` is False when f mod p is not
-    a power of phi mod p, in which case nothing else is meaningful.
-    """
-
-    applicable: bool
-    holds: bool
-    lam: Fraction | None
-    violations: tuple
-    a0_is_zero: bool = False
-
-
-def check_single_side_hypothesis(exp: PhiExpansion) -> SingleSideHypothesis:
-    """Check that every point (i, u_i) lies on or above the single candidate
-    side from (0, u_0) to (n, 0), with u_0 > 0."""
-    f, phi = exp.f, exp.phi
-    if not f.is_monic or not is_power_of_phibar(f, phi, exp.p):
-        return SingleSideHypothesis(False, False, None, ())
-    n = exp.length
-    u0 = exp.valuations[0]
-    if u0 is INFINITY:
-        return SingleSideHypothesis(True, False, None, (), a0_is_zero=True)
-    lam = Fraction(u0, n)
-    violations = []
-    if u0 <= 0:
-        violations.append((0, Fraction(1), u0))
-    for i in range(1, n):
-        u = exp.valuations[i]
-        if u is INFINITY:
-            continue
-        if n * u < (n - i) * u0:
-            violations.append((i, Fraction((n - i) * u0, n), u))
-    return SingleSideHypothesis(True, not violations, lam, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -150,6 +113,14 @@ class PhiReport:
         """f = phi^n exactly: the polygon is one vertex with no side."""
         return self.exact_power_exponent == self.expansion.length
 
+    @property
+    def is_single_side(self) -> bool:
+        """The principal part is one side from (0, u_0) to (multiplicity, 0):
+        the single-side hypothesis n*u_i >= (n-i)*u_0 > 0, read off N_phi(f)."""
+        return (self.exact_power_exponent == 0 and len(self.sides) == 1
+                and self.sides[0].side.start[0] == 0
+                and self.sides[0].side.end == (self.multiplicity, 0))
+
 
 class Certificate(NamedTuple):
     """The certified part of a report."""
@@ -195,10 +166,9 @@ def analyze_phi(f: IntPoly, phi: IntPoly, multiplicity: int, p: int) -> PhiRepor
         polygon = single_vertex_polygon(exp.length, 0, exp.points())
         return PhiReport(phi, multiplicity, exp, polygon, (), w)
     polygon = build_polygon(exp.points())
-    phibar = phi.reduce_mod(p)
     sides = []
     for side in polygon.principal_part().sides:
-        rp = residual_polynomial(exp, side, phibar)
+        rp = residual_polynomial(exp, side)
         # deg g >= 1, so one factor counted with multiplicity means g is irreducible
         count = ext_count_irreducible_factors(rp.as_poly())
         sides.append(SideAnalysis(side, rp, count == 1, count))
@@ -219,11 +189,8 @@ def _certify(phi_reports) -> Certificate:
         return Certificate(IRREDUCIBLE, 1, 1, min_degree)
     if len(phi_reports) == 1:
         pr = phi_reports[0]
-        if pr.exact_power_exponent == 0 and len(pr.sides) == 1:
-            rec = pr.sides[0]
-            span = (rec.side.start[0], rec.side.end)
-            if span == (0, (pr.multiplicity, 0)) and rec.irreducible:
-                return Certificate(IRREDUCIBLE, 1, 1, min_degree)
+        if pr.is_single_side and pr.sides[0].irreducible:
+            return Certificate(IRREDUCIBLE, 1, 1, min_degree)
     refined = sum(pr.refined for pr in phi_reports)
     return Certificate(BOUNDED, bound, refined, min_degree)
 
@@ -291,11 +258,11 @@ def analyze(
     input_str: str | None = None,
 ) -> AnalysisReport:
     """Run the single-phi criteria when phi is given, the full bound otherwise."""
+    if phi is None:
+        return bound_full(f, p, seed, input_str)
     _validate_input(f, p)
     if input_str is None:
         input_str = render_poly(f)
-    if phi is None:
-        return bound_full(f, p, seed, input_str)
     cert, notes, phi_reports = _single_phi(f, phi, p)
     return _report(input_str, f, p, seed, MODE_SINGLE_PHI, cert, notes,
                    phi_reports)
@@ -335,16 +302,17 @@ def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
                  f"factor(s) over the henselization"]
         return cert, notes, [pr]
 
-    hyp = check_single_side_hypothesis(pr.expansion)
-    if not hyp.holds:
-        notes = []
-        if hyp.a0_is_zero:
-            notes.append(f"a_0 = 0: f is divisible by phi (phi^{w} divides f)")
-        for i, required, actual in hyp.violations:
-            notes.append(
+    u0 = pr.expansion.valuations[0]
+    if not pr.is_single_side:
+        if u0 is INFINITY:
+            notes = [f"a_0 = 0: f is divisible by phi (phi^{w} divides f)"]
+        else:
+            notes = [
                 f"single-side hypothesis fails at index {i}: "
-                f"need nu(a_{i}) >= {required}, got {actual}"
-            )
+                f"need nu(a_{i}) >= {Fraction((n - i) * u0, n)}, got {u}"
+                for i, u in enumerate(pr.expansion.valuations[1:n], 1)
+                if u is not INFINITY and n * u < (n - i) * u0
+            ]
         notes.extend(_zero_interior_notes(pr))
         notes.append(
             f"polygon has {len(pr.sides)} principal side(s); per-side degree "
@@ -353,11 +321,10 @@ def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
         return cert._replace(verdict=INAPPLICABLE), notes, [pr]
 
     # Single side from (0, u_0) to (n, 0): its degree is the gcd bound.
-    u0 = pr.expansion.valuations[0]
-    d = math.gcd(u0, n)
-    assert len(pr.sides) == 1 and pr.bound == d, "single-side gcd identity violated"
     rec = pr.sides[0]
-    notes = [f"single side from (0, {u0}) to ({n}, 0): slope -{hyp.lam}, "
+    d = math.gcd(u0, n)
+    assert pr.bound == d, "single-side gcd identity violated"
+    notes = [f"single side from (0, {u0}) to ({n}, 0): slope {rec.side.slope}, "
              f"gcd({u0}, {n}) = {d}"]
     notes.extend(_zero_interior_notes(pr))
     if d == 1:

@@ -46,13 +46,6 @@ class ResidualPolynomial:
         return str(self.as_poly())
 
 
-def _check_consistency(exp: PhiExpansion, phibar: FqPoly):
-    if exp.phi.reduce_mod(phibar.p) != phibar:
-        raise ValueError("phibar does not match the expansion's phi mod p")
-    if phibar.p != exp.p:
-        raise ValueError("phibar modulus differs from the expansion's prime")
-
-
 def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPoly:
     s = side.start[0]
     u = exp.valuations[s + i]
@@ -75,19 +68,14 @@ def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPo
     return field.elem(quotients)
 
 
-def residual_coefficient(
-    exp: PhiExpansion, side: Side, i: int, phibar: FqPoly
-) -> FqPoly:
+def residual_coefficient(exp: PhiExpansion, side: Side, i: int) -> FqPoly:
     """The residual coefficient c_i of the side, an element of F_phi."""
     if not 0 <= i <= side.length:
         raise ValueError(f"index {i} outside side of length {side.length}")
-    _check_consistency(exp, phibar)
-    return _coefficient(exp, side, i, ext_field(phibar))
+    return _coefficient(exp, side, i, ext_field(exp.phi.reduce_mod(exp.p)))
 
 
-def residual_polynomial(
-    exp: PhiExpansion, side: Side, phibar: FqPoly
-) -> ResidualPolynomial:
+def residual_polynomial(exp: PhiExpansion, side: Side) -> ResidualPolynomial:
     """Assemble f_S(y) = t_0 y^d + ... + t_d from the side's lattice points.
 
     Defined for sides of non-positive slope; on a slope-zero side with phi = x
@@ -95,8 +83,7 @@ def residual_polynomial(
     """
     if side.slope > 0:
         raise ValueError("residual polynomials are attached to sides of slope <= 0")
-    _check_consistency(exp, phibar)
-    field = ext_field(phibar)
+    field = ext_field(exp.phi.reduce_mod(exp.p))
     ts = tuple(
         _coefficient(exp, side, j * side.e, field) for j in range(side.degree + 1)
     )

@@ -3,8 +3,10 @@
 Every oracle here reimplements its target with a different algorithm so the
 two can only agree by being right: the hull oracle walks supporting lines
 instead of running a monotone chain, the factorization oracle trial-divides
-against an exhaustive enumeration instead of running Cantor-Zassenhaus, and
-the polygon validator checks the defining inequalities directly.
+against an exhaustive enumeration instead of running Cantor-Zassenhaus, the
+polygon validator checks the defining inequalities directly, and the
+single-side check tests the paper's inequality point by point instead of
+reading it off the polygon.
 
 The generators build polynomials whose factor structure is known by
 construction, which turns the product rule and the factor-count bounds into
@@ -17,9 +19,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from phinewton.polygon import NewtonPolygon, PolygonPoint, Side, build_polygon
-from phinewton.polyring import IntPoly, phi_expand
+from phinewton.polyring import IntPoly, PhiExpansion, is_power_of_phibar, phi_expand
 from phinewton.residual import residual_polynomial
 from phinewton.residue_field import ExtField, FactorizationFp, FqPoly, is_irreducible
 from phinewton.valuation import INFINITY
@@ -127,6 +130,51 @@ def minkowski_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:
         Side.from_endpoints(verts[k], verts[k + 1]) for k in range(len(verts) - 1)
     )
     return NewtonPolygon(tuple(verts), sides, tuple(PolygonPoint(*v) for v in verts))
+
+
+@dataclass(frozen=True)
+class SingleSideHypothesis:
+    """Result of the single-side check n*u_i >= (n-i)*u_0 > 0.
+
+    `violations` lists (index, required height, actual valuation) for every
+    finite valuation falling strictly below the line; infinite valuations can
+    never violate the inequality.  `applicable` is False when f mod p is not
+    a power of phi mod p, in which case nothing else is meaningful.
+    """
+
+    applicable: bool
+    holds: bool
+    lam: Fraction | None
+    violations: tuple
+    a0_is_zero: bool = False
+
+
+def check_single_side_hypothesis(exp: PhiExpansion) -> SingleSideHypothesis:
+    """Reference for the single-side hypothesis: test the paper's inequality
+    point by point, without building a polygon.
+
+    Every point (i, u_i) must lie on or above the single candidate side from
+    (0, u_0) to (n, 0), with u_0 > 0.  The package reads the same fact off
+    N_phi(f) (`PhiReport.is_single_side`).
+    """
+    f, phi = exp.f, exp.phi
+    if not f.is_monic or not is_power_of_phibar(f, phi, exp.p):
+        return SingleSideHypothesis(False, False, None, ())
+    n = exp.length
+    u0 = exp.valuations[0]
+    if u0 is INFINITY:
+        return SingleSideHypothesis(True, False, None, (), a0_is_zero=True)
+    lam = Fraction(u0, n)
+    violations = []
+    if u0 <= 0:
+        violations.append((0, Fraction(1), u0))
+    for i in range(1, n):
+        u = exp.valuations[i]
+        if u is INFINITY:
+            continue
+        if n * u < (n - i) * u0:
+            violations.append((i, Fraction((n - i) * u0, n), u))
+    return SingleSideHypothesis(True, not violations, lam, tuple(violations))
 
 
 def gen(field: ExtField) -> FqPoly:
@@ -348,7 +396,7 @@ def gen_factor_witness(p: int, k: int, seed: int) -> FactorWitness:
         exp = phi_expand(f, phi, p)
         polygon = build_polygon(exp.points())
         side_data = tuple(
-            residual_polynomial(exp, side, phi.reduce_mod(p))
+            residual_polynomial(exp, side)
             for side in polygon.principal_part().sides
         )
         factors.append(f)

@@ -10,13 +10,14 @@ from fractions import Fraction
 
 from phinewton.criteria import (
     BOUNDED,
+    INAPPLICABLE,
     IRREDUCIBLE,
     analyze,
     bound_full,
-    check_single_side_hypothesis,
 )
 from phinewton.expr import parse_poly
 from oracles import (
+    check_single_side_hypothesis,
     enumerate_monic_fp,
     exhaustive_fp_factor,
     gen_eisenstein_family,
@@ -170,10 +171,8 @@ def test_criterion_4_product_rule_suite():
             for exp_f, np_f in ((exp_g, np_g), (exp_h, np_h)):
                 s = side_at_slope(np_f, side.slope)
                 if s is not None:
-                    expected = expected * residual_polynomial(
-                        exp_f, s, phibar
-                    ).as_poly()
-            got = residual_polynomial(exp_gh, side, phibar).as_poly()
+                    expected = expected * residual_polynomial(exp_f, s).as_poly()
+            got = residual_polynomial(exp_gh, side).as_poly()
             if got.scale(expected.lead) != expected.scale(got.lead):
                 failures.append(f"pair {pairs}: residuals differ at {side.slope}")
         pairs += 1
@@ -229,8 +228,13 @@ def test_criterion_6_hypothesis_polygon_equivalence():
             )
         if hyp.holds != single:
             failures.append(f"f={f!r} phi={phi!r} p={p}")
+        r = analyze(f, p, phi=phi)
+        exact = r.phi_reports[0].is_exact_power
+        if not exact and (r.verdict == INAPPLICABLE) == hyp.holds:
+            failures.append(f"f={f!r} phi={phi!r} p={p}: verdict {r.verdict}")
         count += 1
-    _report(6, failures, "500 cases: hypothesis <=> single side to (n, 0)")
+    _report(6, failures, "500 cases: hypothesis <=> single side to (n, 0) "
+                         "<=> analyze not INAPPLICABLE")
 
 
 def test_criterion_7_hull_oracle_equivalence():
@@ -337,7 +341,7 @@ def test_criterion_10_slope_zero_reduction_suite():
             count += 1
             continue
         side = slope_zero[0]
-        rp = residual_polynomial(exp, side, FqPoly.x(p))
+        rp = residual_polynomial(exp, side)
         got = [t.coeffs[0] if t.coeffs else 0 for t in rp.ts]
         expected = [c % p for c in coeffs[side.start[0] : side.end[0] + 1]]
         if got != expected:

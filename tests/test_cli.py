@@ -10,7 +10,7 @@ import pytest
 
 import phinewton
 from oracles import gen_power_family
-from phinewton import residue_field
+from phinewton import polyring, residue_field
 from phinewton.cli import main, report_to_dict, render_svg
 from phinewton.criteria import analyze
 from phinewton.expr import MAX_NESTING, parse_poly, render_poly
@@ -140,6 +140,17 @@ class TestUsageErrors:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: phinewton")
 
+    def test_leading_minus_after_double_dash(self, capsys):
+        # argparse reads "-x^2+x^3" as an option; "--" and "--phi=" avoid it
+        with pytest.raises(SystemExit) as usage:
+            main(["-x^2+x^3", "-p", "2"])
+        assert usage.value.code == 1
+        assert run_cli(capsys, "-p", "2", "--", "-x^2+x^3")[0] == 0
+        code, out, _ = run_cli(capsys, "x^2-2x+3", "-p", "2", "--phi=-1+x",
+                               "--check-only")
+        assert code == 0
+        assert "lambda = 1/2" in out
+
 
 class TestHostileInput:
     @staticmethod
@@ -230,27 +241,47 @@ class TestCheckOnly:
                        "--check-only")[0] == 1
 
 
+def profiled_calls(capsys, func, argv, arg):
+    """Run the CLI and list str(arg) for each call of `func`, whatever name
+    the caller bound it to; returns (exit code, that list)."""
+    code_obj = func.__code__
+    calls = []
+
+    def profile(frame, event, _):
+        if event == "call" and frame.f_code is code_obj:
+            calls.append(str(frame.f_locals[arg]))
+
+    sys.setprofile(profile)
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+    finally:
+        sys.setprofile(None)
+    return code, calls
+
+
 class TestRabinOnce:
     """A single-phi run tests the irreducibility of phibar once."""
 
     @pytest.mark.parametrize("extra", [(), ("--check-only",)])
     def test_one_rabin_test_on_phibar(self, capsys, monkeypatch, extra):
         monkeypatch.setattr(residue_field, "_fields", {})  # no field cached yet
-        rabin = residue_field.is_irreducible.__code__
-        tested = []
-
-        def profile(frame, event, arg):
-            # counts calls whatever name the caller bound the function to
-            if event == "call" and frame.f_code is rabin:
-                tested.append(str(frame.f_locals["f"]))
-
-        sys.setprofile(profile)
-        try:
-            code, _, _ = run_cli(capsys, DEG12, "-p", "2", "--phi", "x^2+x+1", *extra)
-        finally:
-            sys.setprofile(None)
+        code, tested = profiled_calls(
+            capsys, residue_field.is_irreducible,
+            (DEG12, "-p", "2", "--phi", "x^2+x+1", *extra), "f")
         assert code == 0
         assert tested == ["x^2 + x + 1"]
+
+
+class TestPowerOnce:
+    """A single-phi run compares f mod p with phibar^n once."""
+
+    @pytest.mark.parametrize("extra", [(), ("--check-only",)])
+    def test_one_power_comparison(self, capsys, extra):
+        code, compared = profiled_calls(
+            capsys, polyring.is_power_of_phibar,
+            (DEG12, "-p", "2", "--phi", "x^2+x+1", *extra), "f")
+        assert code == 0
+        assert len(compared) == 1
 
 
 class TestInputFile(object):

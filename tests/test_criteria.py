@@ -9,9 +9,13 @@ from phinewton.criteria import (
     IRREDUCIBLE,
     analyze,
     bound_full,
-    check_single_side_hypothesis,
 )
-from oracles import gen_eisenstein_family, gen_factor_witness, gen_power_family
+from oracles import (
+    check_single_side_hypothesis,
+    gen_eisenstein_family,
+    gen_factor_witness,
+    gen_power_family,
+)
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.valuation import INFINITY
@@ -90,6 +94,17 @@ class TestSingleSideHypothesis:
                         and np_.sides[0].slope < 0
                     )
                 assert hyp.holds == single, f
+                # the production path reads the hypothesis off N_phi(f), and
+                # its notes name the reference's violations
+                r = analyze(f, p, phi=phi)
+                if not r.phi_reports[0].is_exact_power:
+                    assert (r.verdict == INAPPLICABLE) == (not hyp.holds), f
+                noted = [m for m in r.notes if m.startswith("single-side")]
+                assert noted == [
+                    f"single-side hypothesis fails at index {i}: "
+                    f"need nu(a_{i}) >= {required}, got {u}"
+                    for i, required, u in hyp.violations
+                ], f
 
 
 class TestBoundSinglePhi:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import (
+    check_single_side_hypothesis,
     enumerate_monic_fp,
     exhaustive_ext_factor_count,
     exhaustive_fp_factor,
@@ -109,8 +110,6 @@ class TestGenerators:
 
     def test_eisenstein_family_shape(self):
         import math
-
-        from phinewton.criteria import check_single_side_hypothesis
 
         phi = IntPoly([1, 1, 1])
         targets = (1, 2, 3)
