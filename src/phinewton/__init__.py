@@ -8,7 +8,6 @@ from .polyring import (
     IntPoly,
     PhiExpansion,
     gauss_valuation,
-    is_power_of_phibar,
     phi_expand,
 )
 from .residue_field import (
@@ -27,7 +26,7 @@ from .polygon import (
     Side,
     build_polygon,
 )
-from .residual import ResidualPolynomial, residual_coefficient, residual_polynomial
+from .residual import residual_coefficient, residual_polynomial
 from .criteria import (
     BOUNDED,
     INAPPLICABLE,
@@ -47,7 +46,6 @@ __all__ = [
     "IntPoly",
     "PhiExpansion",
     "gauss_valuation",
-    "is_power_of_phibar",
     "phi_expand",
     "ExtField",
     "FactorizationFp",
@@ -61,7 +59,6 @@ __all__ = [
     "PolygonPoint",
     "Side",
     "build_polygon",
-    "ResidualPolynomial",
     "residual_coefficient",
     "residual_polynomial",
     "BOUNDED",

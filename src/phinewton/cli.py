@@ -7,7 +7,8 @@ criteria are inapplicable to the input, so batch scripts can tell "theorems
 don't apply" from "bad input".  An exact power f = phi^n is certified with
 exit 0.  With --phi, --check-only runs the same analysis and prints one line
 of the report instead of all of it, so it exits with the code the full run
-would return; without --phi it only validates f and p.
+would return; without --phi it only validates f and p.  --output takes
+whatever would go to stdout, the --check-only line included.
 
 The JSON report is stable under re-runs: feeding the embedded input, prime,
 phi, and seed back through the tool reproduces the report byte for byte.
@@ -58,6 +59,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         sides = []
         for rec in pr.sides:
             s = rec.side
+            ts = reversed(rec.residual.coeffs)  # stored ascending; shown t_0..t_d
             sides.append({
                 "start": list(s.start),
                 "end": list(s.end),
@@ -66,8 +68,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "h": s.h,
                 "e": s.e,
                 "degree": s.degree,
-                "residual_poly": [list(t.coeffs) for t in rec.residual.ts],
-                "residual_irreducible": rec.irreducible,
+                "residual_poly": [list(t.coeffs) for t in ts],
+                "residual_irreducible": rec.factor_count == 1,
                 "residual_factor_count": rec.factor_count,
             })
         phi_reports.append({
@@ -87,8 +89,10 @@ def report_to_dict(report: AnalysisReport) -> dict:
         out["min_factor_degree"] = report.min_factor_degree
     if report.refined_bound is not None:
         out["refined_bound"] = report.refined_bound
-    out["valuation_count_bound"] = report.valuation_count_bound
-    out["prime_ideal_count_bound"] = report.prime_ideal_count_bound
+    # If f is irreducible, at most factor_bound valuations extend nu to its
+    # root field and at most that many prime ideals lie above p.
+    out["valuation_count_bound"] = report.factor_bound
+    out["prime_ideal_count_bound"] = report.factor_bound
     out["notes"] = list(report.notes)
     out["seed"] = report.seed
     out["version"] = __version__
@@ -115,9 +119,10 @@ def render_text(report: AnalysisReport) -> str:
                 f"  side {k}: ({s.start[0]},{s.start[1]})->({s.end[0]},{s.end[1]})"
                 f"  length {s.length}  slope {s.slope}  h={s.h} e={s.e} degree {s.degree}"
             )
+            irreducible = "yes" if rec.factor_count == 1 else "no"
             lines.append(
                 f"    residual: {rec.residual}   irreducible over F_phi: "
-                f"{'yes' if rec.irreducible else 'no'}   factors: {rec.factor_count}"
+                f"{irreducible}   factors: {rec.factor_count}"
             )
     lines.append(f"verdict: {report.verdict}")
     lines.append(f"factor bound: {report.factor_bound}")
@@ -125,8 +130,8 @@ def render_text(report: AnalysisReport) -> str:
         lines.append(f"minimum factor degree: {report.min_factor_degree}")
     if report.refined_bound is not None:
         lines.append(f"refined residual count: {report.refined_bound}")
-    lines.append(f"valuation count bound: {report.valuation_count_bound}")
-    lines.append(f"prime ideal count bound: {report.prime_ideal_count_bound}")
+    lines.append(f"valuation count bound: {report.factor_bound}")
+    lines.append(f"prime ideal count bound: {report.factor_bound}")
     if report.notes:
         lines.append("notes:")
         lines.extend(f"  - {note}" for note in report.notes)
@@ -187,13 +192,14 @@ def _svg_phi_block(pr, y_offset: int) -> tuple[list[str], int, int]:
     # slope labels and residual annotations
     for k, rec in enumerate(pr.sides):
         s = rec.side
+        label = "irreducible" if rec.factor_count == 1 else f"{rec.factor_count} factors"
         mx = (px(s.start[0]) + px(s.end[0])) / 2
         my = (py(s.start[1]) + py(s.end[1])) / 2 - 8
         parts.append(f'<text x="{mx:.1f}" y="{my:.1f}">slope {s.slope}</text>')
         parts.append(
             f'<text x="{_MARGIN}" y="{y_offset + height - 28 + 14 * k}">'
             f'side {k + 1}: f_S = {rec.residual} '
-            f'({"irreducible" if rec.irreducible else f"{rec.factor_count} factors"})'
+            f'({label})'
             f'</text>'
         )
     parts.append("</g>")
@@ -249,8 +255,8 @@ def run(config: CliConfig) -> int:
         if f.degree < 1 or not f.is_monic:
             raise ValueError("input polynomial must be monic of degree >= 1")
         if config.check_only and config.phi is None:
-            print(f"ok: monic degree-{f.degree} polynomial, p = {config.prime}")
-            return 0
+            line = f"ok: monic degree-{f.degree} polynomial, p = {config.prime}"
+            return _emit(line + "\n", config.output, 0)
         phi = parse_poly(config.phi) if config.phi is not None else None
         report = analyze(f, config.prime, phi=phi, seed=config.seed,
                          input_str=config.expression)
@@ -260,12 +266,16 @@ def run(config: CliConfig) -> int:
     inapplicable = report.verdict == INAPPLICABLE and report.mode == MODE_SINGLE_PHI
     code = 2 if inapplicable else 0
     if config.check_only:
-        print(_check_only_line(report))
-        return code
-    rendered = RENDERERS[config.fmt](report)
-    if config.output:
+        return _emit(_check_only_line(report) + "\n", config.output, code)
+    return _emit(RENDERERS[config.fmt](report), config.output, code)
+
+
+def _emit(rendered: str, output: str | None, code: int) -> int:
+    """Write to the --output path, or to stdout; returns code, or 1 when the
+    path cannot be written."""
+    if output:
         try:
-            Path(config.output).write_text(rendered, encoding="utf-8")
+            Path(output).write_text(rendered, encoding="utf-8")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -299,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"PRNG seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--check-only", action="store_true",
                         help="validate input and hypothesis, print one line")
-    parser.add_argument("--output", help="write the report to this path")
+    parser.add_argument("--output",
+                        help="write the report (or the --check-only line) to this path")
     return parser
 
 
@@ -314,7 +325,11 @@ def config_from_args(args) -> CliConfig:
     if args.seed is not None:
         seed = args.seed
     else:
-        seed = int(os.environ.get(ENV_SEED, "0"))
+        value = os.environ.get(ENV_SEED, "0")
+        try:
+            seed = int(value)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be an integer, got {value!r}") from None
     if args.prime < 2:
         raise ValueError("p must be at least 2")
     return CliConfig(

@@ -14,11 +14,13 @@ Two modes are supported for a monic f in Z[x] and a prime p:
   informational refinement.
 
 Both modes send each phi through `analyze_phi` and turn the per-phi bounds
-into a verdict with the same certifier; single-phi mode only adds its gate
-and the single-side hypothesis, which can make the verdict INAPPLICABLE.
-The hypothesis n*u_i >= (n-i)*u_0 > 0 is read off N_phi(f) itself
+into a verdict with the same certifier, which answers IRREDUCIBLE exactly
+when the refined count is 1.  Single-phi mode only adds its gate and the
+single-side hypothesis, which can make the verdict INAPPLICABLE.  Both are
+read off the one `PhiReport`: f mod p = phibar^n off the phi-expansion
+(`PhiReport.is_phibar_power`), and n*u_i >= (n-i)*u_0 > 0 off N_phi(f)
 (`PhiReport.is_single_side`); the inequalities are only re-evaluated to
-word the notes when it fails.
+word the notes when the hypothesis fails.
 
 Verdicts are one-directional: the tool certifies IRREDUCIBLE or a BOUNDED
 factor count, never reducibility.
@@ -33,9 +35,9 @@ from typing import NamedTuple
 
 from .expr import render_poly
 from .polygon import NewtonPolygon, Side, build_polygon, single_vertex_polygon
-from .polyring import IntPoly, PhiExpansion, is_power_of_phibar, phi_expand
-from .residual import ResidualPolynomial, residual_polynomial
-from .residue_field import ext_field
+from .polyring import IntPoly, PhiExpansion, phi_expand
+from .residual import residual_polynomial
+from .residue_field import FqPoly, ext_field
 # The traced benchmark run hooks these two names where criteria looks them up.
 from .residue_field import count_irreducible_factors as ext_count_irreducible_factors
 from .residue_field import fp_factorize
@@ -60,11 +62,12 @@ def _count_word(n: int) -> str:
 
 @dataclass(frozen=True)
 class SideAnalysis:
-    """One principal side with its residual data."""
+    """One principal side with its residual polynomial over F_phi (ascending
+    in y) and that polynomial's irreducible factor count with multiplicity;
+    deg >= 1, so a count of 1 means the residual is irreducible."""
 
     side: Side
-    residual: ResidualPolynomial
-    irreducible: bool
+    residual: FqPoly
     factor_count: int
 
 
@@ -114,6 +117,17 @@ class PhiReport:
         return self.exact_power_exponent == self.expansion.length
 
     @property
+    def is_phibar_power(self) -> bool:
+        """f mod p = phibar^n.  The expansion f = sum a_i phi^i is unique, and
+        so is its reduction in phibar, so this holds exactly when
+        deg f = n * deg phi (the monic leading a_n is 1) and p divides a_i,
+        u_i > 0 or INFINITY, for every i < n."""
+        exp = self.expansion
+        n = exp.length
+        return (exp.f.degree == n * self.phi.degree
+                and all(u is INFINITY or u > 0 for u in exp.valuations[:n]))
+
+    @property
     def is_single_side(self) -> bool:
         """The principal part is one side from (0, u_0) to (multiplicity, 0):
         the single-side hypothesis n*u_i >= (n-i)*u_0 > 0, read off N_phi(f)."""
@@ -144,8 +158,6 @@ class AnalysisReport:
     factor_bound: int
     min_factor_degree: int | None
     refined_bound: int | None
-    valuation_count_bound: int
-    prime_ideal_count_bound: int
     notes: list = field(default_factory=list)
     phi_reports: list = field(default_factory=list)
 
@@ -168,30 +180,33 @@ def analyze_phi(f: IntPoly, phi: IntPoly, multiplicity: int, p: int) -> PhiRepor
     polygon = build_polygon(exp.points())
     sides = []
     for side in polygon.principal_part().sides:
-        rp = residual_polynomial(exp, side)
-        # deg g >= 1, so one factor counted with multiplicity means g is irreducible
-        count = ext_count_irreducible_factors(rp.as_poly())
-        sides.append(SideAnalysis(side, rp, count == 1, count))
+        g = residual_polynomial(exp, side)
+        sides.append(SideAnalysis(side, g, ext_count_irreducible_factors(g)))
     return PhiReport(phi, multiplicity, exp, polygon, tuple(sides), w)
 
 
 def _certify(phi_reports) -> Certificate:
-    """Sum the per-phi bounds into a certificate.
+    """Sum the per-phi bounds into a certificate: IRREDUCIBLE iff the refined
+    count is 1.
 
-    A total bound of 1 means f is irreducible.  So does an irreducible
-    residual when there is one phi and its polygon is a single side
-    spanning the whole principal part.
+    Proof.  Every phi report here has f mod p divisible by phibar, so its
+    principal part has positive length and `refined` >= 1; and
+    `refined` <= `bound`, since a residual of degree d has at most d
+    factors.  So a total `refined` of 1 means one phi, with either f = phi
+    or w = 0 and one side whose residual is irreducible.  With one phi,
+    f = phibar^n mod p, so u_i > 0 for i < n and u_n = 0: the principal part
+    runs from (0, u_0) to (n, 0), and that one side is all of it.  By the
+    theorem of the residual polynomial (Ore; Guardia, Montes & Nart, Trans.
+    AMS 2012, section 1), f is then irreducible over the henselization, and
+    so over Q.  A total `bound` of 1 (f = phi, or one side of degree 1) is
+    a special case and needs no branch of its own.
     """
     bound = sum(pr.bound for pr in phi_reports)
+    refined = sum(pr.refined for pr in phi_reports)
     floors = [d for pr in phi_reports for d in pr.degree_floors]
     min_degree = min(floors) if floors else None
-    if bound == 1:
+    if refined == 1:
         return Certificate(IRREDUCIBLE, 1, 1, min_degree)
-    if len(phi_reports) == 1:
-        pr = phi_reports[0]
-        if pr.is_single_side and pr.sides[0].irreducible:
-            return Certificate(IRREDUCIBLE, 1, 1, min_degree)
-    refined = sum(pr.refined for pr in phi_reports)
     return Certificate(BOUNDED, bound, refined, min_degree)
 
 
@@ -199,11 +214,11 @@ def _zero_interior_notes(pr: PhiReport) -> list[str]:
     """Explain vanishing interior residual coefficients of the sides."""
     notes = []
     for rec in pr.sides:
-        rp, side = rec.residual, rec.side
-        for j in range(1, rp.degree):
-            if not rp.ts[j].is_zero:
+        g, side = rec.residual, rec.side
+        for j in range(1, g.degree):
+            if not g.coeffs[g.degree - j].is_zero:  # t_j
                 continue
-            abscissa = rp.anchor + j * side.e
+            abscissa = side.start[0] + j * side.e
             u = pr.expansion.valuations[abscissa]
             if u is INFINITY:
                 why = f"expansion coefficient a_{abscissa} vanishes"
@@ -212,7 +227,7 @@ def _zero_interior_notes(pr: PhiReport) -> list[str]:
             notes.append(
                 f"side ({side.start[0]},{side.start[1]})->"
                 f"({side.end[0]},{side.end[1]}): "
-                f"residual coefficient at y^{rp.degree - j} is zero ({why})"
+                f"residual coefficient at y^{g.degree - j} is zero ({why})"
             )
     return notes
 
@@ -235,8 +250,6 @@ def _report(input_str, f, p, seed, mode, cert, notes, phi_reports):
         verdict=cert.verdict, factor_bound=cert.factor_bound,
         min_factor_degree=cert.min_factor_degree,
         refined_bound=cert.refined_bound,
-        valuation_count_bound=cert.factor_bound,
-        prime_ideal_count_bound=cert.factor_bound,
         notes=notes, phi_reports=list(phi_reports),
     )
 
@@ -268,33 +281,29 @@ def analyze(
                    phi_reports)
 
 
-def single_phi_gate(f: IntPoly, phi: IntPoly, p: int) -> str | None:
-    """Why the single-phi criteria cannot start for (f, phi), or None.
+def _gate_failed(f: IntPoly, reason: str):
+    notes = [reason,
+             f"factor bound falls back to the trivial degree bound {f.degree}"]
+    return Certificate(INAPPLICABLE, f.degree, None, None), notes, []
 
-    They need phi mod p irreducible and f mod p a power of it.  A phi that
-    is not monic of degree >= 1 is an input error and raises ValueError.
-    The field F_phi is built here, so Rabin's test runs once on phibar.
-    """
+
+def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
+    """The single-phi criteria need phi mod p irreducible and f mod p a power
+    of it; otherwise the verdict is INAPPLICABLE with the reason as first
+    note.  A phi that is not monic of degree >= 1 is an input error and
+    raises ValueError.  The field F_phi is built here, so Rabin's test runs
+    once on phibar, and the power test reads the one phi-expansion."""
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
     phibar = phi.reduce_mod(p)
     try:
         ext_field(phibar)
     except ValueError:
-        return f"phi mod {p} = {phibar} is reducible over F_{p}"
-    if not is_power_of_phibar(f, phi, p):
-        return f"f mod {p} is not a power of {phibar}"
-    return None
-
-
-def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
-    reason = single_phi_gate(f, phi, p)
-    if reason is not None:
-        notes = [reason,
-                 f"factor bound falls back to the trivial degree bound {f.degree}"]
-        return Certificate(INAPPLICABLE, f.degree, None, None), notes, []
-
+        return _gate_failed(f, f"phi mod {p} = {phibar} is reducible over F_{p}")
     pr = analyze_phi(f, phi, f.degree // phi.degree, p)
+    if not pr.is_phibar_power:
+        return _gate_failed(f, f"f mod {p} is not a power of {phibar}")
+
     cert = _certify([pr])
     n, w = pr.multiplicity, pr.exact_power_exponent
     if pr.is_exact_power:

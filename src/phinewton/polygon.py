@@ -52,11 +52,6 @@ class Side:
             raise ValueError("side endpoints are not lattice points")
         return cls(start, end, length, slope, h, e, length // e)
 
-    @property
-    def height(self) -> int:
-        """Total vertical drop (or rise) |u_end - u_start| = degree * h."""
-        return abs(self.end[1] - self.start[1])
-
     def height_at(self, index: int) -> Fraction:
         """Exact height of the supporting line at the given abscissa."""
         return self.start[1] + self.slope * (index - self.start[0])
@@ -80,13 +75,6 @@ class NewtonPolygon:
 
     def __hash__(self):
         return hash(self.vertices)
-
-    @property
-    def length(self) -> int:
-        """Horizontal span of the hull."""
-        if len(self.vertices) < 2:
-            return 0
-        return self.vertices[-1][0] - self.vertices[0][0]
 
     def principal_part(self) -> "NewtonPolygon":
         """The sub-polygon of sides with strictly negative slope."""

@@ -207,14 +207,6 @@ class PhiExpansion:
         """The valuation points (i, u_i) feeding the Newton polygon."""
         return list(enumerate(self.valuations))
 
-    def recompose(self) -> IntPoly:
-        out = IntPoly.zero()
-        power = IntPoly.one()
-        for a in self.coeffs:
-            out = out + a * power
-            power = power * self.phi
-        return out
-
 
 def phi_expand(f: IntPoly, phi: IntPoly, p: int) -> PhiExpansion:
     """Expand f in powers of phi by repeated Euclidean division."""
@@ -230,12 +222,3 @@ def phi_expand(f: IntPoly, phi: IntPoly, p: int) -> PhiExpansion:
     valuations = tuple(gauss_valuation(a, p) for a in coeffs)
     return PhiExpansion(f, phi, tuple(coeffs), valuations, p)
 
-
-def is_power_of_phibar(f: IntPoly, phi: IntPoly, p: int) -> bool:
-    """True iff the reduction of f mod p equals (phi mod p)^(deg f / deg phi)."""
-    if not f.is_monic or not phi.is_monic:
-        raise ValueError("monic polynomials required")
-    m = phi.degree
-    if m < 1 or f.degree % m != 0:
-        return False
-    return f.reduce_mod(p) == phi.reduce_mod(p) ** (f.degree // m)

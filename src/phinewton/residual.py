@@ -7,43 +7,19 @@ vanishes), and otherwise is the class of a_{s+i} / p^(u_{s+i}) modulo
 (p, phibar).  Only the lattice points of S, at abscissas s, s+e, ..., s+de,
 can contribute nonzero values.
 
-The residual polynomial is stored in the display convention
-f_S(y) = t_0 y^d + t_1 y^(d-1) + ... + t_d with t_i = c_{i*e}: the side's
-start anchors the highest power of y.  Irreducibility and factor counts are
-invariant under this reversal, and keeping the displayed order makes
-certificates auditable term by term.
+The residual polynomial f_S(y) = t_0 y^d + t_1 y^(d-1) + ... + t_d has
+t_i = c_{i*e}: the side's start anchors the highest power of y.  It is an
+`FqPoly` over F_phi, stored like every polynomial in ascending powers of y,
+so its coefficient list is t_d..t_0; certificates display t_0..t_d,
+`reversed(g.coeffs)`, so they read term by term from the side's start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polygon import Side
 from .polyring import PhiExpansion
-from .residue_field import ExtField, FqPoly, ext_field
+from .residue_field import ExtField, FqPoly, _poly, ext_field
 from .valuation import INFINITY
-
-
-@dataclass(frozen=True)
-class ResidualPolynomial:
-    """f_S(y) for one side: coefficients t_0..t_d in `field`, t_i attached
-    to y^(d-i)."""
-
-    side: Side
-    anchor: int
-    ts: tuple
-    field: ExtField
-
-    @property
-    def degree(self) -> int:
-        return len(self.ts) - 1
-
-    def as_poly(self) -> FqPoly:
-        """The same polynomial over F_phi, in ascending powers of y."""
-        return FqPoly(self.field, tuple(reversed(self.ts)))
-
-    def __str__(self):
-        return str(self.as_poly())
 
 
 def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPoly:
@@ -75,8 +51,9 @@ def residual_coefficient(exp: PhiExpansion, side: Side, i: int) -> FqPoly:
     return _coefficient(exp, side, i, ext_field(exp.phi.reduce_mod(exp.p)))
 
 
-def residual_polynomial(exp: PhiExpansion, side: Side) -> ResidualPolynomial:
-    """Assemble f_S(y) = t_0 y^d + ... + t_d from the side's lattice points.
+def residual_polynomial(exp: PhiExpansion, side: Side) -> FqPoly:
+    """Assemble f_S(y) = t_0 y^d + ... + t_d over F_phi from the side's
+    lattice points.
 
     Defined for sides of non-positive slope; on a slope-zero side with phi = x
     this reproduces the plain reduction of f modulo p.
@@ -84,9 +61,7 @@ def residual_polynomial(exp: PhiExpansion, side: Side) -> ResidualPolynomial:
     if side.slope > 0:
         raise ValueError("residual polynomials are attached to sides of slope <= 0")
     field = ext_field(exp.phi.reduce_mod(exp.p))
-    ts = tuple(
-        _coefficient(exp, side, j * side.e, field) for j in range(side.degree + 1)
-    )
+    ts = [_coefficient(exp, side, j * side.e, field) for j in range(side.degree + 1)]
     if ts[0].is_zero or ts[-1].is_zero:
         raise RuntimeError("side endpoints must carry nonzero residual coefficients")
-    return ResidualPolynomial(side, side.start[0], ts, field)
+    return _poly(field, ts[::-1])

@@ -520,12 +520,6 @@ class FactorizationFp:
     unit: int
     p: int
 
-    def recompose(self) -> FqPoly:
-        out = FqPoly(self.p, [self.unit])
-        for g, k in self.factors:
-            out = out * g**k
-        return out
-
     @property
     def factor_count(self) -> int:
         """Number of irreducible factors counted with multiplicity."""

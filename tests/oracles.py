@@ -4,9 +4,11 @@ Every oracle here reimplements its target with a different algorithm so the
 two can only agree by being right: the hull oracle walks supporting lines
 instead of running a monotone chain, the factorization oracle trial-divides
 against an exhaustive enumeration instead of running Cantor-Zassenhaus, the
-polygon validator checks the defining inequalities directly, and the
+polygon validator checks the defining inequalities directly, the
 single-side check tests the paper's inequality point by point instead of
-reading it off the polygon.
+reading it off the polygon, and the power test raises phibar to the n-th
+power over F_p instead of reading the phi-expansion.  The recompose helpers
+multiply an expansion or a factorization back out.
 
 The generators build polynomials whose factor structure is known by
 construction, which turns the product rule and the factor-count bounds into
@@ -22,10 +24,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from phinewton.polygon import NewtonPolygon, PolygonPoint, Side, build_polygon
-from phinewton.polyring import IntPoly, PhiExpansion, is_power_of_phibar, phi_expand
+from phinewton.polyring import IntPoly, PhiExpansion, phi_expand
 from phinewton.residual import residual_polynomial
 from phinewton.residue_field import ExtField, FactorizationFp, FqPoly, is_irreducible
 from phinewton.valuation import INFINITY
+
+
+def is_power_of_phibar(f: IntPoly, phi: IntPoly, p: int) -> bool:
+    """True iff the reduction of f mod p equals (phi mod p)^(deg f / deg phi)."""
+    if not f.is_monic or not phi.is_monic:
+        raise ValueError("monic polynomials required")
+    m = phi.degree
+    if m < 1 or f.degree % m != 0:
+        return False
+    return f.reduce_mod(p) == phi.reduce_mod(p) ** (f.degree // m)
+
+
+def recompose_expansion(exp: PhiExpansion) -> IntPoly:
+    """sum a_i * phi^i for the expansion's coefficients a_i."""
+    out = IntPoly.zero()
+    power = IntPoly.one()
+    for a in exp.coeffs:
+        out = out + a * power
+        power = power * exp.phi
+    return out
+
+
+def recompose_factorization(fact: FactorizationFp) -> FqPoly:
+    """unit * prod(factor^multiplicity) over F_p."""
+    out = FqPoly(fact.p, [fact.unit])
+    for g, k in fact.factors:
+        out = out * g**k
+    return out
 
 
 def hull_oracle(points) -> NewtonPolygon:

@@ -64,7 +64,8 @@ def test_criterion_1_degree12_single_phi_replay():
         failures.append(f"expected one side, got {len(sides)}")
     else:
         s = sides[0].side
-        if (s.length, s.height, s.slope, s.degree) != (6, 4, Fraction(-2, 3), 2):
+        drop = s.start[1] - s.end[1]
+        if (s.length, drop, s.slope, s.degree) != (6, 4, Fraction(-2, 3), 2):
             failures.append(f"side data {s}")
     if r.factor_bound != 2:
         failures.append(f"factor_bound {r.factor_bound}")
@@ -111,7 +112,7 @@ def test_criterion_3_height4_length6_partial_replay():
     r = analyze(f, 2, phi=phi)
     sides = r.phi_reports[0].sides
     s = sides[0].side
-    if (s.length, s.height, s.degree) != (6, 4, 2):
+    if (s.length, s.start[1] - s.end[1], s.degree) != (6, 4, 2):
         failures.append(f"side data {s}")
     if r.factor_bound != 2:
         failures.append(f"factor_bound {r.factor_bound}")
@@ -125,7 +126,7 @@ def test_criterion_3_height4_length6_partial_replay():
     expected_ts = (1, 0, 1)
 
     got_ts = tuple(
-        t.coeffs[0] if t.coeffs else 0 for t in sides[0].residual.ts
+        t.coeffs[0] if t.coeffs else 0 for t in reversed(sides[0].residual.coeffs)
     )
     if got_ts != expected_ts:
         failures.append(f"residual {got_ts} != derived {expected_ts}")
@@ -171,8 +172,8 @@ def test_criterion_4_product_rule_suite():
             for exp_f, np_f in ((exp_g, np_g), (exp_h, np_h)):
                 s = side_at_slope(np_f, side.slope)
                 if s is not None:
-                    expected = expected * residual_polynomial(exp_f, s).as_poly()
-            got = residual_polynomial(exp_gh, side).as_poly()
+                    expected = expected * residual_polynomial(exp_f, s)
+            got = residual_polynomial(exp_gh, side)
             if got.scale(expected.lead) != expected.scale(got.lead):
                 failures.append(f"pair {pairs}: residuals differ at {side.slope}")
         pairs += 1
@@ -342,7 +343,7 @@ def test_criterion_10_slope_zero_reduction_suite():
             continue
         side = slope_zero[0]
         rp = residual_polynomial(exp, side)
-        got = [t.coeffs[0] if t.coeffs else 0 for t in rp.ts]
+        got = [t.coeffs[0] if t.coeffs else 0 for t in rp.coeffs[::-1]]
         expected = [c % p for c in coeffs[side.start[0] : side.end[0] + 1]]
         if got != expected:
             failures.append(f"f={f!r}: {got} != {expected}")

@@ -82,6 +82,36 @@ class TestRuns:
         assert json.loads(target.read_text())["verdict"] == "IRREDUCIBLE"
 
 
+class TestCheckOnlyOutput:
+    """--check-only writes its one line to --output, as a full run writes
+    its report."""
+
+    @pytest.mark.parametrize("argv, line", [
+        ((DEG12, "-p", "2", "--phi", "x^2+x+1"),
+         "ok: single-side hypothesis holds (lambda = 2/3)\n"),
+        (("x^4+x+1", "-p", "2", "--phi", "x^2+x+1"),
+         "inapplicable: f mod 2 is not a power of x^2 + x + 1\n"),
+        (("x^2+2x+2", "-p", "2"), "ok: monic degree-2 polynomial, p = 2\n"),
+    ], ids=["holds", "gate-fails", "no-phi"])
+    def test_line_goes_to_the_file(self, tmp_path, capsys, argv, line):
+        code, printed, _ = run_cli(capsys, *argv, "--check-only")
+        target = tmp_path / "check.txt"
+        code_out, out, err = run_cli(capsys, *argv, "--check-only",
+                                     "--output", str(target))
+        assert printed == line
+        assert (code_out, out, err) == (code, "", "")
+        assert target.read_text(encoding="utf-8") == line
+
+    @pytest.mark.parametrize("phi", [("--phi", "x^2+x+1"), ()], ids=["phi", "no-phi"])
+    def test_unwritable_path_is_1(self, tmp_path, capsys, phi):
+        # the target is a directory, so the write raises IsADirectoryError
+        code, out, err = run_cli(capsys, DEG12, "-p", "2", *phi, "--check-only",
+                                 "--output", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestExitCodes:
     def test_unwritable_output_is_1(self, tmp_path, capsys):
         # the target is a directory, so the write raises IsADirectoryError
@@ -273,15 +303,25 @@ class TestRabinOnce:
 
 
 class TestPowerOnce:
-    """A single-phi run compares f mod p with phibar^n once."""
+    """A single-phi run expands f in phi once and reads the test
+    f mod p = phibar^n off that expansion, also when the test fails."""
 
     @pytest.mark.parametrize("extra", [(), ("--check-only",)])
     def test_one_power_comparison(self, capsys, extra):
-        code, compared = profiled_calls(
-            capsys, polyring.is_power_of_phibar,
+        code, expanded = profiled_calls(
+            capsys, polyring.phi_expand,
             (DEG12, "-p", "2", "--phi", "x^2+x+1", *extra), "f")
         assert code == 0
-        assert len(compared) == 1
+        assert len(expanded) == 1
+
+    @pytest.mark.parametrize("extra", [(), ("--check-only",)])
+    def test_one_expansion_when_the_gate_fails(self, capsys, extra):
+        # x^4 + x + 1 mod 2 is not a power of x^2 + x + 1
+        code, expanded = profiled_calls(
+            capsys, polyring.phi_expand,
+            ("x^4+x+1", "-p", "2", "--phi", "x^2+x+1", *extra), "f")
+        assert code == 2
+        assert expanded == ["IntPoly([1, 1, 0, 0, 1])"]
 
 
 class TestInputFile(object):
@@ -305,6 +345,57 @@ class TestSeedHandling:
             capsys, "x^2+2x+2", "-p", "2", "--seed", "4", "--format", "json"
         )
         assert json.loads(out)["seed"] == 4
+
+    def test_bad_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("PHINEWTON_SEED", "abc")
+        code, out, err = run_cli(capsys, "x^2+2x+2", "-p", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: PHINEWTON_SEED must be an integer, got 'abc'\n"
+
+    def test_seed_changes_only_its_own_field(self, capsys):
+        """Factors are sorted canonically, so the seed, which only drives the
+        random splits of Cantor-Zassenhaus, never reaches the certificate."""
+        cases = list(_equal_degree_inputs())
+        assert {p for _, p in cases} == {2, 3, 5, 7}
+        for f, p in cases:
+            assert _splits_equal_degree(f, p)
+            expr = render_poly(f)
+            docs = []
+            for seed in ("0", "1", "12345"):
+                code, out, _ = run_cli(capsys, expr, "-p", str(p), "--seed", seed,
+                                       "--format", "json")
+                assert code == 0
+                doc = json.loads(out)
+                assert doc.pop("seed") == int(seed)
+                docs.append(doc)
+            assert docs[0] == docs[1] == docs[2], (expr, p)
+
+
+def _splits_equal_degree(f, p):
+    """f mod p has two distinct irreducible factors of one degree and one
+    multiplicity, so Cantor-Zassenhaus must split their product, drawing
+    random polynomials."""
+    fact = residue_field.fp_factorize(f.reduce_mod(p))
+    shapes = [(g.degree, k) for g, k in fact.factors]
+    return len(shapes) > len(set(shapes))
+
+
+def _equal_degree_inputs():
+    """Full-mode inputs that split equal-degree factors, at p = 2 (trace map)
+    and odd p (pow_mod): fixed products, then seeded random monic ones."""
+    yield parse_poly("(x^3+x+1)*(x^3+x^2+1)*(x^2+x+1)+2*x"), 2
+    yield parse_poly("(x+1)*(x+2)*(x^2+1)*(x^2+x+2)+3"), 3
+    yield parse_poly("x^4+4"), 5
+    rng = random.Random(2718)
+    for p in (2, 3, 5, 7):
+        found = 0
+        while found < 4:
+            coeffs = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randint(4, 9))]
+            f = IntPoly(coeffs + [1])
+            if _splits_equal_degree(f, p):
+                found += 1
+                yield f, p
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from phinewton.criteria import (
     INAPPLICABLE,
     IRREDUCIBLE,
     analyze,
+    analyze_phi,
     bound_full,
 )
 from oracles import (
@@ -15,7 +17,9 @@ from oracles import (
     gen_eisenstein_family,
     gen_factor_witness,
     gen_power_family,
+    is_power_of_phibar,
 )
+from phinewton.cli import report_to_dict
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.valuation import INFINITY
@@ -156,10 +160,11 @@ class TestAnalyzeSinglePhi:
         assert r.factor_bound == 2
         assert r.min_factor_degree == 6
         assert r.refined_bound == 2
-        assert r.valuation_count_bound == 2
-        assert r.prime_ideal_count_bound == 2
+        doc = report_to_dict(r)
+        assert doc["valuation_count_bound"] == 2
+        assert doc["prime_ideal_count_bound"] == 2
         side = r.phi_reports[0].sides[0].side
-        assert (side.length, side.height, side.degree) == (6, 4, 2)
+        assert (side.length, side.start[1] - side.end[1], side.degree) == (6, 4, 2)
         assert side.slope == Fraction(-2, 3)
         assert any("lies strictly above the side" in n for n in r.notes)
 
@@ -280,8 +285,9 @@ class TestBoundFull:
             r = bound_full(f, 2)
             n = f.degree
             assert r.refined_bound <= r.factor_bound <= n
-            assert r.valuation_count_bound == r.factor_bound
-            assert r.prime_ideal_count_bound == r.factor_bound
+            doc = report_to_dict(r)
+            assert doc["valuation_count_bound"] == r.factor_bound
+            assert doc["prime_ideal_count_bound"] == r.factor_bound
 
 
 class TestCrossModeAgreement:
@@ -312,3 +318,74 @@ class TestCrossModeAgreement:
                     applicable += 1
                     assert single.verdict == full.verdict, f
         assert applicable > 0
+
+
+class TestPowerGate:
+    """`PhiReport.is_phibar_power`, read off the phi-expansion, agrees with
+    raising phibar to the n-th power over F_p."""
+
+    PHIS = {
+        2: (X, IntPoly([1, 1]), PHI_QUAD, IntPoly([1, 1, 0, 1])),
+        3: (IntPoly([2, 1]), IntPoly([1, 0, 1])),
+        5: (IntPoly([1, 1]), IntPoly([2, 0, 1])),
+        7: (X, IntPoly([1, 0, 1])),
+    }
+
+    def test_gate_matches_reference(self):
+        rng = random.Random(131)
+        kinds = Counter()
+        for p, phis in self.PHIS.items():
+            for phi in phis:
+                for f in self._inputs(rng, p, phi):
+                    pr = analyze_phi(f, phi, f.degree // phi.degree, p)
+                    expected = is_power_of_phibar(f, phi, p)
+                    assert pr.is_phibar_power == expected, (f, phi, p)
+                    kinds[expected, f.degree % phi.degree == 0] += 1
+        # powers, non-powers of a multiple degree, degrees that are no multiple
+        assert min(kinds[True, True], kinds[False, True], kinds[False, False]) >= 50
+
+    @staticmethod
+    def _inputs(rng, p, phi):
+        m = phi.degree
+        powers = gen_power_family(p, phi, 12, seed=rng.randrange(2**30),
+                                  max_n=5, zero_a0_prob=0.3)
+        yield from powers
+        yield from (phi**k for k in (1, 2, 3))
+        for f in powers:
+            # a unit below the top coefficient: the same degree, not a power
+            unit = IntPoly([rng.randrange(1, p)]
+                           + [rng.randrange(p) for _ in range(m - 1)])
+            yield f + unit * phi**rng.randrange(f.degree // m)
+        for _ in range(24):
+            deg = rng.randint(1, 3 * m + 2)
+            yield IntPoly([rng.randrange(-p * p, p * p) for _ in range(deg)] + [1])
+
+
+class TestIrreducibleVerdict:
+    """IRREDUCIBLE iff the refined count is 1, in both modes.  That is the
+    two-branch rule it replaced: a total bound of 1, or one phi whose single
+    side spans the principal part with an irreducible residual."""
+
+    def test_irreducible_iff_refined_one(self):
+        rng = random.Random(137)
+        seen = Counter()
+        for p, phi in TestCrossModeAgreement.FAMILIES:
+            fams = gen_power_family(p, phi, 16, seed=rng.randrange(2**30),
+                                    max_n=6 if phi.degree < 3 else 3,
+                                    zero_a0_prob=0.15)
+            fams += gen_eisenstein_family(p, phi, 12, rng.randrange(2**30))
+            fams += [gen_factor_witness(p, 2, rng.randrange(2**30)).product
+                     for _ in range(3)]
+            for f in fams:
+                for r in (analyze(f, p, phi=phi), analyze(f, p)):
+                    prs = r.phi_reports
+                    bound_one = sum(pr.bound for pr in prs) == 1
+                    residual = (len(prs) == 1 and prs[0].is_single_side
+                                and prs[0].sides[0].factor_count == 1)
+                    irreducible = r.verdict == IRREDUCIBLE
+                    assert irreducible == (r.refined_bound == 1), (f, p, r.mode)
+                    assert irreducible == (bool(prs) and (bound_one or residual)), f
+                    seen[r.mode, r.verdict, bound_one] += 1
+        for mode in ("single-phi", "full"):
+            assert seen[mode, IRREDUCIBLE, True] and seen[mode, IRREDUCIBLE, False]
+            assert seen[mode, BOUNDED, False]

@@ -12,10 +12,12 @@ from oracles import (
     gen_factor_witness,
     gen_power_family,
     hull_oracle,
+    is_power_of_phibar,
+    recompose_factorization,
     validate_polygon,
 )
 from phinewton.polygon import build_polygon
-from phinewton.polyring import IntPoly, is_power_of_phibar, phi_expand
+from phinewton.polyring import IntPoly, phi_expand
 from phinewton.residue_field import FqPoly, ext_field
 
 
@@ -80,7 +82,7 @@ class TestExhaustiveFpFactor:
                 f = FqPoly(p, coeffs)
                 if f.degree < 1:
                     continue
-                assert exhaustive_fp_factor(f).recompose() == f
+                assert recompose_factorization(exhaustive_fp_factor(f)) == f
 
 
 class TestExhaustiveExtCount:

@@ -2,12 +2,8 @@ import random
 
 import pytest
 
-from phinewton.polyring import (
-    IntPoly,
-    gauss_valuation,
-    is_power_of_phibar,
-    phi_expand,
-)
+from oracles import is_power_of_phibar, recompose_expansion
+from phinewton.polyring import IntPoly, gauss_valuation, phi_expand
 from phinewton.valuation import INFINITY, valuation
 
 
@@ -104,7 +100,7 @@ class TestPhiExpand:
             IntPoly([1]),
         )
         assert exp.valuations == (4, 4, INFINITY, 3, INFINITY, INFINITY, 0)
-        assert exp.recompose() == f
+        assert recompose_expansion(exp) == f
 
     def test_exact_power(self):
         phi = IntPoly([3, 1, 1])
@@ -119,7 +115,7 @@ class TestPhiExpand:
         exp = phi_expand(f, phi, 2)
         assert exp.coeffs == (IntPoly([8]), IntPoly([-4]), IntPoly([1]))
         assert exp.valuations == (3, 2, 0)
-        assert exp.recompose() == f
+        assert recompose_expansion(exp) == f
 
     def test_recomposition_random(self):
         rng = random.Random(17)
@@ -129,7 +125,7 @@ class TestPhiExpand:
                 continue
             f = random_poly(rng, 40, bound=1000, monic=True)
             exp = phi_expand(f, phi, 2)
-            assert exp.recompose() == f
+            assert recompose_expansion(exp) == f
             assert all(a.degree < phi.degree for a in exp.coeffs)
 
     def test_uniqueness(self):
