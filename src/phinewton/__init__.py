@@ -35,8 +35,6 @@ from .criteria import (
     PhiReport,
     SideAnalysis,
     analyze,
-    analyze_phi,
-    bound_full,
 )
 from .expr import ParseError, parse_poly, render_poly
 
@@ -68,8 +66,6 @@ __all__ = [
     "PhiReport",
     "SideAnalysis",
     "analyze",
-    "analyze_phi",
-    "bound_full",
     "ParseError",
     "parse_poly",
     "render_poly",

@@ -1,5 +1,9 @@
 """Command-line front end: parse, analyze, and render certificates.
 
+`main` reads the argparse namespace, parses f and phi, and hands them to
+`criteria.analyze`, which alone decides whether p, f and phi are
+acceptable; a syntax error is therefore named before a bad p.
+
 Exit codes: 0 on success, 1 on input errors (syntax, non-prime p, non-monic
 f, phi not monic of degree >= 1, a usage error such as a missing or
 non-integer -p, an unwritable --output), 2 when the requested single-phi
@@ -7,8 +11,9 @@ criteria are inapplicable to the input, so batch scripts can tell "theorems
 don't apply" from "bad input".  An exact power f = phi^n is certified with
 exit 0.  With --phi, --check-only runs the same analysis and prints one line
 of the report instead of all of it, so it exits with the code the full run
-would return; without --phi it only validates f and p.  --output takes
-whatever would go to stdout, the --check-only line included.
+would return; without --phi it only runs the input validator of `analyze`
+on f and p.  --output takes whatever would go to stdout, the --check-only
+line included.
 
 The JSON report is stable under re-runs: feeding the embedded input, prime,
 phi, and seed back through the tool reproduces the report byte for byte.
@@ -26,31 +31,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .criteria import (
-    INAPPLICABLE,
-    MODE_SINGLE_PHI,
-    AnalysisReport,
-    analyze,
-)
-from .expr import ParseError, parse_poly, render_poly
-from .valuation import INFINITY, is_prime
+from .criteria import INAPPLICABLE, AnalysisReport, _validate_input, analyze
+from .expr import parse_poly, render_poly
+from .valuation import INFINITY
 
 ENV_SEED = "PHINEWTON_SEED"
-
-
-@dataclass
-class CliConfig:
-    expression: str
-    prime: int
-    phi: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    check_only: bool = False
-    output: str | None = None
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -212,8 +200,6 @@ def render_svg(report: AnalysisReport) -> str:
     width = 480
     y = 0
     for pr in report.phi_reports:
-        if not pr.polygon.all_points:
-            continue
         parts, w, h = _svg_phi_block(pr, y)
         blocks.extend(parts)
         width = max(width, w)
@@ -244,30 +230,6 @@ def _check_only_line(report: AnalysisReport) -> str:
     if pr.is_exact_power:
         return f"ok: f equals phi^{pr.multiplicity} exactly"
     return f"ok: single-side hypothesis holds (lambda = {-pr.sides[0].side.slope})"
-
-
-def run(config: CliConfig) -> int:
-    """Execute one analysis; returns the process exit code."""
-    try:
-        if not is_prime(config.prime):
-            raise ValueError(f"{config.prime} is not prime")
-        f = parse_poly(config.expression)
-        if f.degree < 1 or not f.is_monic:
-            raise ValueError("input polynomial must be monic of degree >= 1")
-        if config.check_only and config.phi is None:
-            line = f"ok: monic degree-{f.degree} polynomial, p = {config.prime}"
-            return _emit(line + "\n", config.output, 0)
-        phi = parse_poly(config.phi) if config.phi is not None else None
-        report = analyze(f, config.prime, phi=phi, seed=config.seed,
-                         input_str=config.expression)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    inapplicable = report.verdict == INAPPLICABLE and report.mode == MODE_SINGLE_PHI
-    code = 2 if inapplicable else 0
-    if config.check_only:
-        return _emit(_check_only_line(report) + "\n", config.output, code)
-    return _emit(RENDERERS[config.fmt](report), config.output, code)
 
 
 def _emit(rendered: str, output: str | None, code: int) -> int:
@@ -314,38 +276,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> CliConfig:
-    if (args.expression is None) == (args.input is None):
-        raise ValueError("supply exactly one input: a positional expression "
-                         "or --input FILE")
-    if args.input is not None:
-        expression = Path(args.input).read_text(encoding="utf-8").strip()
-    else:
-        expression = args.expression
+def _seed(args) -> int:
     if args.seed is not None:
-        seed = args.seed
-    else:
-        value = os.environ.get(ENV_SEED, "0")
-        try:
-            seed = int(value)
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, got {value!r}") from None
-    if args.prime < 2:
-        raise ValueError("p must be at least 2")
-    return CliConfig(
-        expression=expression, prime=args.prime, phi=args.phi, fmt=args.fmt,
-        seed=seed, check_only=args.check_only, output=args.output,
-    )
+        return args.seed
+    value = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{ENV_SEED} must be an integer, got {value!r}") from None
 
 
 def main(argv=None) -> int:
+    """Execute one analysis; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        if (args.expression is None) == (args.input is None):
+            raise ValueError("supply exactly one input: a positional expression "
+                             "or --input FILE")
+        if args.input is not None:
+            expression = Path(args.input).read_text(encoding="utf-8").strip()
+        else:
+            expression = args.expression
+        seed = _seed(args)
+        f = parse_poly(expression)
+        phi = parse_poly(args.phi) if args.phi is not None else None
+        if args.check_only and phi is None:
+            _validate_input(f, args.prime)
+            line = f"ok: monic degree-{f.degree} polynomial, p = {args.prime}"
+            return _emit(line + "\n", args.output, 0)
+        report = analyze(f, args.prime, phi=phi, seed=seed, input_str=expression)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
+    code = 2 if report.verdict == INAPPLICABLE else 0
+    if args.check_only:
+        return _emit(_check_only_line(report) + "\n", args.output, code)
+    return _emit(RENDERERS[args.fmt](report), args.output, code)
 
 
 if __name__ == "__main__":

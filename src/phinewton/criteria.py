@@ -13,14 +13,17 @@ Two modes are supported for a monic f in Z[x] and a prime p:
   are summed into a factor-count bound; residual factor counts give an
   informational refinement.
 
-Both modes send each phi through `analyze_phi` and turn the per-phi bounds
-into a verdict with the same certifier, which answers IRREDUCIBLE exactly
-when the refined count is 1.  Single-phi mode only adds its gate and the
-single-side hypothesis, which can make the verdict INAPPLICABLE.  Both are
-read off the one `PhiReport`: f mod p = phibar^n off the phi-expansion
-(`PhiReport.is_phibar_power`), and n*u_i >= (n-i)*u_0 > 0 off N_phi(f)
-(`PhiReport.is_single_side`); the inequalities are only re-evaluated to
-word the notes when the hypothesis fails.
+`analyze` is the one entry point and `_validate_input` the one statement
+of the input policy: p prime, f monic of degree >= 1, phi (when given)
+monic of degree >= 1.  Both modes send each phi-expansion through
+`_analyze_phi` and turn the per-phi bounds into a verdict with the same
+certifier, which answers IRREDUCIBLE exactly when the refined count is 1.
+Single-phi mode only adds its gate and the single-side hypothesis, which
+can make the verdict INAPPLICABLE.  The gate, f mod p = phibar^n, is read
+off the phi-expansion (`PhiExpansion.is_phibar_power`) before any polygon
+is built; the hypothesis n*u_i >= (n-i)*u_0 > 0 is read off N_phi(f)
+(`PhiReport.is_single_side`), and the inequalities are only re-evaluated
+to word the notes when it fails.
 
 Verdicts are one-directional: the tool certifies IRREDUCIBLE or a BOUNDED
 factor count, never reducibility.
@@ -80,12 +83,15 @@ class PhiReport:
     irreducible factors on top of the side-degree sum.
     """
 
-    phi: IntPoly
     multiplicity: int
     expansion: PhiExpansion
     polygon: NewtonPolygon
     sides: tuple
     exact_power_exponent: int
+
+    @property
+    def phi(self) -> IntPoly:
+        return self.expansion.phi
 
     @property
     def side_degree_sum(self) -> int:
@@ -115,17 +121,6 @@ class PhiReport:
     def is_exact_power(self) -> bool:
         """f = phi^n exactly: the polygon is one vertex with no side."""
         return self.exact_power_exponent == self.expansion.length
-
-    @property
-    def is_phibar_power(self) -> bool:
-        """f mod p = phibar^n.  The expansion f = sum a_i phi^i is unique, and
-        so is its reduction in phibar, so this holds exactly when
-        deg f = n * deg phi (the monic leading a_n is 1) and p divides a_i,
-        u_i > 0 or INFINITY, for every i < n."""
-        exp = self.expansion
-        n = exp.length
-        return (exp.f.degree == n * self.phi.degree
-                and all(u is INFINITY or u > 0 for u in exp.valuations[:n]))
 
     @property
     def is_single_side(self) -> bool:
@@ -162,13 +157,12 @@ class AnalysisReport:
     phi_reports: list = field(default_factory=list)
 
 
-def analyze_phi(f: IntPoly, phi: IntPoly, multiplicity: int, p: int) -> PhiReport:
-    """Expand f in phi, split off the exact power phi^w dividing f, and build
-    N_phi(f) with the residual polynomials of its principal sides.
+def _analyze_phi(exp: PhiExpansion, multiplicity: int) -> PhiReport:
+    """Split off the exact power phi^w dividing f and build N_phi(f) with the
+    residual polynomials of its principal sides, from the phi-expansion of f.
 
     `multiplicity` is the exponent of phi mod p in f mod p, recorded as given.
     """
-    exp = phi_expand(f, phi, p)
     w = 0
     while w < len(exp.valuations) and exp.valuations[w] is INFINITY:
         w += 1
@@ -176,13 +170,13 @@ def analyze_phi(f: IntPoly, phi: IntPoly, multiplicity: int, p: int) -> PhiRepor
         # f = phi^n exactly: phi is irreducible over the henselization, so
         # the factor count is exactly n.
         polygon = single_vertex_polygon(exp.length, 0, exp.points())
-        return PhiReport(phi, multiplicity, exp, polygon, (), w)
+        return PhiReport(multiplicity, exp, polygon, (), w)
     polygon = build_polygon(exp.points())
     sides = []
     for side in polygon.principal_part().sides:
         g = residual_polynomial(exp, side)
         sides.append(SideAnalysis(side, g, ext_count_irreducible_factors(g)))
-    return PhiReport(phi, multiplicity, exp, polygon, tuple(sides), w)
+    return PhiReport(multiplicity, exp, polygon, tuple(sides), w)
 
 
 def _certify(phi_reports) -> Certificate:
@@ -239,28 +233,16 @@ def _residual_irreducible_note(rec: SideAnalysis) -> str:
     )
 
 
-def _report(input_str, f, p, seed, mode, cert, notes, phi_reports):
-    notes.append(
-        f"if f is irreducible over the base field, at most {cert.factor_bound} "
-        f"valuation(s) extend nu to the root field, equivalently at most "
-        f"{cert.factor_bound} prime ideal(s) lie above {p}"
-    )
-    return AnalysisReport(
-        input=input_str, f=f, prime=p, seed=seed, mode=mode,
-        verdict=cert.verdict, factor_bound=cert.factor_bound,
-        min_factor_degree=cert.min_factor_degree,
-        refined_bound=cert.refined_bound,
-        notes=notes, phi_reports=list(phi_reports),
-    )
-
-
-def _validate_input(f: IntPoly, p: int):
+def _validate_input(f: IntPoly, p: int, phi: IntPoly | None = None) -> None:
+    """The input policy, stated once: p prime, f monic of degree >= 1, and
+    phi, when given, monic of degree >= 1.  Raises ValueError for the first
+    fault in that order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if f.degree < 1:
-        raise ValueError("f must have degree >= 1")
-    if not f.is_monic:
-        raise ValueError("f must be monic")
+    if f.degree < 1 or not f.is_monic:
+        raise ValueError("input polynomial must be monic of degree >= 1")
+    if phi is not None and (phi.degree < 1 or not phi.is_monic):
+        raise ValueError("phi must be monic of degree >= 1")
 
 
 def analyze(
@@ -270,15 +252,30 @@ def analyze(
     seed: int = 0,
     input_str: str | None = None,
 ) -> AnalysisReport:
-    """Run the single-phi criteria when phi is given, the full bound otherwise."""
+    """Run the single-phi criteria when phi is given, the full bound otherwise.
+
+    Raises ValueError when the input breaks the policy of `_validate_input`.
+    """
+    _validate_input(f, p, phi)
     if phi is None:
-        return bound_full(f, p, seed, input_str)
-    _validate_input(f, p)
-    if input_str is None:
-        input_str = render_poly(f)
-    cert, notes, phi_reports = _single_phi(f, phi, p)
-    return _report(input_str, f, p, seed, MODE_SINGLE_PHI, cert, notes,
-                   phi_reports)
+        mode = MODE_FULL
+        cert, notes, phi_reports = _full(f, p, seed)
+    else:
+        mode = MODE_SINGLE_PHI
+        cert, notes, phi_reports = _single_phi(f, phi, p)
+    notes.append(
+        f"if f is irreducible over the base field, at most {cert.factor_bound} "
+        f"valuation(s) extend nu to the root field, equivalently at most "
+        f"{cert.factor_bound} prime ideal(s) lie above {p}"
+    )
+    return AnalysisReport(
+        input=render_poly(f) if input_str is None else input_str,
+        f=f, prime=p, seed=seed, mode=mode,
+        verdict=cert.verdict, factor_bound=cert.factor_bound,
+        min_factor_degree=cert.min_factor_degree,
+        refined_bound=cert.refined_bound,
+        notes=notes, phi_reports=phi_reports,
+    )
 
 
 def _gate_failed(f: IntPoly, reason: str):
@@ -290,19 +287,18 @@ def _gate_failed(f: IntPoly, reason: str):
 def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
     """The single-phi criteria need phi mod p irreducible and f mod p a power
     of it; otherwise the verdict is INAPPLICABLE with the reason as first
-    note.  A phi that is not monic of degree >= 1 is an input error and
-    raises ValueError.  The field F_phi is built here, so Rabin's test runs
-    once on phibar, and the power test reads the one phi-expansion."""
-    if not phi.is_monic or phi.degree < 1:
-        raise ValueError("phi must be monic of degree >= 1")
+    note.  The field F_phi is built here, so Rabin's test runs once on
+    phibar, and the power test reads the one phi-expansion before any
+    polygon is built."""
     phibar = phi.reduce_mod(p)
     try:
         ext_field(phibar)
     except ValueError:
         return _gate_failed(f, f"phi mod {p} = {phibar} is reducible over F_{p}")
-    pr = analyze_phi(f, phi, f.degree // phi.degree, p)
-    if not pr.is_phibar_power:
+    exp = phi_expand(f, phi, p)
+    if not exp.is_phibar_power:
         return _gate_failed(f, f"f mod {p} is not a power of {phibar}")
+    pr = _analyze_phi(exp, exp.length)
 
     cert = _certify([pr])
     n, w = pr.multiplicity, pr.exact_power_exponent
@@ -349,12 +345,7 @@ def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
     return cert, notes, [pr]
 
 
-def bound_full(
-    f: IntPoly,
-    p: int,
-    seed: int = 0,
-    input_str: str | None = None,
-) -> AnalysisReport:
+def _full(f, p, seed) -> tuple[Certificate, list[str], list[PhiReport]]:
     """Sum of principal side degrees over every irreducible factor of f mod p.
 
     Factors f mod p completely, builds each phi_i-polygon from the canonical
@@ -364,12 +355,9 @@ def bound_full(
     residual polynomial; equality would require regularity, so it is
     reported as information only.
     """
-    _validate_input(f, p)
-    if input_str is None:
-        input_str = render_poly(f)
     factorization = fp_factorize(f.reduce_mod(p), seed)
     phi_reports = [
-        analyze_phi(f, IntPoly(phibar.coeffs), n_i, p)
+        _analyze_phi(phi_expand(f, IntPoly(phibar.coeffs), p), n_i)
         for phibar, n_i in factorization.factors
     ]
     notes = []
@@ -396,4 +384,4 @@ def bound_full(
             f"{_count_word(cert.factor_bound)} irreducible factor(s) over the "
             f"henselization"
         )
-    return _report(input_str, f, p, seed, MODE_FULL, cert, notes, phi_reports)
+    return cert, notes, phi_reports

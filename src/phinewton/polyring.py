@@ -203,6 +203,16 @@ class PhiExpansion:
         """Index of the leading expansion coefficient."""
         return len(self.coeffs) - 1
 
+    @property
+    def is_phibar_power(self) -> bool:
+        """f mod p = phibar^n with n = `length`.  The expansion is unique, and
+        so is its reduction in phibar, so this holds exactly when
+        deg f = n * deg phi (the monic leading a_n is 1) and p divides a_i,
+        u_i > 0 or INFINITY, for every i < n."""
+        n = self.length
+        return (self.f.degree == n * self.phi.degree
+                and all(u is INFINITY or u > 0 for u in self.valuations[:n]))
+
     def points(self) -> list[tuple[int, ExtInt]]:
         """The valuation points (i, u_i) feeding the Newton polygon."""
         return list(enumerate(self.valuations))

@@ -13,7 +13,6 @@ from phinewton.criteria import (
     INAPPLICABLE,
     IRREDUCIBLE,
     analyze,
-    bound_full,
 )
 from phinewton.expr import parse_poly
 from oracles import (
@@ -84,7 +83,7 @@ def test_criterion_2_two_coprime_factors_replay():
         f = (X**5 + IntPoly.constant(p**3)) * (
             IntPoly([1, 1]) ** 4 + IntPoly.constant(p**3)
         )
-        r = bound_full(f, p)
+        r = analyze(f, p)
         if r.factor_bound != 2:
             failures.append(f"p={p}: bound {r.factor_bound}")
         for pr in r.phi_reports:
@@ -190,7 +189,7 @@ def test_criterion_5_bound_soundness_suite():
         k = 2 + trial % 3
         p = (2, 3, 5)[trial % 3]
         witness = gen_factor_witness(p, k, seed=rng.randrange(2**30))
-        r = bound_full(witness.product, p)
+        r = analyze(witness.product, p)
         if r.factor_bound < witness.k:
             failures.append(
                 f"trial {trial}: bound {r.factor_bound} < k={witness.k}"

@@ -10,10 +10,10 @@ import pytest
 
 import phinewton
 from oracles import gen_power_family
-from phinewton import polyring, residue_field
+from phinewton import polygon, polyring, residue_field, valuation
 from phinewton.cli import main, report_to_dict, render_svg
 from phinewton.criteria import analyze
-from phinewton.expr import MAX_NESTING, parse_poly, render_poly
+from phinewton.expr import MAX_NESTING, ParseError, parse_poly, render_poly
 from phinewton.polyring import IntPoly
 
 DEG12 = "(x^2+x+1)^6 + 24x*(x^2+x+1)^3 + 9*(16x+32)*(x^2+x+1) + 3*(16x+16)"
@@ -322,6 +322,69 @@ class TestPowerOnce:
             ("x^4+x+1", "-p", "2", "--phi", "x^2+x+1", *extra), "f")
         assert code == 2
         assert expanded == ["IntPoly([1, 1, 0, 0, 1])"]
+
+    @pytest.mark.parametrize("extra", [(), ("--check-only",)])
+    def test_no_polygon_when_the_gate_fails(self, capsys, extra):
+        # x^3 + x^2 + 2 mod 2 = x^2 (x + 1) is not a power of x, which the
+        # expansion shows (u_2 = 0), so no polygon or residual is needed
+        argv = ("x^3+x^2+2", "-p", "2", "--phi", "x", *extra)
+        code, built = profiled_calls(capsys, polygon.build_polygon, argv, "points")
+        assert code == 2
+        assert built == []
+        code, counted = profiled_calls(
+            capsys, residue_field.count_irreducible_factors, argv, "g")
+        assert code == 2
+        assert counted == []
+
+
+class TestPrimeOnce:
+    """The input is validated once, so every CLI run tests p for primality
+    once, in both modes and with or without --check-only."""
+
+    @pytest.mark.parametrize("argv", [
+        ("x^2+2x+2", "-p", "2"),
+        (DEG12, "-p", "2", "--phi", "x^2+x+1"),
+        (DEG12, "-p", "2", "--phi", "x^2+x+1", "--check-only"),
+        ("x^24+x+7", "-p", "65521", "--check-only"),
+    ], ids=["full", "single-phi", "check-only-phi", "check-only"])
+    def test_one_primality_check(self, capsys, argv):
+        code, tested = profiled_calls(capsys, valuation.is_prime, argv, "n")
+        assert code == 0
+        assert tested == [argv[2]]
+
+
+def _policy_cases():
+    """(f, p, phi, message) for inputs that break the one input policy."""
+    for p in (-3, 0, 1, 4, 2**61 + 1):
+        for phi in (None, "x"):
+            yield "x^2+2x+2", p, phi, f"{p} is not prime"
+    for f in ("2x^2+1", "7"):
+        for phi in (None, "x"):
+            yield f, 2, phi, "input polynomial must be monic of degree >= 1"
+    yield "x^2+2x+2", 2, "2x+1", "phi must be monic of degree >= 1"
+
+
+POLICY_CASES = list(_policy_cases())
+
+
+class TestOnePolicy:
+    """`analyze` states the input policy; the CLI prints its message as is."""
+
+    @pytest.mark.parametrize("extra", [(), ("--check-only",)], ids=["run", "check-only"])
+    @pytest.mark.parametrize("f, p, phi, message", POLICY_CASES,
+                             ids=[f"{f} -p {p} --phi {phi}" for f, p, phi, _ in POLICY_CASES])
+    def test_cli_prints_the_analyze_message(self, capsys, f, p, phi, message, extra):
+        parsed_phi = None if phi is None else parse_poly(phi)
+        with pytest.raises(ValueError) as raised:
+            analyze(parse_poly(f), p, phi=parsed_phi)
+        assert str(raised.value) == message
+        argv = [f, "-p", str(p), *(() if phi is None else ("--phi", phi)), *extra]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_syntax_error_is_named_before_a_bad_prime(self, capsys):
+        with pytest.raises(ParseError) as raised:
+            parse_poly("x^^2")
+        assert run_cli(capsys, "x^^2", "-p", "4") == (1, "", f"error: {raised.value}\n")
 
 
 class TestInputFile(object):

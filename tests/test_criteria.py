@@ -9,8 +9,6 @@ from phinewton.criteria import (
     INAPPLICABLE,
     IRREDUCIBLE,
     analyze,
-    analyze_phi,
-    bound_full,
 )
 from oracles import (
     check_single_side_hypothesis,
@@ -216,12 +214,14 @@ class TestAnalyzeSinglePhi:
 
 
 class TestBoundFull:
+    """Full mode: `analyze(f, p)` with no phi bounds over every phi_i."""
+
     def test_product_of_two_coprime_pieces(self):
         for p in (2, 3, 5):
             f = (X**5 + IntPoly.constant(p**3)) * (
                 IntPoly([1, 1]) ** 4 + IntPoly.constant(p**3)
             )
-            r = bound_full(f, p)
+            r = analyze(f, p)
             assert r.verdict == BOUNDED
             assert r.factor_bound == 2
             assert [pr.side_degree_sum for pr in r.phi_reports] == [1, 1]
@@ -232,38 +232,38 @@ class TestBoundFull:
             assert any("exactly two" in n for n in r.notes)
 
     def test_eisenstein_without_phi(self):
-        r = bound_full(IntPoly([2, 2, 1]), 2)
+        r = analyze(IntPoly([2, 2, 1]), 2)
         assert r.verdict == IRREDUCIBLE
         assert r.factor_bound == 1
 
     def test_residual_certificate_in_full_mode(self):
         f = X**6 + 24 * X**5 + 4 * X**3 + 240 * X**2 + 480 * X + IntPoly([48])
-        r = bound_full(f, 2)
+        r = analyze(f, 2)
         assert r.verdict == IRREDUCIBLE
         assert r.factor_bound == 1
 
     def test_squarefree_reduction(self):
         # f mod 2 = x(x+1)(x^2+x+1), all simple: bound equals the factor count
         f = X * (X + 1) * PHI_QUAD + IntPoly.constant(2)
-        r = bound_full(f, 2)
+        r = analyze(f, 2)
         assert r.factor_bound == 3
         assert all(pr.side_degree_sum == 1 for pr in r.phi_reports)
         assert any("exactly three" in n for n in r.notes)
 
     def test_irreducible_mod_p(self):
-        r = bound_full(PHI_QUAD, 2)
+        r = analyze(PHI_QUAD, 2)
         assert r.verdict == IRREDUCIBLE
 
     def test_exact_power_divisor(self):
         # phi^2 divides f exactly: the power contributes to the bound
         f = PHI_QUAD**2 * (X + 2)
-        r = bound_full(f, 2)
+        r = analyze(f, 2)
         phi_pr = [pr for pr in r.phi_reports if pr.phi == PHI_QUAD][0]
         assert phi_pr.exact_power_exponent == 2
         assert r.factor_bound == 3
 
     def test_exact_power_whole_input(self):
-        r = bound_full(PHI_QUAD**2, 2)
+        r = analyze(PHI_QUAD**2, 2)
         assert r.factor_bound == 2
         assert r.verdict == BOUNDED
         assert r.phi_reports[0].exact_power_exponent == 2
@@ -274,7 +274,7 @@ class TestBoundFull:
             for _ in range(15):
                 k = rng.randint(2, 4)
                 witness = gen_factor_witness(p, k, rng.randrange(2**30))
-                r = bound_full(witness.product, p)
+                r = analyze(witness.product, p)
                 assert r.factor_bound >= witness.k
                 if r.refined_bound is not None:
                     assert r.refined_bound <= r.factor_bound
@@ -282,7 +282,7 @@ class TestBoundFull:
     def test_monotonicity_of_reports(self):
         rng = random.Random(101)
         for f in gen_power_family(2, PHI_QUAD, 25, seed=rng.randrange(2**30)):
-            r = bound_full(f, 2)
+            r = analyze(f, 2)
             n = f.degree
             assert r.refined_bound <= r.factor_bound <= n
             doc = report_to_dict(r)
@@ -321,8 +321,8 @@ class TestCrossModeAgreement:
 
 
 class TestPowerGate:
-    """`PhiReport.is_phibar_power`, read off the phi-expansion, agrees with
-    raising phibar to the n-th power over F_p."""
+    """`PhiExpansion.is_phibar_power`, read off the phi-expansion, agrees
+    with raising phibar to the n-th power over F_p."""
 
     PHIS = {
         2: (X, IntPoly([1, 1]), PHI_QUAD, IntPoly([1, 1, 0, 1])),
@@ -337,9 +337,8 @@ class TestPowerGate:
         for p, phis in self.PHIS.items():
             for phi in phis:
                 for f in self._inputs(rng, p, phi):
-                    pr = analyze_phi(f, phi, f.degree // phi.degree, p)
                     expected = is_power_of_phibar(f, phi, p)
-                    assert pr.is_phibar_power == expected, (f, phi, p)
+                    assert phi_expand(f, phi, p).is_phibar_power == expected, (f, phi, p)
                     kinds[expected, f.degree % phi.degree == 0] += 1
         # powers, non-powers of a multiple degree, degrees that are no multiple
         assert min(kinds[True, True], kinds[False, True], kinds[False, False]) >= 50

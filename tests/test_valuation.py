@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from phinewton.criteria import analyze, bound_full
+from phinewton.criteria import analyze
 from phinewton.polyring import IntPoly
 from phinewton.valuation import INFINITY, is_prime, valuation
 
@@ -111,14 +111,16 @@ class TestReduceRational:
 
 class TestPrimality:
     def test_domain_requires_prime(self):
+        # both modes: full, and single-phi with phi = x
         f = IntPoly([2, 2, 1])
+        phis = (None, IntPoly([0, 1]))
         for p in (2, 97, 2**61 - 1):
-            analyze(f, p)
-            bound_full(f, p)
+            for phi in phis:
+                analyze(f, p, phi=phi)
         for bad in (0, 1, 4, 9, 91, 2**61 + 1):
-            for entry in (analyze, bound_full):
+            for phi in phis:
                 with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
-                    entry(f, bad)
+                    analyze(f, bad, phi=phi)
 
     def test_is_prime_small_range(self):
         def sieve(limit):
