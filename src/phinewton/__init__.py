@@ -18,11 +18,9 @@ from .residue_field import (
     count_irreducible_factors,
     ext_field,
     fp_factorize,
-    is_irreducible,
 )
 from .polygon import (
     NewtonPolygon,
-    PolygonPoint,
     Side,
     build_polygon,
 )
@@ -52,9 +50,7 @@ __all__ = [
     "count_irreducible_factors",
     "ext_field",
     "fp_factorize",
-    "is_irreducible",
     "NewtonPolygon",
-    "PolygonPoint",
     "Side",
     "build_polygon",
     "residual_coefficient",

@@ -18,8 +18,9 @@ line included.
 The JSON report is stable under re-runs: feeding the embedded input, prime,
 phi, and seed back through the tool reproduces the report byte for byte.
 Top-level keys: input, prime, mode, phi_reports, verdict, factor_bound,
-min_factor_degree (present only when certified), refined_bound,
-valuation_count_bound, prime_ideal_count_bound, notes, seed, version.
+min_factor_degree (present only when certified), refined_bound (present
+only when computed), valuation_count_bound, prime_ideal_count_bound,
+notes, seed, version.
 Each phi_report carries phi, multiplicity, and per-side geometry with the
 residual polynomial as the coefficient list [t_0 .. t_d] over F_phi (t_i is
 the F_p coefficient list, ascending in x, of the coefficient of y^(d-i)).
@@ -132,7 +133,7 @@ _MARGIN = 56
 
 
 def _svg_phi_block(pr, y_offset: int) -> tuple[list[str], int, int]:
-    finite = [(i, u) for i, u in pr.polygon.all_points if u is not INFINITY]
+    finite = [(i, u) for i, u in pr.expansion.points() if u is not INFINITY]
     max_i = max(i for i, _ in finite)
     max_u = max(u for _, u in finite)
     width = _MARGIN * 2 + _SX * max(max_i, 1)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .expr import render_poly
-from .polygon import NewtonPolygon, Side, build_polygon, single_vertex_polygon
+from .polygon import NewtonPolygon, Side, build_polygon
 from .polyring import IntPoly, PhiExpansion, phi_expand
 from .residual import residual_polynomial
 from .residue_field import FqPoly, ext_field
@@ -145,7 +145,6 @@ class AnalysisReport:
     """Everything the criteria certify about one input polynomial."""
 
     input: str
-    f: IntPoly
     prime: int
     seed: int
     mode: str
@@ -169,7 +168,7 @@ def _analyze_phi(exp: PhiExpansion, multiplicity: int) -> PhiReport:
     if w == exp.length:
         # f = phi^n exactly: phi is irreducible over the henselization, so
         # the factor count is exactly n.
-        polygon = single_vertex_polygon(exp.length, 0, exp.points())
+        polygon = NewtonPolygon(((exp.length, 0),), ())
         return PhiReport(multiplicity, exp, polygon, (), w)
     polygon = build_polygon(exp.points())
     sides = []
@@ -270,7 +269,7 @@ def analyze(
     )
     return AnalysisReport(
         input=render_poly(f) if input_str is None else input_str,
-        f=f, prime=p, seed=seed, mode=mode,
+        prime=p, seed=seed, mode=mode,
         verdict=cert.verdict, factor_bound=cert.factor_bound,
         min_factor_degree=cert.min_factor_degree,
         refined_bound=cert.refined_bound,
@@ -287,8 +286,8 @@ def _gate_failed(f: IntPoly, reason: str):
 def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
     """The single-phi criteria need phi mod p irreducible and f mod p a power
     of it; otherwise the verdict is INAPPLICABLE with the reason as first
-    note.  The field F_phi is built here, so Rabin's test runs once on
-    phibar, and the power test reads the one phi-expansion before any
+    note.  The field F_phi is built here, so phibar's irreducibility is
+    checked once, and the power test reads the one phi-expansion before any
     polygon is built."""
     phibar = phi.reduce_mod(p)
     try:

@@ -1,6 +1,6 @@
 """Parser and renderer for integer polynomial expressions in x.
 
-Grammar (whitespace-insensitive, integers unbounded):
+Grammar (whitespace between tokens ignored, integers unbounded):
 
     expr   := '-'? term (('+' | '-') term)*
     term   := factor ('*'? factor)*
@@ -8,16 +8,17 @@ Grammar (whitespace-insensitive, integers unbounded):
     base   := uint | 'x' | '(' expr ')'
 
 The '*' between adjacent factors is optional, so inputs like
-"24x(x^2+x+1)^3" parse as written.  A single leading '-' is accepted so
-rendered polynomials always round-trip; doubled operators are rejected.
-Parentheses nest at most MAX_NESTING deep, and no power or product may have
-degree above MAX_DEGREE.  No integer literal, power or product may have
-coefficients above MAX_COEFF_BITS bits: a power base^n is refused when
-n * (bits of base's largest coefficient + bits of its length) exceeds it, a
-product when the two operands' such sums do.  Both limits are checked before
-any arithmetic, so 2^1000000000 is refused at once; 2^9000 still parses.
-Integers of any number of digits parse and render (in chunks, below CPython's
-int/str conversion limit).
+"24x(x^2+x+1)^3" parse as written, but whitespace may not split an integer:
+"1 000" and "x^2 3" are parse errors, not products.  A single leading '-' is
+accepted so rendered polynomials always round-trip; doubled operators are
+rejected.  Parentheses nest at most MAX_NESTING deep, and no power or
+product may have degree above MAX_DEGREE.  No integer literal, power or
+product may have coefficients above MAX_COEFF_BITS bits: a power base^n is
+refused when n * (bits of base's largest coefficient + bits of its length)
+exceeds it, a product when the two operands' such sums do.  Both limits are
+checked before any arithmetic, so 2^1000000000 is refused at once; 2^9000
+still parses.  Integers of any number of digits parse and render (in
+chunks, below CPython's int/str conversion limit).
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ class _Parser:
             raise ParseError("expected an integer", start)
         if self.pos < len(self.src) and self.src[self.pos] == ".":
             raise ParseError("non-integer coefficient", self.pos)
-        value = _parse_digits(self.src[start : self.pos])
+        end = self.pos
+        if self.peek().isdigit():
+            raise ParseError("whitespace inside an integer", end)
+        value = _parse_digits(self.src[start:end])
         self._check_bits(value.bit_length(), start)
         return value
 

@@ -2,22 +2,15 @@
 
 All geometry is exact: points are lattice points (index, valuation), hull
 comparisons are integer cross products, and slopes are `Fraction`s.  Points
-at INFINITY are carried along for residual lookups but never become
-vertices.
+at INFINITY never become vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .valuation import INFINITY, ExtInt
-
-
-class PolygonPoint(NamedTuple):
-    index: int
-    height: ExtInt
+from .valuation import INFINITY
 
 
 @dataclass(frozen=True)
@@ -57,43 +50,29 @@ class Side:
         return self.start[1] + self.slope * (index - self.start[0])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NewtonPolygon:
-    """Lower convex envelope: hull vertices, merged sides, and all raw points.
+    """Lower convex envelope: hull vertices and merged sides.
 
-    Sides have strictly increasing slopes (collinear segments are merged);
-    points interior to a side remain available in `all_points`.  Two polygons
-    compare equal when their vertex chains coincide.
+    Sides have strictly increasing slopes (collinear segments are merged),
+    so two polygons are equal when their vertex chains coincide.
     """
 
     vertices: tuple
     sides: tuple
-    all_points: tuple
-
-    def __eq__(self, other):
-        return isinstance(other, NewtonPolygon) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def principal_part(self) -> "NewtonPolygon":
         """The sub-polygon of sides with strictly negative slope."""
         kept = [s for s in self.sides if s.slope < 0]
-        vertices = self.vertices[: len(kept) + 1]
-        if not kept:
-            vertices = self.vertices[:1]
-        return NewtonPolygon(tuple(vertices), tuple(kept), self.all_points)
-
-    def __repr__(self):
-        return f"NewtonPolygon(vertices={list(self.vertices)})"
+        return NewtonPolygon(self.vertices[: len(kept) + 1], tuple(kept))
 
 
-def _normalize_points(points) -> list[PolygonPoint]:
-    pts = [PolygonPoint(int(i), u if u is INFINITY else int(u)) for i, u in points]
-    pts.sort(key=lambda q: q.index)
+def _normalize_points(points) -> list[tuple]:
+    pts = [(int(i), u if u is INFINITY else int(u)) for i, u in points]
+    pts.sort(key=lambda q: q[0])
     for a, b in zip(pts, pts[1:]):
-        if a.index == b.index:
-            raise ValueError(f"duplicate abscissa {a.index}")
+        if a[0] == b[0]:
+            raise ValueError(f"duplicate abscissa {a[0]}")
     return pts
 
 
@@ -108,7 +87,7 @@ def build_polygon(points) -> NewtonPolygon:
     strictly increase.  Requires at least two finite points.
     """
     pts = _normalize_points(points)
-    finite = [(q.index, q.height) for q in pts if q.height is not INFINITY]
+    finite = [q for q in pts if q[1] is not INFINITY]
     if len(finite) < 2:
         raise ValueError("degenerate input: need at least two finite points")
     hull: list[tuple[int, int]] = []
@@ -119,12 +98,5 @@ def build_polygon(points) -> NewtonPolygon:
     sides = tuple(
         Side.from_endpoints(hull[k], hull[k + 1]) for k in range(len(hull) - 1)
     )
-    return NewtonPolygon(tuple(hull), sides, tuple(pts))
-
-
-def single_vertex_polygon(index: int, height: int, all_points=()) -> NewtonPolygon:
-    """A polygon with one vertex and no sides."""
-    vertex = (int(index), int(height))
-    pts = tuple(all_points) if all_points else (PolygonPoint(*vertex),)
-    return NewtonPolygon((vertex,), (), pts)
+    return NewtonPolygon(tuple(hull), sides)
 

@@ -17,19 +17,20 @@ with no trailing zeros.  Extension fields are taken in the presentation the
 caller fixes, with no canonical-model normalization, so residue classes stay
 auditable against the inputs that produced them.
 
-Rabin's irreducibility test and factor counting (squarefree decomposition
-plus distinct-degree splitting) work over any of these fields.  Complete
+Factor counting (squarefree decomposition plus distinct-degree splitting)
+works over any of these fields, and is also the irreducibility test: a
+polynomial of degree >= 1 is irreducible iff it has one factor.  Complete
 factorization adds seeded Cantor-Zassenhaus equal-degree splitting over F_p
 only; its result is deterministic for a given (polynomial, seed).
 
-Both Rabin's test and the distinct-degree split apply the q-power
-(Frobenius) map through a table T[i] = x^(i*q) mod f, built once per
-modulus f from one pow_mod and deg f - 2 products: h^q = sum h_i T[i],
-because every coefficient h_i of h is fixed by Frobenius.
+The distinct-degree split applies the q-power (Frobenius) map through a
+table T[i] = x^(i*q) mod f, built once per modulus f from one pow_mod and
+deg f - 2 products: h^q = sum h_i T[i], because every coefficient h_i of h
+is fixed by Frobenius.
 
 ext_field shares one ExtField per modulus.  A modulus it has not seen is
-checked in full, Rabin's test included; the factors of fp_factorize, which
-are irreducible by construction, enter that cache without a second test.
+checked in full, its factor count included; the factors of fp_factorize,
+which are irreducible by construction, enter that cache without a test.
 """
 
 from __future__ import annotations
@@ -38,20 +39,6 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import zip_longest
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _term_str(coeff: str, power: int, var: str) -> str:
@@ -340,32 +327,6 @@ def _frobenius(h: FqPoly, table: list[FqPoly]) -> FqPoly:
     return _poly(field, [c % mod for c in out])
 
 
-def is_irreducible(f: FqPoly) -> bool:
-    """Rabin's irreducibility test over F_q, q = p^m.
-
-    Checks x^(q^n) = x mod f and gcd(x^(q^(n/ell)) - x, f) = 1 for every
-    prime ell dividing n = deg f.  Constants are not irreducible.
-    """
-    n = f.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    f = f.monic()
-    x = FqPoly.x(f.field)
-    xq = x.pow_mod(f.field.q, f)
-    table = _frobenius_table(f, xq)
-    powers = [x, xq]
-    for _ in range(n - 1):
-        powers.append(_frobenius(powers[-1], table))
-    if powers[n] != x:
-        return False
-    for ell in _prime_factors(n):
-        if f.gcd(powers[n // ell] - x).degree != 0:
-            return False
-    return True
-
-
 class ExtField:
     """The extension field F_p[x]/(phibar) for a monic irreducible phibar.
 
@@ -379,7 +340,7 @@ class ExtField:
             raise ValueError("modulus must be a polynomial over a prime field")
         if not modulus.is_monic or modulus.degree < 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if not is_irreducible(modulus):
+        if count_irreducible_factors(modulus) != 1:
             raise ValueError(f"modulus {modulus} is reducible over F_{modulus.p}")
         self._fill(modulus)
 
@@ -435,8 +396,9 @@ _fields: dict[FqPoly, ExtField] = {}
 def ext_field(modulus: FqPoly) -> ExtField:
     """Shared-instance constructor for F_p[x]/(modulus).
 
-    A modulus seen for the first time gets every check of ExtField, Rabin's
-    test included, unless fp_factorize has already proven it irreducible.
+    A modulus seen for the first time gets every check of ExtField, its
+    factor count included, unless fp_factorize has already proven it
+    irreducible.
     """
     field = _fields.get(modulus)
     if field is None:
@@ -563,7 +525,7 @@ def fp_factorize(f: FqPoly, seed: int = 0) -> FactorizationFp:
 
     Each factor is irreducible by construction: the distinct-degree split and
     Cantor-Zassenhaus stop only at degree e.  So its field enters the
-    ext_field cache without a second Rabin test.
+    ext_field cache without a second test.
     """
     if not isinstance(f.field, PrimeField):
         raise ValueError("complete factorization needs a prime field")

@@ -6,9 +6,10 @@ instead of running a monotone chain, the factorization oracle trial-divides
 against an exhaustive enumeration instead of running Cantor-Zassenhaus, the
 polygon validator checks the defining inequalities directly, the
 single-side check tests the paper's inequality point by point instead of
-reading it off the polygon, and the power test raises phibar to the n-th
-power over F_p instead of reading the phi-expansion.  The recompose helpers
-multiply an expansion or a factorization back out.
+reading it off the polygon, the power test raises phibar to the n-th power
+over F_p instead of reading the phi-expansion, and Rabin's irreducibility
+test, built on plain pow_mod, checks the package's factor count.  The
+recompose helpers multiply an expansion or a factorization back out.
 
 The generators build polynomials whose factor structure is known by
 construction, which turns the product rule and the factor-count bounds into
@@ -23,10 +24,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from phinewton.polygon import NewtonPolygon, PolygonPoint, Side, build_polygon
+from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, PhiExpansion, phi_expand
 from phinewton.residual import residual_polynomial
-from phinewton.residue_field import ExtField, FactorizationFp, FqPoly, is_irreducible
+from phinewton.residue_field import ExtField, FactorizationFp, FqPoly
 from phinewton.valuation import INFINITY
 
 
@@ -38,6 +39,29 @@ def is_power_of_phibar(f: IntPoly, phi: IntPoly, p: int) -> bool:
     if m < 1 or f.degree % m != 0:
         return False
     return f.reduce_mod(p) == phi.reduce_mod(p) ** (f.degree // m)
+
+
+def rabin_is_irreducible(f: FqPoly) -> bool:
+    """Rabin's irreducibility test over F_q, q = p^m.
+
+    f of degree n >= 1 is irreducible iff x^(q^n) = x mod f and
+    gcd(x^(q^(n/ell)) - x, f) = 1 for every prime ell dividing n.  Each
+    x^(q^k) comes from the last by pow_mod, not from a Frobenius table.
+    Constants are not irreducible.
+    """
+    n = f.degree
+    if n <= 0:
+        return False
+    f = f.monic()
+    x = FqPoly.x(f.field)
+    powers = [x % f]
+    for _ in range(n):
+        powers.append(powers[-1].pow_mod(f.field.q, f))
+    if powers[n] != powers[0]:
+        return False
+    ells = [ell for ell in range(2, n + 1)
+            if n % ell == 0 and all(ell % d for d in range(2, ell))]
+    return all(f.gcd(powers[n // ell] - x).degree == 0 for ell in ells)
 
 
 def recompose_expansion(exp: PhiExpansion) -> IntPoly:
@@ -91,7 +115,7 @@ def hull_oracle(points) -> NewtonPolygon:
         Side.from_endpoints(vertices[k], vertices[k + 1])
         for k in range(len(vertices) - 1)
     )
-    return NewtonPolygon(tuple(vertices), sides, tuple(pts))
+    return NewtonPolygon(tuple(vertices), sides)
 
 
 def validate_polygon(np: NewtonPolygon, points) -> bool:
@@ -159,7 +183,7 @@ def minkowski_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:
     sides = tuple(
         Side.from_endpoints(verts[k], verts[k + 1]) for k in range(len(verts) - 1)
     )
-    return NewtonPolygon(tuple(verts), sides, tuple(PolygonPoint(*v) for v in verts))
+    return NewtonPolygon(tuple(verts), sides)
 
 
 @dataclass(frozen=True)
@@ -325,7 +349,7 @@ def gen_eisenstein_family(
     (i, u_i) on or above the line to (n, 0), with gcd(H, n) cycling through
     the requested targets.
     """
-    if not is_irreducible(phi.reduce_mod(p)):
+    if not rabin_is_irreducible(phi.reduce_mod(p)):
         raise ValueError("phi must reduce to an irreducible polynomial")
     rng = random.Random(seed)
     m = phi.degree
@@ -403,7 +427,7 @@ def _phi_pool(p: int) -> list[IntPoly]:
     pool = [IntPoly((0, 1)), IntPoly((1, 1))]
     for tail in itertools.product(range(p), repeat=2):
         cand = FqPoly(p, tail + (1,))
-        if is_irreducible(cand):
+        if rabin_is_irreducible(cand):
             pool.append(IntPoly(cand.coeffs))
             if len(pool) >= 5:
                 break

@@ -24,6 +24,7 @@ from oracles import (
     gen_power_family,
     hull_oracle,
     minkowski_sum,
+    rabin_is_irreducible,
     side_at_slope,
 )
 from phinewton.polygon import build_polygon
@@ -34,7 +35,6 @@ from phinewton.residue_field import (
     count_irreducible_factors,
     ext_field,
     fp_factorize,
-    is_irreducible,
 )
 from phinewton.valuation import INFINITY
 
@@ -293,7 +293,7 @@ def test_criterion_8_finite_field_stack():
         ]
         coeffs.append(field.one)
         g = FqPoly(field, coeffs)
-        if is_irreducible(g) != (count_irreducible_factors(g) == 1):
+        if rabin_is_irreducible(g) != (count_irreducible_factors(g) == 1):
             failures.append(f"ext {field}: {g}")
     _report(8, failures, "126 exhaustive + 300 random factorizations, 200 ext polys")
 

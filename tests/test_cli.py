@@ -193,6 +193,13 @@ class TestHostileInput:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_whitespace_inside_an_integer_exits_1(self):
+        proc = run_subprocess("x^3 + 1 000 003", "-p", "2")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: whitespace inside an integer (at position 7)\n")
+
     def test_nesting_at_limit_still_parses(self, capsys):
         code, out, err = run_cli(capsys, self.nested(MAX_NESTING), "-p", "2")
         assert code == 0
@@ -290,16 +297,18 @@ def profiled_calls(capsys, func, argv, arg):
 
 
 class TestRabinOnce:
-    """A single-phi run tests the irreducibility of phibar once."""
+    """A single-phi run tests the irreducibility of phibar once, by its
+    factor count over F_p; the residual counts over F_phi (printed in y)
+    are not tests of phibar."""
 
     @pytest.mark.parametrize("extra", [(), ("--check-only",)])
     def test_one_rabin_test_on_phibar(self, capsys, monkeypatch, extra):
         monkeypatch.setattr(residue_field, "_fields", {})  # no field cached yet
-        code, tested = profiled_calls(
-            capsys, residue_field.is_irreducible,
-            (DEG12, "-p", "2", "--phi", "x^2+x+1", *extra), "f")
+        code, counted = profiled_calls(
+            capsys, residue_field.count_irreducible_factors,
+            (DEG12, "-p", "2", "--phi", "x^2+x+1", *extra), "g")
         assert code == 0
-        assert tested == ["x^2 + x + 1"]
+        assert [g for g in counted if "y" not in g] == ["x^2 + x + 1"]
 
 
 class TestPowerOnce:

@@ -17,10 +17,23 @@ class TestParse:
 
     def test_whitespace_insensitive(self):
         assert parse_poly(" x ^2+2 x+ 2 ") == IntPoly([2, 2, 1])
+        assert parse_poly("24 x") == IntPoly([0, 24])
 
     def test_optional_star(self):
         assert parse_poly("2*x") == parse_poly("2x")
         assert parse_poly("3*(x+1)") == parse_poly("3(x+1)")
+
+    @pytest.mark.parametrize("src, position", [
+        ("x^3 + 1 000 003", 7),
+        ("x^2 3", 3),
+        ("1 2", 1),
+    ])
+    def test_whitespace_inside_an_integer(self, src, position):
+        # not read as a product: x^3 + 1*000*003 would be x^3
+        with pytest.raises(ParseError) as err:
+            parse_poly(src)
+        assert str(err.value) == (
+            f"whitespace inside an integer (at position {position})")
 
     def test_nested_phi_form(self):
         src = "(x^2+x+1)^6 + 24x*(x^2+x+1)^3 + 9*(16x+32)*(x^2+x+1) + 3*(16x+16)"

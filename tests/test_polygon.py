@@ -4,11 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import gen_power_family, hull_oracle, minkowski_sum, validate_polygon
-from phinewton.polygon import (
-    Side,
-    build_polygon,
-    single_vertex_polygon,
-)
+from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.valuation import INFINITY
 
@@ -55,13 +51,10 @@ class TestBuildPolygon:
         np_ = build_polygon([(0, 4), (3, 2), (6, 0)])
         assert len(np_.sides) == 1
         assert np_.sides[0].degree == 2
-        # interior on-line point is retained in all_points
-        assert (3, 2) in [(i, u) for i, u in np_.all_points]
 
     def test_infinity_points_never_vertices(self):
         np_ = build_polygon([(0, 2), (1, INFINITY), (2, 0)])
         assert np_.vertices == ((0, 2), (2, 0))
-        assert len(np_.all_points) == 3
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -120,7 +113,7 @@ class TestMinkowskiSum:
 
     def test_identity_element(self):
         a = build_polygon([(0, 3), (1, 1), (3, 0)])
-        e = single_vertex_polygon(0, 0)
+        e = NewtonPolygon(((0, 0),), ())
         assert minkowski_sum(a, e) == a
         assert minkowski_sum(e, a) == a
 

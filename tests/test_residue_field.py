@@ -8,6 +8,7 @@ from oracles import (
     exhaustive_fp_factor,
     gen,
     plain_distinct_degree,
+    rabin_is_irreducible,
     recompose_factorization,
 )
 from phinewton import residue_field
@@ -19,7 +20,6 @@ from phinewton.residue_field import (
     count_irreducible_factors,
     ext_field,
     fp_factorize,
-    is_irreducible,
 )
 
 
@@ -83,17 +83,19 @@ class TestFpPoly:
 
 class TestFpIrreducible:
     def test_known_cases(self):
-        assert is_irreducible(FqPoly(2, [1, 1, 1]))
-        assert not is_irreducible(FqPoly(2, [1, 0, 1]))  # (x+1)^2
-        assert is_irreducible(FqPoly(2, [1, 1]))
-        assert not is_irreducible(FqPoly(2, [1]))
+        assert rabin_is_irreducible(FqPoly(2, [1, 1, 1]))
+        assert not rabin_is_irreducible(FqPoly(2, [1, 0, 1]))  # (x+1)^2
+        assert rabin_is_irreducible(FqPoly(2, [1, 1]))
+        assert not rabin_is_irreducible(FqPoly(2, [1]))
 
     def test_against_exhaustive_enumeration(self):
+        # the package's decision, a factor count of 1, and Rabin's reference
         for p in (2, 3):
             for d in range(1, 5):
                 for f in enumerate_monic_fp(p, d):
                     expected = exhaustive_fp_factor(f).factor_count == 1
-                    assert is_irreducible(f) == expected, f
+                    assert (count_irreducible_factors(f) == 1) == expected, f
+                    assert rabin_is_irreducible(f) == expected, f
 
 
 class TestFpFactorize:
@@ -111,7 +113,7 @@ class TestFpFactorize:
         # three known irreducibles over F_5
         parts = [FqPoly(5, [1, 1]), FqPoly(5, [2, 0, 1]), FqPoly(5, [1, 1, 1])]
         for g in parts:
-            assert is_irreducible(g)
+            assert rabin_is_irreducible(g)
         product = parts[0] * parts[1] * parts[2]
         fact = fp_factorize(product)
         assert sorted(f.coeffs for f, _ in fact.factors) == sorted(
@@ -138,7 +140,7 @@ class TestFpFactorize:
                 f = random_fp(rng, p, 8)
                 fact = fp_factorize(f, seed=42)
                 assert recompose_factorization(fact) == f
-                assert all(is_irreducible(g) for g, _ in fact.factors)
+                assert all(rabin_is_irreducible(g) for g, _ in fact.factors)
                 assert fp_factorize(f, seed=42) == fact
                 # different seed, same canonical factor list
                 assert fp_factorize(f, seed=43) == fact
@@ -164,6 +166,18 @@ class TestExtField:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):
             ext_field(FqPoly(2, [1, 0, 1]))
+
+    def test_accepts_exactly_the_irreducible_moduli(self, monkeypatch):
+        monkeypatch.setattr(residue_field, "_fields", {})  # every modulus unseen
+        for p in (2, 3):
+            for d in range(1, 5):
+                for f in enumerate_monic_fp(p, d):
+                    try:
+                        ext_field(f)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == (exhaustive_fp_factor(f).factor_count == 1), f
 
     def test_frobenius_fixes_field(self):
         rng = random.Random(13)
@@ -193,13 +207,13 @@ class TestExtIrreducible:
     def test_y2_plus_y_plus_1_over_f2(self):
         field = ext_field(FqPoly.x(2))  # F_2 presented as F_2[x]/(x)
         g = FqPoly(field, [1, 1, 1])
-        assert is_irreducible(g)
+        assert rabin_is_irreducible(g)
         assert count_irreducible_factors(g) == 1
 
     def test_y2_plus_1_over_f2(self):
         field = ext_field(FqPoly.x(2))
         g = FqPoly(field, [1, 0, 1])  # (y+1)^2
-        assert not is_irreducible(g)
+        assert not rabin_is_irreducible(g)
         assert count_irreducible_factors(g) == 2
 
     def test_y2_minus_generator_over_f4(self):
@@ -208,7 +222,7 @@ class TestExtIrreducible:
         g = FqPoly(field, [-b, field.zero, field.one])
         expected = exhaustive_ext_factor_count(g)
         assert expected == 2  # y^2 + b = (y + (b+1))^2 in characteristic 2
-        assert not is_irreducible(g)
+        assert not rabin_is_irreducible(g)
         assert count_irreducible_factors(g) == expected
 
     def test_agrees_with_exhaustive_count_small(self):
@@ -226,7 +240,7 @@ class TestExtIrreducible:
                 assert count_irreducible_factors(g) == (
                     exhaustive_ext_factor_count(g)
                 )
-                assert is_irreducible(g) == (
+                assert rabin_is_irreducible(g) == (
                     exhaustive_ext_factor_count(g) == 1
                 )
 
@@ -247,7 +261,7 @@ class TestExtIrreducible:
     def test_degree_zero(self):
         field = ext_field(FqPoly.x(2))
         # a constant is not irreducible, as over F_p
-        assert not is_irreducible(FqPoly(field, [1]))
+        assert not rabin_is_irreducible(FqPoly(field, [1]))
         with pytest.raises(ValueError):
             count_irreducible_factors(FqPoly(field, [1]))
 
@@ -263,10 +277,10 @@ class TestFieldTypesAgree:
                 f = random_fp(rng, p, 8, monic=True)
                 count = count_irreducible_factors(f)
                 assert count == fp_factorize(f).factor_count, f
-                assert is_irreducible(f) == (count == 1), f
+                assert rabin_is_irreducible(f) == (count == 1), f
                 g = FqPoly(field, f.coeffs)
                 assert count_irreducible_factors(g) == count, f
-                assert is_irreducible(g) == (count == 1), f
+                assert rabin_is_irreducible(g) == (count == 1), f
 
 
 def small_fields():
@@ -330,29 +344,30 @@ class TestProvenFields:
         f = random_monic(random.Random(43), FqPoly(10007).field, 24)
         factors = [g for g, _ in fp_factorize(f).factors]
 
-        def no_rabin(g):
-            raise AssertionError("Rabin's test ran on a proven factor")
+        def no_test(g):
+            raise AssertionError("a proven factor was tested again")
 
-        monkeypatch.setattr(residue_field, "is_irreducible", no_rabin)
+        monkeypatch.setattr(residue_field, "count_irreducible_factors", no_test)
         for g in factors:
             assert ext_field(g).modulus == g
             assert ext_field(g) is ext_field(g)
         monkeypatch.undo()
         for g in factors:
-            assert is_irreducible(g), g
+            assert rabin_is_irreducible(g), g
 
     def test_unseen_modulus_runs_rabin(self, monkeypatch):
-        # the factors of f enter the cache as proven; f itself is still tested
+        # the factors of f enter the cache as proven; f itself is still
+        # tested, by its factor count
         f = FqPoly(65521, [5, 1]) * FqPoly(65521, [7, 1])
         fp_factorize(f)
         calls = []
-        rabin = residue_field.is_irreducible
+        count = residue_field.count_irreducible_factors
 
         def counted(g):
             calls.append(g)
-            return rabin(g)
+            return count(g)
 
-        monkeypatch.setattr(residue_field, "is_irreducible", counted)
+        monkeypatch.setattr(residue_field, "count_irreducible_factors", counted)
         with pytest.raises(ValueError):
             ext_field(f)
         assert calls == [f]
