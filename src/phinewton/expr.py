@@ -43,6 +43,11 @@ def _parse_digits(digits: str) -> int:
     return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
 
 
+def _is_digit(ch: str) -> bool:
+    # str.isdigit is also true for superscripts and other scripts' digits
+    return "0" <= ch <= "9"
+
+
 def _decimal(n: int) -> str:
     """Decimal digits of the integer n >= 0, of any size."""
     if n < _CHUNK_LIMIT:
@@ -96,14 +101,14 @@ class _Parser:
     def parse_uint(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and _is_digit(self.src[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
         if self.pos < len(self.src) and self.src[self.pos] == ".":
             raise ParseError("non-integer coefficient", self.pos)
         end = self.pos
-        if self.peek().isdigit():
+        if _is_digit(self.peek()):
             raise ParseError("whitespace inside an integer", end)
         value = _parse_digits(self.src[start:end])
         self._check_bits(value.bit_length(), start)
@@ -146,7 +151,7 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.take()
-            elif not (ch.isdigit() or ch == "x" or ch == "("):
+            elif not (_is_digit(ch) or ch == "x" or ch == "("):
                 return result
             self._skip_ws()
             start = self.pos
@@ -169,7 +174,7 @@ class _Parser:
 
     def parse_base(self) -> IntPoly:
         ch = self.peek()
-        if ch.isdigit():
+        if _is_digit(ch):
             return IntPoly.constant(self.parse_uint())
         if ch == "x":
             self.take()

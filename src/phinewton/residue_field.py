@@ -28,6 +28,15 @@ table T[i] = x^(i*q) mod f, built once per modulus f from one pow_mod and
 deg f - 2 products: h^q = sum h_i T[i], because every coefficient h_i of h
 is fixed by Frobenius.
 
+Over F_p, products modulo a monic f of degree n run through one packed int
+multiply (Kronecker substitution, _Kronecker) when 2 n (p-1)^2 < 2^64: each
+coefficient takes one 64-bit little-endian slot, and that bound keeps every
+slot of a product, after its high part is folded back mod f, from carrying
+into the next.  The bound holds for every p up to 65521 at every degree up
+to 10,000.  pow_mod, the Frobenius table and map, and the squarings of the
+p = 2 trace map in Cantor-Zassenhaus use it.  __mul__, __divmod__, gcd,
+every product over an ExtField, and primes past the bound keep the loops.
+
 ext_field shares one ExtField per modulus.  A modulus it has not seen is
 checked in full, its factor count included; the factors of fp_factorize,
 which are irreducible by construction, enter that cache without a test.
@@ -37,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import random
+import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -252,14 +262,21 @@ class FqPoly:
                              for i, c in enumerate(self.coeffs)][1:])
 
     def pow_mod(self, n: int, modulus: "FqPoly") -> "FqPoly":
+        """self^n mod modulus by square-and-multiply.
+
+        Over F_p, for a monic modulus of degree d with 2 d (p-1)^2 < 2^64,
+        every product goes through one packed int multiply (_Kronecker,
+        built once per call).  Otherwise it is __mul__ then __divmod__.
+        """
         if n < 0:
             raise ValueError("negative exponent")
+        mul = _mulmod(modulus)
         result = _poly(self.field, [self.field.one]) % modulus
         base = self % modulus
         while n:
             if n & 1:
-                result = result * base % modulus
-            base = base * base % modulus
+                result = mul(result, base)
+            base = mul(base, base)
             n >>= 1
         return result
 
@@ -301,22 +318,107 @@ def _poly(field, cs: list) -> FqPoly:
     return f
 
 
-def _frobenius_table(f: FqPoly, xq: FqPoly) -> list[FqPoly]:
-    """T[i] = x^(i*q) mod f for 0 <= i < deg f, given T[1] = xq = x^q mod f.
+class _Kronecker:
+    """Products modulo a monic f of degree n over F_p by Kronecker substitution.
 
-    The rows of Berlekamp's Q-matrix: deg f - 2 products mod monic f.
+    A reduced polynomial packs into one int with one 64-bit slot per
+    coefficient, little-endian through struct, so the packing does not
+    depend on the host's byte order.  One int multiply then forms every
+    coefficient of a product at once.  Each high coefficient c_i, i >= n,
+    is reduced mod p and folded back in as one multiply-add c_i * R[i] over
+    the packed rows R[i] = x^i mod f, n <= i <= 2n - 2.  The result is
+    unpacked once and each slot reduced mod p.
+
+    A slot of the folded sum is at most n (p-1)^2 + (n-1) (p-1)^2, so no
+    slot carries into the next while 2 n (p-1)^2 < 2^64; `_kronecker`
+    builds the kernel only then.
     """
-    table = [_poly(f.field, [f.field.one]), xq]
+
+    __slots__ = ("field", "n", "rows", "_slots")
+
+    def __init__(self, f: FqPoly):
+        field, n = f.field, f.degree
+        p = field.p
+        low = [-c % p for c in f.coeffs[:n]]  # x^n mod f
+        rows = [low]
+        for _ in range(n - 2):
+            top, shifted = rows[-1][-1], [0, *rows[-1][:-1]]
+            rows.append([(a + top * b) % p for a, b in zip(shifted, low)]
+                        if top else shifted)
+        self.field, self.n = field, n
+        self.rows = [self.pack(row) for row in rows]
+        self._slots = struct.Struct(f"<{n}Q")
+
+    @staticmethod
+    def pack(coeffs) -> int:
+        return int.from_bytes(struct.pack(f"<{len(coeffs)}Q", *coeffs), "little")
+
+    def unpack(self, packed: int) -> FqPoly:
+        """The polynomial whose i-th coefficient is slot i of packed, mod p."""
+        p = self.field.p
+        slots = self._slots.unpack(packed.to_bytes(8 * self.n, "little"))
+        return _poly(self.field, [c % p for c in slots])
+
+    def mulmod(self, a: FqPoly, b: FqPoly) -> FqPoly:
+        """a * b mod f for a and b reduced mod f."""
+        a_packed = self.pack(a.coeffs)
+        product = a_packed * (a_packed if a is b else self.pack(b.coeffs))
+        n, high = self.n, len(a.coeffs) + len(b.coeffs) - 1 - self.n
+        if high > 0:
+            p = self.field.p
+            top = (product >> 64 * n).to_bytes(8 * high, "little")
+            product &= (1 << 64 * n) - 1
+            for c, row in zip(struct.unpack(f"<{high}Q", top), self.rows):
+                c %= p
+                if c:
+                    product += c * row
+        return self.unpack(product)
+
+
+def _kronecker(f: FqPoly):
+    """The packed product kernel mod monic f, or None where the loops stay.
+
+    The loops stay over an ExtField, for a constant or non-monic f, and past
+    the slot bound 2 n (p-1)^2 < 2^64.
+    """
+    field, n = f.field, f.degree
+    if (isinstance(field, PrimeField) and n >= 1 and f.is_monic
+            and 2 * n * (field.p - 1) ** 2 < 1 << 64):
+        return _Kronecker(f)
+    return None
+
+
+def _mulmod(f: FqPoly):
+    """Product mod f of two polynomials reduced mod f: the kernel's, or the
+    loops of __mul__ and __divmod__."""
+    kernel = _kronecker(f)
+    return kernel.mulmod if kernel else lambda a, b: a * b % f
+
+
+def _frobenius_map(f: FqPoly, xq: FqPoly):
+    """The q-power map h -> h^q mod f on h reduced mod f, given xq = x^q mod f.
+
+    Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i]
+    over the table T[i] = x^(i*q) mod f, 0 <= i < deg f: the rows of
+    Berlekamp's Q-matrix, built once from deg f - 2 products mod monic f.
+    With the packed kernel the sum is one multiply-add per coefficient over
+    the packed rows; each slot stays below n (p-1)^2.
+    """
+    field = f.field
+    kernel = _kronecker(f)
+    mul = kernel.mulmod if kernel else lambda a, b: a * b % f
+    table = [_poly(field, [field.one]), xq]
     while len(table) < f.degree:
-        table.append(table[-1] * xq % f)
-    return table[:f.degree]
+        table.append(mul(table[-1], xq))
+    table = table[:f.degree]
+    if kernel:
+        packed = [kernel.pack(row.coeffs) for row in table]
+        return lambda h: kernel.unpack(sum(c * row for c, row in zip(h.coeffs, packed)))
+    return lambda h: _frobenius(h, table)
 
 
 def _frobenius(h: FqPoly, table: list[FqPoly]) -> FqPoly:
-    """h^q mod f for h reduced mod f, from f's Frobenius table.
-
-    Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i].
-    """
+    """h^q = sum h_i T[i] mod f from the Frobenius table, by the coefficient loops."""
     field = h.field
     out = [field.zero] * len(table)
     for c, row in zip(h.coeffs, table):
@@ -435,8 +537,8 @@ def _squarefree_parts(f: FqPoly) -> list[tuple[FqPoly, int]]:
 def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """Split monic squarefree f into (product of degree-e irreducibles, e).
 
-    h = x^(q^e) stays reduced modulo the undivided f, so one Frobenius table
-    serves every step; the first step is its row T[1] = x^q.
+    h = x^(q^e) stays reduced modulo the undivided f, so one Frobenius map
+    serves every step; the first step is its table row T[1] = x^q.
     """
     whole = f
     x = FqPoly.x(f.field)
@@ -447,8 +549,8 @@ def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
             h = x.pow_mod(f.field.q, whole)
         else:
             if e == 2:
-                table = _frobenius_table(whole, h)
-            h = _frobenius(h, table)
+                frobenius = _frobenius_map(whole, h)
+            h = frobenius(h)
         g = f.gcd(h - x)
         if g.degree > 0:
             out.append((g, e))
@@ -463,10 +565,13 @@ def count_irreducible_factors(g: FqPoly) -> int:
     """Number of monic irreducible factors of g, counted with multiplicity.
 
     The count comes from squarefree decomposition plus distinct-degree
-    splitting, so it is fully deterministic.
+    splitting, so it is fully deterministic.  A linear g is one factor, with
+    no split and no field inversion.
     """
     if g.degree < 1:
         raise ValueError("factor counting requires degree >= 1")
+    if g.degree == 1:
+        return 1
     total = 0
     for part, mult in _squarefree_parts(g.monic()):
         for prod, e in _distinct_degree(part):
@@ -495,6 +600,7 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
         return [f]
     p = f.p
     one = FqPoly(p, [1])
+    square = _mulmod(f) if p == 2 else None  # for the trace map
     while True:
         r = FqPoly(p, [rng.randrange(p) for _ in range(2 * e)])
         if r.degree < 1:
@@ -504,7 +610,7 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
             t = r % f
             s = t
             for _ in range(e - 1):
-                s = s * s % f
+                s = square(s, s)
                 t = t + s
             g = f.gcd(t)
         else:

@@ -8,8 +8,11 @@ polygon validator checks the defining inequalities directly, the
 single-side check tests the paper's inequality point by point instead of
 reading it off the polygon, the power test raises phibar to the n-th power
 over F_p instead of reading the phi-expansion, and Rabin's irreducibility
-test, built on plain pow_mod, checks the package's factor count.  The
-recompose helpers multiply an expansion or a factorization back out.
+test checks the package's factor count.  pow_mod here is square-and-multiply
+on FqPoly's schoolbook `*` and `%`, so Rabin's test and the plain
+distinct-degree split never run the package's packed product kernel, which
+FqPoly.pow_mod uses over F_p.  The recompose helpers multiply an expansion or
+a factorization back out.
 
 The generators build polynomials whose factor structure is known by
 construction, which turns the product rule and the factor-count bounds into
@@ -41,12 +44,25 @@ def is_power_of_phibar(f: IntPoly, phi: IntPoly, p: int) -> bool:
     return f.reduce_mod(p) == phi.reduce_mod(p) ** (f.degree // m)
 
 
+def pow_mod(a: FqPoly, n: int, f: FqPoly) -> FqPoly:
+    """a^n mod f by square-and-multiply on schoolbook `*` and `%`."""
+    result = FqPoly(a.field, [a.field.one]) % f
+    base = a % f
+    while n:
+        if n & 1:
+            result = result * base % f
+        base = base * base % f
+        n >>= 1
+    return result
+
+
 def rabin_is_irreducible(f: FqPoly) -> bool:
     """Rabin's irreducibility test over F_q, q = p^m.
 
     f of degree n >= 1 is irreducible iff x^(q^n) = x mod f and
     gcd(x^(q^(n/ell)) - x, f) = 1 for every prime ell dividing n.  Each
-    x^(q^k) comes from the last by pow_mod, not from a Frobenius table.
+    x^(q^k) comes from the last by this module's pow_mod, not from a
+    Frobenius table.
     Constants are not irreducible.
     """
     n = f.degree
@@ -56,7 +72,7 @@ def rabin_is_irreducible(f: FqPoly) -> bool:
     x = FqPoly.x(f.field)
     powers = [x % f]
     for _ in range(n):
-        powers.append(powers[-1].pow_mod(f.field.q, f))
+        powers.append(pow_mod(powers[-1], f.field.q, f))
     if powers[n] != powers[0]:
         return False
     ells = [ell for ell in range(2, n + 1)
@@ -306,9 +322,9 @@ def exhaustive_ext_factor_count(g: FqPoly) -> int:
 def plain_distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """Distinct-degree split of monic squarefree f with one pow_mod per step.
 
-    h = x^(q^e) is raised to the q-th power by square-and-multiply and kept
-    reduced modulo the shrinking f, where the library applies a Frobenius
-    table modulo the undivided f.
+    h = x^(q^e) is raised to the q-th power by this module's pow_mod, not
+    FqPoly.pow_mod, and kept reduced modulo the shrinking f, where the
+    library applies a Frobenius table modulo the undivided f.
     """
     q = f.field.q
     x = FqPoly.x(f.field)
@@ -316,7 +332,7 @@ def plain_distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
     h = x % f
     e = 1
     while f.degree >= 2 * e:
-        h = h.pow_mod(q, f)
+        h = pow_mod(h, q, f)
         g = f.gcd(h - x)
         if g.degree > 0:
             out.append((g, e))

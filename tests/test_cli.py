@@ -200,6 +200,16 @@ class TestHostileInput:
         assert proc.stderr == (
             "error: whitespace inside an integer (at position 7)\n")
 
+    @pytest.mark.parametrize("src, message", [
+        ("x^²+1", "expected an integer (at position 2)"),
+        ("x^2+١", "unexpected character '١' (at position 4)"),
+    ])
+    def test_non_ascii_digit_exits_1(self, src, message):
+        proc = run_subprocess(src, "-p", "2")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
     def test_nesting_at_limit_still_parses(self, capsys):
         code, out, err = run_cli(capsys, self.nested(MAX_NESTING), "-p", "2")
         assert code == 0

@@ -35,6 +35,19 @@ class TestParse:
         assert str(err.value) == (
             f"whitespace inside an integer (at position {position})")
 
+    @pytest.mark.parametrize("src, message", [
+        ("x^²+1", "expected an integer (at position 2)"),
+        ("x^2+١", "unexpected character '١' (at position 4)"),
+        ("2x١", "unexpected character '١' (at position 2)"),
+        ("12٣ x", "unexpected character '٣' (at position 2)"),
+        ("1 ٣", "unexpected character '٣' (at position 2)"),
+    ])
+    def test_only_ascii_digits(self, src, message):
+        # str.isdigit accepts superscripts and other scripts' digits
+        with pytest.raises(ParseError) as err:
+            parse_poly(src)
+        assert str(err.value) == message
+
     def test_nested_phi_form(self):
         src = "(x^2+x+1)^6 + 24x*(x^2+x+1)^3 + 9*(16x+32)*(x^2+x+1) + 3*(16x+16)"
         f = parse_poly(src)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,15 +9,16 @@ from oracles import (
     exhaustive_fp_factor,
     gen,
     plain_distinct_degree,
+    pow_mod,
     rabin_is_irreducible,
     recompose_factorization,
 )
-from phinewton import residue_field
+from phinewton import is_prime, residue_field
 from phinewton.residue_field import (
     FqPoly,
     _distinct_degree,
-    _frobenius,
-    _frobenius_table,
+    _frobenius_map,
+    _kronecker,
     count_irreducible_factors,
     ext_field,
     fp_factorize,
@@ -266,6 +268,24 @@ class TestExtIrreducible:
             count_irreducible_factors(FqPoly(field, [1]))
 
 
+class TestLinearCount:
+    def test_linear_counts_one_without_splitting(self, monkeypatch):
+        f9 = ext_field(FqPoly(3, [1, 0, 1]))
+        f16 = ext_field(FqPoly(2, [1, 1, 0, 0, 1]))
+        linear = [FqPoly(65521, [5, 3]), FqPoly(65521, [0, 1]), FqPoly(2, [1, 1]),
+                  FqPoly(f9, [gen(f9), 2]), FqPoly(f16, [0, gen(f16)])]
+
+        def forbidden(*args):
+            raise AssertionError("a linear polynomial was split or inverted")
+
+        for name in ("_squarefree_parts", "_distinct_degree"):
+            monkeypatch.setattr(residue_field, name, forbidden)
+        for cls in (residue_field.PrimeField, residue_field.ExtField):
+            monkeypatch.setattr(cls, "inv", forbidden)
+        for g in linear:
+            assert count_irreducible_factors(g) == 1, g
+
+
 class TestFieldTypesAgree:
     """F_p as a PrimeField and as the extension F_p[x]/(x) give one answer."""
 
@@ -313,13 +333,15 @@ class TestFrobeniusTable:
             for degree in (1, 2, 3, 4, 5, 7):
                 for _ in range(6):
                     f = random_monic(rng, field, degree)
-                    table = _frobenius_table(f, x.pow_mod(field.q, f))
-                    assert len(table) == degree
-                    assert table[0] == FqPoly(field, [field.one])
+                    frobenius = _frobenius_map(f, pow_mod(x, field.q, f))
+                    # the table rows T[i] = x^(i*q), T[0] = 1 among them
+                    for i in range(degree):
+                        row = pow_mod(x, i, f)
+                        assert frobenius(row) == pow_mod(row, field.q, f), (f, i)
                     for _ in range(4):
                         h = FqPoly(field, [random_elem(rng, field)
                                            for _ in range(degree)])
-                        assert _frobenius(h, table) == h.pow_mod(field.q, f), (f, h)
+                        assert frobenius(h) == pow_mod(h, field.q, f), (f, h)
 
     def test_distinct_degree_matches_reference(self):
         rng = random.Random(42)
@@ -371,3 +393,82 @@ class TestProvenFields:
         with pytest.raises(ValueError):
             ext_field(f)
         assert calls == [f]
+
+
+def slot_bound_primes(degree):
+    """The largest prime p with 2 * degree * (p-1)^2 < 2^64, and the next."""
+    below = math.isqrt(((1 << 64) - 1) // (2 * degree)) + 1
+    while not (2 * degree * (below - 1) ** 2 < 1 << 64 and is_prime(below)):
+        below -= 1
+    above = below + 1
+    while not is_prime(above):
+        above += 1
+    return below, above
+
+
+class TestKronecker:
+    """The packed product kernel against schoolbook `*` and `%`, and
+    FqPoly.pow_mod against the oracles' square-and-multiply."""
+
+    BELOW, ABOVE = slot_bound_primes(8)
+
+    def operands(self, rng, p, degree):
+        """Reduced operands mod a degree-`degree` modulus: zero, constants,
+        unequal lengths, random and all-(p-1) full length."""
+        full = [FqPoly(p, [rng.randrange(p) for _ in range(degree)]) for _ in range(2)]
+        short = FqPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, degree))])
+        top = FqPoly(p, [p - 1] * degree)
+        return [FqPoly(p), FqPoly(p, [1]), FqPoly(p, [p - 1]), short, top, *full]
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 65521])
+    def test_products_match_schoolbook(self, p):
+        rng = random.Random(p)
+        for degree in range(1, 65):
+            f = FqPoly(p, [rng.randrange(p) for _ in range(degree)] + [1])
+            kernel = _kronecker(f)
+            ops = self.operands(rng, p, degree)
+            for a in ops:
+                for b in ops[3:]:
+                    assert kernel.mulmod(a, b) == a * b % f, (f, a, b)
+                    assert kernel.mulmod(b, a) == a * b % f, (f, a, b)
+                assert kernel.mulmod(a, a) == a * a % f, (f, a)
+
+    def test_products_at_the_slot_bound(self):
+        rng = random.Random(64)
+        p = self.BELOW
+        for _ in range(20):
+            f = FqPoly(p, [rng.choice((1, p - 1, rng.randrange(p))) for _ in range(8)] + [1])
+            kernel = _kronecker(f)
+            ops = self.operands(rng, p, 8)
+            for a in ops:
+                for b in ops:
+                    assert kernel.mulmod(a, b) == a * b % f, (f, a, b)
+
+    def test_kernel_is_built_only_within_the_slot_bound(self):
+        assert 2 * 8 * (self.BELOW - 1) ** 2 < 1 << 64 <= 2 * 8 * (self.ABOVE - 1) ** 2
+        for p in (2, 65521, self.BELOW):
+            assert _kronecker(FqPoly(p, [1] * 9)) is not None
+        assert _kronecker(FqPoly(self.ABOVE, [1] * 9)) is None
+        assert _kronecker(FqPoly(65521, [2, 1])) is not None
+        assert _kronecker(FqPoly(65521, [1, 1, 2])) is None  # not monic
+        assert _kronecker(FqPoly(65521, [3])) is None  # constant
+        assert _kronecker(FqPoly(ext_field(FqPoly(2, [1, 1, 1])), [0, 1])) is None
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 65521, "below", "above"])
+    def test_pow_mod_matches_reference(self, p, monkeypatch):
+        p = {"below": self.BELOW, "above": self.ABOVE}.get(p, p)
+        if p == self.ABOVE:
+            def not_built(f):
+                raise AssertionError("the kernel was built past the slot bound")
+            monkeypatch.setattr(residue_field, "_Kronecker", not_built)
+        rng = random.Random(7 * p)
+        degrees = (8,) if p in (self.BELOW, self.ABOVE) else (1, 2, 3, 5, 8, 13)
+        for degree in degrees:
+            f = FqPoly(p, [rng.randrange(p) for _ in range(degree)] + [1])
+            for a in self.operands(rng, p, degree):
+                for n in (0, 1, 2, p, (p**2 - 1) // 2, (p**degree - 1) // 2):
+                    assert a.pow_mod(n, f) == pow_mod(a, n, f), (f, a, n)
+        # lead p - 1: not monic for p > 2, so the loops, with the same result
+        f = FqPoly(p, [1, 2, p - 1])
+        a = FqPoly(p, [5, 7, 11, 13])
+        assert a.pow_mod(p, f) == pow_mod(a, p, f)
