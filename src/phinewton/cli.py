@@ -1,8 +1,12 @@
 """Command-line front end: parse, analyze, and render certificates.
 
-`main` reads the argparse namespace, parses f and phi, and hands them to
-`criteria.analyze`, which alone decides whether p, f and phi are
-acceptable; a syntax error is therefore named before a bad p.
+`main` reads its options with `_read_argv`, which accepts and refuses the
+same spellings as an argparse parser would and prints argparse's usage and
+error lines, but imports neither argparse nor the gettext and locale modules
+behind it.  -p and --seed take an optional "-" and ASCII digits only.  `main`
+then parses f and phi and hands them to `criteria.analyze`, which alone
+decides whether p, f and phi are acceptable; a syntax error is therefore
+named before a bad p.
 
 Exit codes: 0 on success, 1 on input errors (syntax, non-prime p, non-monic
 f, phi not monic of degree >= 1, a usage error such as a missing or
@@ -28,11 +32,12 @@ the F_p coefficient list, ascending in x, of the coefficient of y^(d-i)).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .criteria import INAPPLICABLE, AnalysisReport, _validate_input, analyze
@@ -247,34 +252,184 @@ def _emit(rendered: str, output: str | None, code: int) -> int:
     return code
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse whose usage errors exit 1, the code for bad input."""
+_USAGE = """\
+usage: phinewton [-h] [--input INPUT] -p PRIME [--phi PHI]
+                 [--format {text,json,svg}] [--seed SEED] [--check-only]
+                 [--output OUTPUT]
+                 [expression]
+"""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+_HELP = _USAGE + f"""
+phi-adic Newton polygons, residual polynomials, and irreducibility bounds for
+monic integer polynomials.
+
+positional arguments:
+  expression            polynomial in x
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         file containing one expression (UTF-8)
+  -p PRIME, --prime PRIME
+                        prime for the p-adic valuation
+  --phi PHI             monic phi for single-phi mode
+  --format {{text,json,svg}}
+  --seed SEED           PRNG seed (default: ${ENV_SEED} or 0)
+  --check-only          validate input and hypothesis, print one line
+  --output OUTPUT       write the report (or the --check-only line) to this
+                        path
+"""
+
+# Option string -> field.  An ambiguous prefix lists its matches in this order.
+_OPTIONS = {
+    "-h": "help", "--help": "help",
+    "--input": "input",
+    "-p": "prime", "--prime": "prime",
+    "--phi": "phi",
+    "--format": "fmt",
+    "--seed": "seed",
+    "--check-only": "check_only",
+    "--output": "output",
+}
+_FLAGS = ("help", "check_only")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="phinewton",
-        description="phi-adic Newton polygons, residual polynomials, and "
-                    "irreducibility bounds for monic integer polynomials.",
-    )
-    parser.add_argument("expression", nargs="?", help="polynomial in x")
-    parser.add_argument("--input", help="file containing one expression (UTF-8)")
-    parser.add_argument("-p", "--prime", type=int, required=True,
-                        help="prime for the p-adic valuation")
-    parser.add_argument("--phi", help="monic phi for single-phi mode")
-    parser.add_argument("--format", dest="fmt", choices=("text", "json", "svg"),
-                        default="text")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"PRNG seed (default: ${ENV_SEED} or 0)")
-    parser.add_argument("--check-only", action="store_true",
-                        help="validate input and hypothesis, print one line")
-    parser.add_argument("--output",
-                        help="write the report (or the --check-only line) to this path")
-    return parser
+def _refuse(message: str):
+    """A usage error: the usage line and the message on stderr, exit 1."""
+    sys.stderr.write(f"{_USAGE}phinewton: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _argument(field: str) -> str:
+    return "argument " + "/".join(o for o, f in _OPTIONS.items() if f == field)
+
+
+def _option(token: str):
+    """(option string, attached value or None) if token is an option, None if
+    it is a positional; the option string is "" for an unknown option.
+
+    A long option may be abbreviated to a unique prefix and takes its value
+    after "="; -p takes it attached or after "=".  A token that is not an
+    option and looks like a negative number or holds a space is positional.
+    """
+    if not token.startswith("-"):
+        return None
+    if token in _OPTIONS:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in _OPTIONS:
+        return name, value
+    if token[1] == "-":
+        matches = [o for o in _OPTIONS if o.startswith(name)]
+        value = value if eq else None
+    else:
+        matches = [o for o in _OPTIONS if o == token[:2]]
+        value = token[2:]
+    if len(matches) > 1:
+        _refuse(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _value(field: str, value: str):
+    """The typed value of an option: -p and --seed take an optional "-" and
+    ASCII digits, --format one of RENDERERS."""
+    if field in ("prime", "seed"):
+        digits = value.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() converts
+                pass
+        _refuse(f"{_argument(field)}: invalid int value: {value!r}")
+    if field == "fmt" and value not in RENDERERS:
+        choices = ", ".join(map(repr, RENDERERS))
+        _refuse(f"{_argument(field)}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace:
+    """The fields of argv: expression, input, prime, phi, fmt, seed,
+    check_only and output.
+
+    "--" ends the options; the last occurrence of an option wins.  -h may
+    be bundled with -p (-hp3).  A usage error exits 1 through _refuse, and
+    -h/--help prints the help and exits 0.
+    """
+    # Tokens are classified first, so an ambiguous option is refused before
+    # any value is read.  Kinds: None for a positional, "--" for the end of
+    # the options, or the pair from _option.
+    kinds, ended = [], False
+    for token in argv:
+        if ended:
+            kinds.append(None)
+        elif token == "--":
+            kinds.append("--")
+            ended = True
+        else:
+            kinds.append(_option(token))
+    fields = dict(expression=None, input=None, prime=None, phi=None, fmt="text",
+                  seed=None, check_only=False, output=None)
+    expression_read = False
+    extras = []
+    i = 0
+    while i < len(argv):
+        kind = kinds[i]
+        if not isinstance(kind, tuple):
+            if expression_read:
+                extras.append(argv[i])
+                i += 1
+                continue
+            # The expression, with a "--" before or after it.
+            expression_read = True
+            if kind == "--":
+                i += 1
+            if i < len(argv) and kinds[i] is None:
+                fields["expression"] = argv[i]
+                i += 1
+            if i < len(argv) and kinds[i] == "--":
+                i += 1
+            continue
+        name, value = kind
+        i += 1
+        if not name:
+            extras.append(argv[i - 1])
+            continue
+        field = _OPTIONS[name]
+        show_help = field == "help"
+        if name == "-h" and value:
+            rest = value.lstrip("h")
+            if rest.startswith("p"):
+                field, value = "prime", rest[1:] or None
+            elif rest:
+                _refuse(f"{_argument('help')}: ignored explicit argument {rest!r}")
+            else:
+                value = None
+        if field in _FLAGS:
+            if value is not None:
+                _refuse(f"{_argument(field)}: ignored explicit argument {value!r}")
+            fields[field] = True
+        else:
+            if value is None:
+                if i == len(argv) or kinds[i] is not None:
+                    _refuse(f"{_argument(field)}: expected one argument")
+                value = argv[i]
+                i += 1
+            if not show_help:
+                fields[field] = _value(field, value)
+        if show_help:
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+    if fields["prime"] is None:
+        _refuse("the following arguments are required: -p/--prime")
+    if extras:
+        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**fields)
 
 
 def _seed(args) -> int:
@@ -289,7 +444,7 @@ def _seed(args) -> int:
 
 def main(argv=None) -> int:
     """Execute one analysis; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else list(argv))
     try:
         if (args.expression is None) == (args.input is None):
             raise ValueError("supply exactly one input: a positional expression "

@@ -121,6 +121,9 @@ class IntPoly:
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative exponent")
+        cs = self.coeffs
+        if cs and not any(cs[:-1]):  # (c*x^k)^n = c^n * x^(k*n)
+            return IntPoly((0,) * ((len(cs) - 1) * n) + (cs[-1] ** n,))
         result = IntPoly.one()
         base = self
         while n:

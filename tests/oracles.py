@@ -12,7 +12,8 @@ test checks the package's factor count.  pow_mod here is square-and-multiply
 on FqPoly's schoolbook `*` and `%`, so Rabin's test and the plain
 distinct-degree split never run the package's packed product kernel, which
 FqPoly.pow_mod uses over F_p.  The recompose helpers multiply an expansion or
-a factorization back out.
+a factorization back out.  build_parser is the argparse parser that the CLI's
+own argv reader reproduces.
 
 The generators build polynomials whose factor structure is known by
 construction, which turns the product rule and the factor-count bounds into
@@ -21,12 +22,15 @@ checkable statements.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from phinewton.cli import ENV_SEED
 from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, PhiExpansion, phi_expand
 from phinewton.residual import residual_polynomial
@@ -479,3 +483,33 @@ def gen_factor_witness(p: int, k: int, seed: int) -> FactorWitness:
     return FactorWitness(
         tuple(factors), tuple(phis), product, tuple(polygons), tuple(residuals)
     )
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the code for bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="phinewton",
+        description="phi-adic Newton polygons, residual polynomials, and "
+                    "irreducibility bounds for monic integer polynomials.",
+    )
+    parser.add_argument("expression", nargs="?", help="polynomial in x")
+    parser.add_argument("--input", help="file containing one expression (UTF-8)")
+    parser.add_argument("-p", "--prime", type=int, required=True,
+                        help="prime for the p-adic valuation")
+    parser.add_argument("--phi", help="monic phi for single-phi mode")
+    parser.add_argument("--format", dest="fmt", choices=("text", "json", "svg"),
+                        default="text")
+    parser.add_argument("--seed", type=int, default=None,
+                        help=f"PRNG seed (default: ${ENV_SEED} or 0)")
+    parser.add_argument("--check-only", action="store_true",
+                        help="validate input and hypothesis, print one line")
+    parser.add_argument("--output",
+                        help="write the report (or the --check-only line) to this path")
+    return parser

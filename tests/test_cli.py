@@ -151,12 +151,14 @@ class TestExitCodes:
 
 
 class TestUsageErrors:
-    """argparse errors are bad input: exit 1 with the usage line."""
+    """Usage errors are bad input: exit 1 with the usage line."""
 
     @pytest.mark.parametrize("argv", [
         ("x", "-p", "abc"),
         ("x",),
         ("x", "-p", "2", "--bogus"),
+        ("x", "-p=--"),
+        ("x", "-p", "2", "--format=--"),
     ])
     def test_usage_error_is_1(self, argv):
         proc = run_subprocess(*argv)
@@ -170,8 +172,20 @@ class TestUsageErrors:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: phinewton")
 
+    @pytest.mark.parametrize("option, name", [("-p", "-p/--prime"), ("--seed", "--seed")])
+    @pytest.mark.parametrize("value", ["٣", "1_1", " 3", "+3"])
+    def test_integer_options_take_ascii_digits_only(self, capsys, option, name, value):
+        with pytest.raises(SystemExit) as usage:
+            main(["x^2+1", "-p", "3", option, value])
+        assert usage.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: phinewton")
+        assert err.endswith(
+            f"phinewton: error: argument {name}: invalid int value: {value!r}\n")
+
     def test_leading_minus_after_double_dash(self, capsys):
-        # argparse reads "-x^2+x^3" as an option; "--" and "--phi=" avoid it
+        # "-x^2+x^3" reads as an unknown option; "--" and "--phi=" avoid it
         with pytest.raises(SystemExit) as usage:
             main(["-x^2+x^3", "-p", "2"])
         assert usage.value.code == 1
@@ -180,6 +194,21 @@ class TestUsageErrors:
                                "--check-only")
         assert code == 0
         assert "lambda = 1/2" in out
+
+
+def test_cli_imports_no_argparse_gettext_or_locale():
+    src = str(Path(phinewton.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from phinewton.cli import main\n"
+        "main(['x^2+x+1', '-p', '2', '--format', 'json'])\n"
+        "main(['x^2+x+1', '-p', '2', '--phi', 'x^2+x+1', '--check-only'])\n"
+        "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestHostileInput:

@@ -1,0 +1,155 @@
+"""The CLI's argv reader against argparse.
+
+`oracles.build_parser` is the reference.  For every argv the reader must
+give the same fields, or both must refuse with exit 1 and the same stderr
+(usage line and message), or both must print the help and exit 0.  Two
+kinds of argv are read differently on purpose, and the tests name them:
+
+- INTEGER_FORMS: a value of -p or --seed that int() takes but that is not
+  an optional "-" and ASCII digits ("٣", "1_1", " 3", "+3").  The
+  reference runs with it; the reader refuses it.
+- DASH_VALUES: "--" attached to an option ("-p=--").  The reference hands
+  main an empty list, on which -p and --format crash; the reader keeps
+  "--" as the value.
+"""
+
+import contextlib
+import io
+import os
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import build_parser
+from phinewton.cli import _read_argv
+
+
+def outcome(read, argv):
+    """("ok", fields), or ("exit", code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return "ok", vars(read(list(argv)))
+        except SystemExit as exc:
+            return "exit", exc.code, err.getvalue()
+
+
+def ours(argv):
+    return outcome(_read_argv, argv)
+
+
+def reference(argv):
+    # argparse wraps its usage line to the terminal; the reader's is fixed
+    # at 80 columns
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        return outcome(lambda a: build_parser().parse_args(a), argv)
+
+
+AGREE = [
+    # spellings
+    ["x", "-p", "3"],
+    ["x", "--prime", "3"],
+    ["x", "--prime=3"],
+    ["x", "-p3"],
+    ["x", "-p=3"],
+    ["x", "--pr", "3"],
+    ["x", "-p", "2", "--form", "json"],
+    ["x", "-p", "2", "--format=svg"],
+    ["x", "-p", "2", "--phi", "x+1", "--check"],
+    ["x", "-p", "2", "-p", "5", "--format", "svg", "--format", "text"],
+    ["-p", "2", "--", "-x^2+x^3"],
+    ["-p", "2", "x", "--"],
+    ["-p", "-3", "x"],
+    ["-x^2 + 1", "-p", "2"],
+    ["--input", "f.txt", "-p", "2"],
+    ["--input=f.txt", "-p", "2", "--output", "out.txt"],
+    ["x^2-2x+3", "-p", "2", "--phi=-1+x"],
+    ["x", "-p", "2", "--seed", "7"],
+    ["x", "-p", "2", "--seed=-4", "--check-only"],
+    ["-p", "2"],
+    # refusals
+    ["x"],
+    ["x", "-p"],
+    ["x", "-p", "2", "--phi"],
+    ["x", "-p", "2", "--bogus"],
+    ["x", "y", "-p", "2"],
+    ["x", "-p", "2", "--format", "pdf"],
+    ["-x^2+x^3", "-p", "2"],
+    ["x", "-p", "abc"],
+    ["x", "-p", "9" * 5000],
+    ["x", "--p", "2"],
+    ["x", "-p", "2", "--check-only=yes"],
+    ["x", "-p", "2", "--"],
+    ["x", "--", "-p", "2"],
+    ["-hx"],
+    # help
+    ["--help"],
+    ["x", "-p", "abc", "-h"],
+    ["-hp3"],
+]
+
+INTEGER_FORMS = [  # argv, field, what int() makes of the last token
+    (["x^2+1", "-p", "٣"], "prime", 3),
+    (["x^2+1", "-p", "1_1"], "prime", 11),
+    (["x^2+1", "-p", " 3"], "prime", 3),
+    (["x^2+1", "-p", "+3"], "prime", 3),
+    (["x^2+1", "-p", "2", "--seed", "٣"], "seed", 3),
+]
+
+DASH_VALUES = [  # argv, field
+    (["x", "-p=--"], "prime"),
+    (["x", "-p", "2", "--format=--"], "fmt"),
+    (["x", "-p", "2", "--phi=--"], "phi"),
+]
+
+
+@pytest.mark.parametrize("argv", AGREE, ids=lambda argv: " ".join(t[:12] for t in argv))
+def test_reader_agrees_with_argparse(argv):
+    assert ours(argv) == reference(argv)
+
+
+@pytest.mark.parametrize("argv, field, value", INTEGER_FORMS)
+def test_integer_forms_differ_from_argparse(argv, field, value):
+    assert reference(argv)[1][field] == value
+    code, err = ours(argv)[1:]
+    name = "-p/--prime" if field == "prime" else "--seed"
+    assert code == 1
+    assert err.endswith(f"error: argument {name}: invalid int value: {argv[-1]!r}\n")
+
+
+@pytest.mark.parametrize("argv, field", DASH_VALUES)
+def test_attached_dashes_differ_from_argparse(argv, field):
+    assert reference(argv)[1][field] == []
+    mine = ours(argv)
+    if field == "phi":
+        assert mine[1][field] == "--"
+    else:
+        assert mine[1] == 1
+        assert "value: '--'" in mine[2] or "choice: '--'" in mine[2]
+
+
+INTEGER_VALUES = {argv[-1] for argv, _, _ in INTEGER_FORMS}
+TOKENS = sorted({t for argv in AGREE for t in argv if len(t) < 100} | INTEGER_VALUES)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argv=st.lists(st.sampled_from(TOKENS), max_size=6))
+def test_reader_agrees_with_argparse_on_mixed_argv(argv):
+    mine = ours(argv)
+    if mine == reference(argv):
+        return
+    # Only an integer form may tell them apart: with "nan" in its place,
+    # both must refuse alike.
+    for k, token in enumerate(argv):
+        if token in INTEGER_VALUES:
+            swapped = argv[:k] + ["nan"] + argv[k + 1:]
+            refusal = ours(swapped)
+            if (refusal == reference(swapped) and refusal[1] == 1
+                    and mine == (*refusal[:2], refusal[2].replace("'nan'", repr(token)))):
+                return
+    pytest.fail(f"{argv}: {mine} != {reference(argv)}")

@@ -4,8 +4,8 @@
 (total degree at most 48): arbitrary, monic, or a power of phi plus p times
 lower terms, sometimes negated or with one stray character inserted.  The
 prime is drawn from primes, composites and integers in -3..100; phi and
---check-only are optional.  No exception may escape; argparse's usage errors
-leave through SystemExit, whose code counts as the exit code.  The run is
+--check-only are optional.  No exception may escape; usage errors leave
+through SystemExit, whose code counts as the exit code.  The run is
 derandomized, so it tests the same examples every time."""
 
 import contextlib
