@@ -1,7 +1,7 @@
 """phi-adic Newton polygons, residual polynomials, and irreducibility bounds
 for monic integer polynomials with the p-adic valuation."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .valuation import INFINITY, is_prime
 from .polyring import (

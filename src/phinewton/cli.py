@@ -3,7 +3,7 @@
 `main` reads its options with `_read_argv`, which accepts and refuses the
 same spellings as an argparse parser would and prints argparse's usage and
 error lines, but imports neither argparse nor the gettext and locale modules
-behind it.  -p and --seed take an optional "-" and ASCII digits only.  `main`
+behind it.  -p takes an optional "-" and ASCII digits only.  `main`
 then parses f and phi and hands them to `criteria.analyze`, which alone
 decides whether p, f and phi are acceptable; a syntax error is therefore
 named before a bad p.
@@ -19,12 +19,10 @@ would return; without --phi it only runs the input validator of `analyze`
 on f and p.  --output takes whatever would go to stdout, the --check-only
 line included.
 
-The JSON report is stable under re-runs: feeding the embedded input, prime,
-phi, and seed back through the tool reproduces the report byte for byte.
+The JSON report is stable under re-runs: feeding the embedded input, prime
+and phi back through the tool reproduces the report byte for byte.
 Top-level keys: input, prime, mode, phi_reports, verdict, factor_bound,
-min_factor_degree (present only when certified), refined_bound (present
-only when computed), valuation_count_bound, prime_ideal_count_bound,
-notes, seed, version.
+min_factor_degree (present only when certified), notes, version.
 Each phi_report carries phi, multiplicity, and per-side geometry with the
 residual polynomial as the coefficient list [t_0 .. t_d] over F_phi (t_i is
 the F_p coefficient list, ascending in x, of the coefficient of y^(d-i)).
@@ -33,7 +31,6 @@ the F_p coefficient list, ascending in x, of the coefficient of y^(d-i)).
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -43,8 +40,6 @@ from . import __version__
 from .criteria import INAPPLICABLE, AnalysisReport, _validate_input, analyze
 from .expr import parse_poly, render_poly
 from .valuation import INFINITY
-
-ENV_SEED = "PHINEWTON_SEED"
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -63,7 +58,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "e": s.e,
                 "degree": s.degree,
                 "residual_poly": [list(t.coeffs) for t in ts],
-                "residual_irreducible": rec.factor_count == 1,
                 "residual_factor_count": rec.factor_count,
             })
         phi_reports.append({
@@ -81,14 +75,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
     out["factor_bound"] = report.factor_bound
     if report.min_factor_degree is not None:
         out["min_factor_degree"] = report.min_factor_degree
-    if report.refined_bound is not None:
-        out["refined_bound"] = report.refined_bound
-    # If f is irreducible, at most factor_bound valuations extend nu to its
-    # root field and at most that many prime ideals lie above p.
-    out["valuation_count_bound"] = report.factor_bound
-    out["prime_ideal_count_bound"] = report.factor_bound
     out["notes"] = list(report.notes)
-    out["seed"] = report.seed
     out["version"] = __version__
     return out
 
@@ -100,7 +87,7 @@ def render_json(report: AnalysisReport) -> str:
 def render_text(report: AnalysisReport) -> str:
     lines = []
     lines.append(f"input:  {report.input}")
-    lines.append(f"prime:  {report.prime}    mode: {report.mode}    seed: {report.seed}")
+    lines.append(f"prime:  {report.prime}    mode: {report.mode}")
     for pr in report.phi_reports:
         lines.append(f"phi = {render_poly(pr.phi)}   (multiplicity {pr.multiplicity})")
         verts = " -> ".join(f"({i}, {u})" for i, u in pr.polygon.vertices)
@@ -122,10 +109,6 @@ def render_text(report: AnalysisReport) -> str:
     lines.append(f"factor bound: {report.factor_bound}")
     if report.min_factor_degree is not None:
         lines.append(f"minimum factor degree: {report.min_factor_degree}")
-    if report.refined_bound is not None:
-        lines.append(f"refined residual count: {report.refined_bound}")
-    lines.append(f"valuation count bound: {report.factor_bound}")
-    lines.append(f"prime ideal count bound: {report.factor_bound}")
     if report.notes:
         lines.append("notes:")
         lines.extend(f"  - {note}" for note in report.notes)
@@ -254,12 +237,11 @@ def _emit(rendered: str, output: str | None, code: int) -> int:
 
 _USAGE = """\
 usage: phinewton [-h] [--input INPUT] -p PRIME [--phi PHI]
-                 [--format {text,json,svg}] [--seed SEED] [--check-only]
-                 [--output OUTPUT]
+                 [--format {text,json,svg}] [--check-only] [--output OUTPUT]
                  [expression]
 """
 
-_HELP = _USAGE + f"""
+_HELP = _USAGE + """
 phi-adic Newton polygons, residual polynomials, and irreducibility bounds for
 monic integer polynomials.
 
@@ -272,8 +254,7 @@ options:
   -p PRIME, --prime PRIME
                         prime for the p-adic valuation
   --phi PHI             monic phi for single-phi mode
-  --format {{text,json,svg}}
-  --seed SEED           PRNG seed (default: ${ENV_SEED} or 0)
+  --format {text,json,svg}
   --check-only          validate input and hypothesis, print one line
   --output OUTPUT       write the report (or the --check-only line) to this
                         path
@@ -286,7 +267,6 @@ _OPTIONS = {
     "-p": "prime", "--prime": "prime",
     "--phi": "phi",
     "--format": "fmt",
-    "--seed": "seed",
     "--check-only": "check_only",
     "--output": "output",
 }
@@ -337,9 +317,9 @@ def _option(token: str):
 
 
 def _value(field: str, value: str):
-    """The typed value of an option: -p and --seed take an optional "-" and
-    ASCII digits, --format one of RENDERERS."""
-    if field in ("prime", "seed"):
+    """The typed value of an option: -p takes an optional "-" and ASCII
+    digits, --format one of RENDERERS."""
+    if field == "prime":
         digits = value.removeprefix("-")
         if digits.isascii() and digits.isdigit():
             try:
@@ -354,8 +334,8 @@ def _value(field: str, value: str):
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace:
-    """The fields of argv: expression, input, prime, phi, fmt, seed,
-    check_only and output.
+    """The fields of argv: expression, input, prime, phi, fmt, check_only
+    and output.
 
     "--" ends the options; the last occurrence of an option wins.  -h may
     be bundled with -p (-hp3).  A usage error exits 1 through _refuse, and
@@ -374,7 +354,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
         else:
             kinds.append(_option(token))
     fields = dict(expression=None, input=None, prime=None, phi=None, fmt="text",
-                  seed=None, check_only=False, output=None)
+                  check_only=False, output=None)
     expression_read = False
     extras = []
     i = 0
@@ -432,16 +412,6 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(**fields)
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    value = os.environ.get(ENV_SEED, "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {value!r}") from None
-
-
 def main(argv=None) -> int:
     """Execute one analysis; returns the process exit code."""
     args = _read_argv(sys.argv[1:] if argv is None else list(argv))
@@ -453,14 +423,13 @@ def main(argv=None) -> int:
             expression = Path(args.input).read_text(encoding="utf-8").strip()
         else:
             expression = args.expression
-        seed = _seed(args)
         f = parse_poly(expression)
         phi = parse_poly(args.phi) if args.phi is not None else None
         if args.check_only and phi is None:
             _validate_input(f, args.prime)
             line = f"ok: monic degree-{f.degree} polynomial, p = {args.prime}"
             return _emit(line + "\n", args.output, 0)
-        report = analyze(f, args.prime, phi=phi, seed=seed, input_str=expression)
+        report = analyze(f, args.prime, phi=phi, input_str=expression)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

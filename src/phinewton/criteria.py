@@ -4,20 +4,20 @@ Two modes are supported for a monic f in Z[x] and a prime p:
 
 * single-phi: the caller fixes a monic phi whose reduction is irreducible
   and with f congruent to a power of it mod p.  When the polygon is a single
-  side from (0, nu(a_0)) to (n, 0), f has at most gcd(nu(a_0), n) irreducible
-  factors over the henselization (hence over Q), each of degree at least
-  e * deg(phi); if moreover the residual polynomial is irreducible over
-  F_phi, f itself is irreducible.
+  side from (0, nu(a_0)) to (n, 0), of degree gcd(nu(a_0), n), f has at most
+  as many irreducible factors over the henselization (hence over Q) as the
+  residual polynomial of that side has over F_phi, each of degree at least
+  e * deg(phi); a count of 1 (a gcd of 1, or an irreducible residual) means
+  f itself is irreducible.
 * full: f mod p is factored completely, a polygon is built for every
-  irreducible factor phibar_i, and the side degrees of all principal parts
-  are summed into a factor-count bound; residual factor counts give an
-  informational refinement.
+  irreducible factor phibar_i, and the residual factor counts of all
+  principal sides are summed into a factor-count bound.
 
 `analyze` is the one entry point and `_validate_input` the one statement
 of the input policy: p prime, f monic of degree >= 1, phi (when given)
 monic of degree >= 1.  Both modes send each phi-expansion through
 `_analyze_phi` and turn the per-phi bounds into a verdict with the same
-certifier, which answers IRREDUCIBLE exactly when the refined count is 1.
+certifier, which answers IRREDUCIBLE exactly when the bound is 1.
 Single-phi mode only adds its gate and the single-side hypothesis, which
 can make the verdict INAPPLICABLE.  The gate, f mod p = phibar^n, is read
 off the phi-expansion (`PhiExpansion.is_phibar_power`) before any polygon
@@ -80,7 +80,7 @@ class PhiReport:
 
     `exact_power_exponent` is the exact multiplicity w with phi^w | f in
     Z[x] (leading run of INFINITY valuations); it contributes w certified
-    irreducible factors on top of the side-degree sum.
+    irreducible factors on top of the residual factor counts.
     """
 
     multiplicity: int
@@ -94,18 +94,8 @@ class PhiReport:
         return self.expansion.phi
 
     @property
-    def side_degree_sum(self) -> int:
-        return sum(r.side.degree for r in self.sides)
-
-    @property
     def bound(self) -> int:
         """At most this many irreducible factors of f belong to phi."""
-        return self.exact_power_exponent + self.side_degree_sum
-
-    @property
-    def refined(self) -> int:
-        """The bound with each side degree replaced by its residual's
-        factor count (informational)."""
         return self.exact_power_exponent + sum(r.factor_count for r in self.sides)
 
     @property
@@ -136,7 +126,6 @@ class Certificate(NamedTuple):
 
     verdict: str
     factor_bound: int
-    refined_bound: int | None
     min_factor_degree: int | None
 
 
@@ -146,12 +135,10 @@ class AnalysisReport:
 
     input: str
     prime: int
-    seed: int
     mode: str
     verdict: str
     factor_bound: int
     min_factor_degree: int | None
-    refined_bound: int | None
     notes: list = field(default_factory=list)
     phi_reports: list = field(default_factory=list)
 
@@ -179,57 +166,43 @@ def _analyze_phi(exp: PhiExpansion, multiplicity: int) -> PhiReport:
 
 
 def _certify(phi_reports) -> Certificate:
-    """Sum the per-phi bounds into a certificate: IRREDUCIBLE iff the refined
-    count is 1.
+    """Sum the per-phi bounds into a certificate: IRREDUCIBLE iff the sum
+    is 1.
 
-    Proof.  Every phi report here has f mod p divisible by phibar, so its
-    principal part has positive length and `refined` >= 1; and
-    `refined` <= `bound`, since a residual of degree d has at most d
-    factors.  So a total `refined` of 1 means one phi, with either f = phi
-    or w = 0 and one side whose residual is irreducible.  With one phi,
-    f = phibar^n mod p, so u_i > 0 for i < n and u_n = 0: the principal part
-    runs from (0, u_0) to (n, 0), and that one side is all of it.  By the
-    theorem of the residual polynomial (Ore; Guardia, Montes & Nart, Trans.
-    AMS 2012, section 1), f is then irreducible over the henselization, and
-    so over Q.  A total `bound` of 1 (f = phi, or one side of degree 1) is
-    a special case and needs no branch of its own.
+    Proof that the sum bounds the factors of f over Z_p, and so over Q.
+    Each factor of f over Z_p reduces to a power of one phibar, so it
+    belongs to exactly one phi.  An exact power phi^w accounts for w
+    factors, each equal to phi.  By the theorem of the residual polynomial
+    (Ore; Guardia, Montes & Nart, Trans. AMS 2012, section 1), the other
+    factors that belong to phi split along the principal sides of N_phi(f):
+    a side S with residual R_S = prod psi^a gives Z_p factors whose
+    residuals are powers psi^b, b >= 1, with the b for one psi summing to
+    its a.  So S yields at most as many Z_p factors as R_S has irreducible
+    factors, counted with multiplicity, and `PhiReport.bound` bounds the
+    factors that belong to phi.  A sum of 1 therefore means that f is
+    irreducible over Z_p, and so over Q.
     """
     bound = sum(pr.bound for pr in phi_reports)
-    refined = sum(pr.refined for pr in phi_reports)
     floors = [d for pr in phi_reports for d in pr.degree_floors]
     min_degree = min(floors) if floors else None
-    if refined == 1:
-        return Certificate(IRREDUCIBLE, 1, 1, min_degree)
-    return Certificate(BOUNDED, bound, refined, min_degree)
+    return Certificate(IRREDUCIBLE if bound == 1 else BOUNDED, bound, min_degree)
 
 
 def _zero_interior_notes(pr: PhiReport) -> list[str]:
-    """Explain vanishing interior residual coefficients of the sides."""
+    """Explain vanishing interior residual coefficients of the sides: the
+    expansion has no point on the side at that abscissa."""
     notes = []
     for rec in pr.sides:
         g, side = rec.residual, rec.side
         for j in range(1, g.degree):
-            if not g.coeffs[g.degree - j].is_zero:  # t_j
-                continue
-            abscissa = side.start[0] + j * side.e
-            u = pr.expansion.valuations[abscissa]
-            if u is INFINITY:
-                why = f"expansion coefficient a_{abscissa} vanishes"
-            else:
-                why = f"({abscissa}, {u}) lies strictly above the side"
-            notes.append(
-                f"side ({side.start[0]},{side.start[1]})->"
-                f"({side.end[0]},{side.end[1]}): "
-                f"residual coefficient at y^{g.degree - j} is zero ({why})"
-            )
+            if g.coeffs[g.degree - j].is_zero:  # t_j
+                notes.append(
+                    f"side ({side.start[0]},{side.start[1]})->"
+                    f"({side.end[0]},{side.end[1]}): "
+                    f"residual coefficient at y^{g.degree - j} is zero "
+                    f"(no point on the side at abscissa {side.start[0] + j * side.e})"
+                )
     return notes
-
-
-def _residual_irreducible_note(rec: SideAnalysis) -> str:
-    return (
-        f"residual polynomial {rec.residual} is irreducible over F_phi: "
-        f"f is irreducible over the henselization"
-    )
 
 
 def _validate_input(f: IntPoly, p: int, phi: IntPoly | None = None) -> None:
@@ -248,7 +221,6 @@ def analyze(
     f: IntPoly,
     p: int,
     phi: IntPoly | None = None,
-    seed: int = 0,
     input_str: str | None = None,
 ) -> AnalysisReport:
     """Run the single-phi criteria when phi is given, the full bound otherwise.
@@ -258,7 +230,7 @@ def analyze(
     _validate_input(f, p, phi)
     if phi is None:
         mode = MODE_FULL
-        cert, notes, phi_reports = _full(f, p, seed)
+        cert, notes, phi_reports = _full(f, p)
     else:
         mode = MODE_SINGLE_PHI
         cert, notes, phi_reports = _single_phi(f, phi, p)
@@ -269,10 +241,9 @@ def analyze(
     )
     return AnalysisReport(
         input=render_poly(f) if input_str is None else input_str,
-        prime=p, seed=seed, mode=mode,
+        prime=p, mode=mode,
         verdict=cert.verdict, factor_bound=cert.factor_bound,
         min_factor_degree=cert.min_factor_degree,
-        refined_bound=cert.refined_bound,
         notes=notes, phi_reports=phi_reports,
     )
 
@@ -280,7 +251,7 @@ def analyze(
 def _gate_failed(f: IntPoly, reason: str):
     notes = [reason,
              f"factor bound falls back to the trivial degree bound {f.degree}"]
-    return Certificate(INAPPLICABLE, f.degree, None, None), notes, []
+    return Certificate(INAPPLICABLE, f.degree, None), notes, []
 
 
 def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
@@ -319,42 +290,42 @@ def _single_phi(f, phi, p) -> tuple[Certificate, list[str], list[PhiReport]]:
             ]
         notes.extend(_zero_interior_notes(pr))
         notes.append(
-            f"polygon has {len(pr.sides)} principal side(s); per-side degree "
-            f"bound still applies: at most {pr.bound} irreducible factor(s)"
+            f"polygon has {len(pr.sides)} principal side(s); the residual factor "
+            f"counts still apply: at most {pr.bound} irreducible factor(s)"
         )
         return cert._replace(verdict=INAPPLICABLE), notes, [pr]
 
-    # Single side from (0, u_0) to (n, 0): its degree is the gcd bound.
+    # Single side from (0, u_0) to (n, 0): its degree is gcd(u_0, n).
     rec = pr.sides[0]
     d = math.gcd(u0, n)
-    assert pr.bound == d, "single-side gcd identity violated"
+    assert rec.side.degree == d, "single-side gcd identity violated"
     notes = [f"single side from (0, {u0}) to ({n}, 0): slope {rec.side.slope}, "
              f"gcd({u0}, {n}) = {d}"]
     notes.extend(_zero_interior_notes(pr))
     if d == 1:
         notes.append(f"gcd({u0}, {n}) = 1: f is irreducible (Eisenstein/Dumas shape)")
     elif cert.verdict == IRREDUCIBLE:
-        notes.append(_residual_irreducible_note(rec))
+        notes.append(
+            f"residual polynomial {rec.residual} is irreducible over F_phi: "
+            f"f is irreducible over the henselization"
+        )
     else:
         notes.append(
             f"residual polynomial {rec.residual} factors over F_phi "
             f"({rec.factor_count} factor(s) with multiplicity): "
-            f"keeping the gcd bound {d}"
+            f"at most {rec.factor_count} irreducible factor(s)"
         )
     return cert, notes, [pr]
 
 
-def _full(f, p, seed) -> tuple[Certificate, list[str], list[PhiReport]]:
-    """Sum of principal side degrees over every irreducible factor of f mod p.
+def _full(f, p) -> tuple[Certificate, list[str], list[PhiReport]]:
+    """Sum of residual factor counts over every irreducible factor of f mod p.
 
     Factors f mod p completely, builds each phi_i-polygon from the canonical
-    lift of phibar_i, and adds the side degrees of the principal parts (plus
-    the exact power of phi_i dividing f, when positive).  The refined count
-    replaces each side degree by the number of irreducible factors of its
-    residual polynomial; equality would require regularity, so it is
-    reported as information only.
+    lift of phibar_i, and adds the residual factor counts of the principal
+    sides (plus the exact power of phi_i dividing f, when positive).
     """
-    factorization = fp_factorize(f.reduce_mod(p), seed)
+    factorization = fp_factorize(f.reduce_mod(p))
     phi_reports = [
         _analyze_phi(phi_expand(f, IntPoly(phibar.coeffs), p), n_i)
         for phibar, n_i in factorization.factors
@@ -369,14 +340,13 @@ def _full(f, p, seed) -> tuple[Certificate, list[str], list[PhiReport]]:
         notes.extend(_zero_interior_notes(pr))
         notes.append(
             f"phi = {name}: multiplicity {pr.multiplicity}, "
-            f"{len(pr.sides)} principal side(s), degree sum {pr.side_degree_sum}"
+            f"{len(pr.sides)} principal side(s), at most {pr.bound} irreducible "
+            f"factor(s)"
         )
 
     cert = _certify(phi_reports)
-    if sum(pr.bound for pr in phi_reports) == 1:
+    if cert.factor_bound == 1:
         notes.append("factor bound is 1: f is irreducible")
-    elif cert.verdict == IRREDUCIBLE:
-        notes.append(_residual_irreducible_note(phi_reports[0].sides[0]))
     elif cert.factor_bound == len(phi_reports):
         notes.append(
             f"coprime-factor lower bound matches the polygon bound: exactly "

@@ -20,8 +20,8 @@ auditable against the inputs that produced them.
 Factor counting (squarefree decomposition plus distinct-degree splitting)
 works over any of these fields, and is also the irreducibility test: a
 polynomial of degree >= 1 is irreducible iff it has one factor.  Complete
-factorization adds seeded Cantor-Zassenhaus equal-degree splitting over F_p
-only; its result is deterministic for a given (polynomial, seed).
+factorization adds Cantor-Zassenhaus equal-degree splitting over F_p only;
+it draws from a fixed PRNG, and its result is sorted canonically.
 
 The distinct-degree split applies the q-power (Frobenius) map through a
 table T[i] = x^(i*q) mod f, built once per modulus f from one pow_mod and
@@ -622,12 +622,12 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
             return _equal_degree(g, e, rng) + _equal_degree(f // g, e, rng)
 
 
-def fp_factorize(f: FqPoly, seed: int = 0) -> FactorizationFp:
+def fp_factorize(f: FqPoly) -> FactorizationFp:
     """Complete factorization of a nonzero polynomial over F_p.
 
-    Deterministic for fixed (f, seed): the equal-degree stage draws from a
-    PRNG seeded by the caller, and factors are returned in a canonical order
-    (degree, then coefficient tuple).
+    Deterministic: the equal-degree stage draws from random.Random(0), and
+    factors are returned in a canonical order (degree, then coefficient
+    tuple), which no other draw would change.
 
     Each factor is irreducible by construction: the distinct-degree split and
     Cantor-Zassenhaus stop only at degree e.  So its field enters the
@@ -637,7 +637,7 @@ def fp_factorize(f: FqPoly, seed: int = 0) -> FactorizationFp:
         raise ValueError("complete factorization needs a prime field")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     factors = []
     for part, mult in _squarefree_parts(f.monic()):
         for prod, e in _distinct_degree(part):

@@ -30,7 +30,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from phinewton.cli import ENV_SEED
 from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, PhiExpansion, phi_expand
 from phinewton.residual import residual_polynomial
@@ -82,6 +81,14 @@ def rabin_is_irreducible(f: FqPoly) -> bool:
     ells = [ell for ell in range(2, n + 1)
             if n % ell == 0 and all(ell % d for d in range(2, ell))]
     return all(f.gcd(powers[n // ell] - x).degree == 0 for ell in ells)
+
+
+def side_degree_bound(report) -> int:
+    """The factor bound from side degrees alone: w + the sum of the side
+    degrees over every phi report.  The residual factor counts never exceed
+    it, since a residual of degree d has at most d factors."""
+    return sum(pr.exact_power_exponent + sum(rec.side.degree for rec in pr.sides)
+               for pr in report.phi_reports)
 
 
 def recompose_expansion(exp: PhiExpansion) -> IntPoly:
@@ -506,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--phi", help="monic phi for single-phi mode")
     parser.add_argument("--format", dest="fmt", choices=("text", "json", "svg"),
                         default="text")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"PRNG seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--check-only", action="store_true",
                         help="validate input and hypothesis, print one line")
     parser.add_argument("--output",

@@ -133,7 +133,7 @@ def test_criterion_3_height4_length6_partial_replay():
         failures.append("residual reproduces the undocumented y^2+y+1 value")
     if r.verdict != BOUNDED:
         failures.append(f"verdict {r.verdict}")
-    if not any("lies strictly above the side" in n for n in r.notes):
+    if not any("is zero (no point on the side at abscissa 3)" in n for n in r.notes):
         failures.append("missing documented-discrepancy note")
     _report(3, failures, "residual y^2 + 1 with zero middle coefficient, bound 2")
 

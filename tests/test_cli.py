@@ -172,7 +172,7 @@ class TestUsageErrors:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: phinewton")
 
-    @pytest.mark.parametrize("option, name", [("-p", "-p/--prime"), ("--seed", "--seed")])
+    @pytest.mark.parametrize("option, name", [("-p", "-p/--prime")])
     @pytest.mark.parametrize("value", ["٣", "1_1", " 3", "+3"])
     def test_integer_options_take_ascii_digits_only(self, capsys, option, name, value):
         with pytest.raises(SystemExit) as usage:
@@ -446,67 +446,24 @@ class TestInputFile(object):
 
 class TestSeedHandling:
     def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHINEWTON_SEED", "9")
-        code, out, _ = run_cli(capsys, "x^2+2x+2", "-p", "2", "--format", "json")
-        assert json.loads(out)["seed"] == 9
+        """The report has no seed: $PHINEWTON_SEED, set or malformed, changes
+        no byte and no exit code."""
+        for fmt in ("text", "json"):
+            argv = ("(x^3+x+1)*(x^3+x^2+1)*(x^2+x+1)+2*x", "-p", "2", "--format", fmt)
+            monkeypatch.delenv("PHINEWTON_SEED", raising=False)
+            unset = run_cli(capsys, *argv)
+            assert unset[0] == 0 and "seed" not in unset[1]
+            for value in ("٣", "abc", "9"):
+                monkeypatch.setenv("PHINEWTON_SEED", value)
+                assert run_cli(capsys, *argv) == unset
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHINEWTON_SEED", "9")
-        code, out, _ = run_cli(
-            capsys, "x^2+2x+2", "-p", "2", "--seed", "4", "--format", "json"
-        )
-        assert json.loads(out)["seed"] == 4
-
-    def test_bad_env_seed_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHINEWTON_SEED", "abc")
-        code, out, err = run_cli(capsys, "x^2+2x+2", "-p", "2")
-        assert code == 1
+    def test_seed_option_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["x^2+1", "-p", "2", "--seed", "3"])
+        assert usage.value.code == 1
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: PHINEWTON_SEED must be an integer, got 'abc'\n"
-
-    def test_seed_changes_only_its_own_field(self, capsys):
-        """Factors are sorted canonically, so the seed, which only drives the
-        random splits of Cantor-Zassenhaus, never reaches the certificate."""
-        cases = list(_equal_degree_inputs())
-        assert {p for _, p in cases} == {2, 3, 5, 7}
-        for f, p in cases:
-            assert _splits_equal_degree(f, p)
-            expr = render_poly(f)
-            docs = []
-            for seed in ("0", "1", "12345"):
-                code, out, _ = run_cli(capsys, expr, "-p", str(p), "--seed", seed,
-                                       "--format", "json")
-                assert code == 0
-                doc = json.loads(out)
-                assert doc.pop("seed") == int(seed)
-                docs.append(doc)
-            assert docs[0] == docs[1] == docs[2], (expr, p)
-
-
-def _splits_equal_degree(f, p):
-    """f mod p has two distinct irreducible factors of one degree and one
-    multiplicity, so Cantor-Zassenhaus must split their product, drawing
-    random polynomials."""
-    fact = residue_field.fp_factorize(f.reduce_mod(p))
-    shapes = [(g.degree, k) for g, k in fact.factors]
-    return len(shapes) > len(set(shapes))
-
-
-def _equal_degree_inputs():
-    """Full-mode inputs that split equal-degree factors, at p = 2 (trace map)
-    and odd p (pow_mod): fixed products, then seeded random monic ones."""
-    yield parse_poly("(x^3+x+1)*(x^3+x^2+1)*(x^2+x+1)+2*x"), 2
-    yield parse_poly("(x+1)*(x+2)*(x^2+1)*(x^2+x+2)+3"), 3
-    yield parse_poly("x^4+4"), 5
-    rng = random.Random(2718)
-    for p in (2, 3, 5, 7):
-        found = 0
-        while found < 4:
-            coeffs = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randint(4, 9))]
-            f = IntPoly(coeffs + [1])
-            if _splits_equal_degree(f, p):
-                found += 1
-                yield f, p
+        assert err.endswith("phinewton: error: unrecognized arguments: --seed 3\n")
 
 
 class TestRoundTrip:
@@ -515,15 +472,14 @@ class TestRoundTrip:
         [
             (DEG12, "-p", "2", "--phi", "x^2+x+1"),
             ("(x^5+8)*((x+1)^4+8)", "-p", "2"),
-            ("x^12+2", "-p", "3", "--seed", "5"),
+            ("x^12+2", "-p", "3"),
         ],
     )
     def test_json_reports_reproduce_byte_identically(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code in (0, 2)
         doc = json.loads(out)
-        rerun = [doc["input"], "-p", str(doc["prime"]), "--seed",
-                 str(doc["seed"]), "--format", "json"]
+        rerun = [doc["input"], "-p", str(doc["prime"]), "--format", "json"]
         if doc["mode"] == "single-phi" and doc["phi_reports"]:
             rerun += ["--phi", doc["phi_reports"][0]["phi"]]
         code2, out2, _ = run_cli(capsys, *rerun)
@@ -536,8 +492,7 @@ class TestRenderHelpers:
         keys = list(report_to_dict(report).keys())
         assert keys == [
             "input", "prime", "mode", "phi_reports", "verdict", "factor_bound",
-            "min_factor_degree", "refined_bound", "valuation_count_bound",
-            "prime_ideal_count_bound", "notes", "seed", "version",
+            "min_factor_degree", "notes", "version",
         ]
 
     def test_svg_hollow_and_solid_points(self):

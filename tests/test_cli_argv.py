@@ -5,8 +5,8 @@ give the same fields, or both must refuse with exit 1 and the same stderr
 (usage line and message), or both must print the help and exit 0.  Two
 kinds of argv are read differently on purpose, and the tests name them:
 
-- INTEGER_FORMS: a value of -p or --seed that int() takes but that is not
-  an optional "-" and ASCII digits ("٣", "1_1", " 3", "+3").  The
+- INTEGER_FORMS: a value of -p that int() takes but that is not an
+  optional "-" and ASCII digits ("٣", "1_1", " 3", "+3").  The
   reference runs with it; the reader refuses it.
 - DASH_VALUES: "--" attached to an option ("-p=--").  The reference hands
   main an empty list, on which -p and --format crash; the reader keeps
@@ -69,10 +69,10 @@ AGREE = [
     ["--input", "f.txt", "-p", "2"],
     ["--input=f.txt", "-p", "2", "--output", "out.txt"],
     ["x^2-2x+3", "-p", "2", "--phi=-1+x"],
-    ["x", "-p", "2", "--seed", "7"],
-    ["x", "-p", "2", "--seed=-4", "--check-only"],
     ["-p", "2"],
     # refusals
+    ["x", "-p", "2", "--seed", "7"],
+    ["x", "-p", "2", "--seed=-4", "--check-only"],
     ["x"],
     ["x", "-p"],
     ["x", "-p", "2", "--phi"],
@@ -98,7 +98,6 @@ INTEGER_FORMS = [  # argv, field, what int() makes of the last token
     (["x^2+1", "-p", "1_1"], "prime", 11),
     (["x^2+1", "-p", " 3"], "prime", 3),
     (["x^2+1", "-p", "+3"], "prime", 3),
-    (["x^2+1", "-p", "2", "--seed", "٣"], "seed", 3),
 ]
 
 DASH_VALUES = [  # argv, field
@@ -117,9 +116,8 @@ def test_reader_agrees_with_argparse(argv):
 def test_integer_forms_differ_from_argparse(argv, field, value):
     assert reference(argv)[1][field] == value
     code, err = ours(argv)[1:]
-    name = "-p/--prime" if field == "prime" else "--seed"
     assert code == 1
-    assert err.endswith(f"error: argument {name}: invalid int value: {argv[-1]!r}\n")
+    assert err.endswith(f"error: argument -p/--prime: invalid int value: {argv[-1]!r}\n")
 
 
 @pytest.mark.parametrize("argv, field", DASH_VALUES)

@@ -16,6 +16,7 @@ from oracles import (
     gen_factor_witness,
     gen_power_family,
     is_power_of_phibar,
+    side_degree_bound,
 )
 from phinewton.cli import report_to_dict
 from phinewton.polygon import build_polygon
@@ -157,14 +158,21 @@ class TestAnalyzeSinglePhi:
         assert r.verdict == BOUNDED
         assert r.factor_bound == 2
         assert r.min_factor_degree == 6
-        assert r.refined_bound == 2
         doc = report_to_dict(r)
-        assert doc["valuation_count_bound"] == 2
-        assert doc["prime_ideal_count_bound"] == 2
+        assert doc["factor_bound"] == 2
         side = r.phi_reports[0].sides[0].side
         assert (side.length, side.start[1] - side.end[1], side.degree) == (6, 4, 2)
         assert side.slope == Fraction(-2, 3)
-        assert any("lies strictly above the side" in n for n in r.notes)
+        # (3, 3) lies strictly above the side, whose height at 3 is 2
+        assert any("is zero (no point on the side at abscissa 3)" in n for n in r.notes)
+
+    def test_residual_count_below_side_degree(self):
+        # x^6+8 = (x^2+2)(x^4-2x^2+4): one side of degree 3 whose residual
+        # y^3+1 = (y+1)(y^2+y+1) over F_2 has two factors, and so has f
+        r = analyze(X**6 + IntPoly([8]), 2, phi=X)
+        assert r.verdict == BOUNDED
+        assert (r.phi_reports[0].sides[0].side.degree, r.factor_bound) == (3, 2)
+        assert r.min_factor_degree == 2
 
     def test_eisenstein_irreducible(self):
         r = analyze(IntPoly([2, 2, 1]), 2, phi=X)
@@ -178,8 +186,8 @@ class TestAnalyzeSinglePhi:
                 r = analyze(f, p, phi=phi)
                 if r.verdict == IRREDUCIBLE:
                     assert r.factor_bound == 1
-                if r.refined_bound is not None:
-                    assert r.refined_bound <= r.factor_bound
+                if r.phi_reports:
+                    assert r.factor_bound <= side_degree_bound(r)
 
     def test_phibar_reducible_inapplicable(self):
         r = analyze(IntPoly([1, 0, 0, 0, 1]), 2, phi=IntPoly([1, 0, 1]))
@@ -224,7 +232,7 @@ class TestBoundFull:
             r = analyze(f, p)
             assert r.verdict == BOUNDED
             assert r.factor_bound == 2
-            assert [pr.side_degree_sum for pr in r.phi_reports] == [1, 1]
+            assert [pr.bound for pr in r.phi_reports] == [1, 1]
             assert all(
                 len(pr.sides) == 1 and pr.sides[0].side.degree == 1
                 for pr in r.phi_reports
@@ -247,7 +255,7 @@ class TestBoundFull:
         f = X * (X + 1) * PHI_QUAD + IntPoly.constant(2)
         r = analyze(f, 2)
         assert r.factor_bound == 3
-        assert all(pr.side_degree_sum == 1 for pr in r.phi_reports)
+        assert all(pr.bound == 1 for pr in r.phi_reports)
         assert any("exactly three" in n for n in r.notes)
 
     def test_irreducible_mod_p(self):
@@ -275,19 +283,14 @@ class TestBoundFull:
                 k = rng.randint(2, 4)
                 witness = gen_factor_witness(p, k, rng.randrange(2**30))
                 r = analyze(witness.product, p)
-                assert r.factor_bound >= witness.k
-                if r.refined_bound is not None:
-                    assert r.refined_bound <= r.factor_bound
+                assert witness.k <= r.factor_bound <= side_degree_bound(r)
 
     def test_monotonicity_of_reports(self):
         rng = random.Random(101)
         for f in gen_power_family(2, PHI_QUAD, 25, seed=rng.randrange(2**30)):
             r = analyze(f, 2)
             n = f.degree
-            assert r.refined_bound <= r.factor_bound <= n
-            doc = report_to_dict(r)
-            assert doc["valuation_count_bound"] == r.factor_bound
-            assert doc["prime_ideal_count_bound"] == r.factor_bound
+            assert r.factor_bound <= side_degree_bound(r) <= n
 
 
 class TestCrossModeAgreement:
@@ -313,7 +316,6 @@ class TestCrossModeAgreement:
                 full = analyze(f, p)
                 assert single.factor_bound == full.factor_bound, f
                 assert single.min_factor_degree == full.min_factor_degree, f
-                assert single.refined_bound == full.refined_bound, f
                 if single.verdict != INAPPLICABLE:
                     applicable += 1
                     assert single.verdict == full.verdict, f
@@ -361,9 +363,10 @@ class TestPowerGate:
 
 
 class TestIrreducibleVerdict:
-    """IRREDUCIBLE iff the refined count is 1, in both modes.  That is the
-    two-branch rule it replaced: a total bound of 1, or one phi whose single
-    side spans the principal part with an irreducible residual."""
+    """IRREDUCIBLE iff the refined count, the residual factor count that is
+    now factor_bound, is 1, in both modes.  That is the two-branch rule it
+    replaced: a side-degree bound of 1, or one phi whose single side spans
+    the principal part with an irreducible residual."""
 
     def test_irreducible_iff_refined_one(self):
         rng = random.Random(137)
@@ -378,12 +381,12 @@ class TestIrreducibleVerdict:
             for f in fams:
                 for r in (analyze(f, p, phi=phi), analyze(f, p)):
                     prs = r.phi_reports
-                    bound_one = sum(pr.bound for pr in prs) == 1
+                    bound_one = bool(prs) and side_degree_bound(r) == 1
                     residual = (len(prs) == 1 and prs[0].is_single_side
                                 and prs[0].sides[0].factor_count == 1)
                     irreducible = r.verdict == IRREDUCIBLE
-                    assert irreducible == (r.refined_bound == 1), (f, p, r.mode)
-                    assert irreducible == (bool(prs) and (bound_one or residual)), f
+                    assert irreducible == (r.factor_bound == 1), (f, p, r.mode)
+                    assert irreducible == (bound_one or residual), f
                     seen[r.mode, r.verdict, bound_one] += 1
         for mode in ("single-phi", "full"):
             assert seen[mode, IRREDUCIBLE, True] and seen[mode, IRREDUCIBLE, False]

@@ -2,9 +2,9 @@
 
 `data/golden_cli.json` lists argv vectors with the exact stdout, stderr and
 exit code they produced.  The corpus reaches every note branch of both
-modes in the json, text and svg formats, plus the input-error exits.  It is
-a fixed record: when a case fails, the code changed its output; do not
-regenerate the file to make the test pass.
+modes in the json, text and svg formats, plus the input-error and usage
+exits.  It is a fixed record: when a case fails, the code changed its
+output; do not regenerate the file to make the test pass.
 """
 
 import json
@@ -21,7 +21,10 @@ CORPUS = json.loads(
 
 @pytest.mark.parametrize("case", CORPUS, ids=[str(i) for i in range(len(CORPUS))])
 def test_replay(case, capsys):
-    code = main(list(case["argv"]))
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as usage:  # a usage error, as the script exits
+        code = usage.code
     captured = capsys.readouterr()
     assert captured.out == case["stdout"]
     assert captured.err == case["stderr"]

@@ -14,11 +14,15 @@ from oracles import (
     recompose_factorization,
 )
 from phinewton import is_prime, residue_field
+from phinewton.expr import parse_poly
+from phinewton.polyring import IntPoly
 from phinewton.residue_field import (
     FqPoly,
     _distinct_degree,
+    _equal_degree,
     _frobenius_map,
     _kronecker,
+    _squarefree_parts,
     count_irreducible_factors,
     ext_field,
     fp_factorize,
@@ -140,12 +144,26 @@ class TestFpFactorize:
         for p in (2, 3, 5):
             for _ in range(60):
                 f = random_fp(rng, p, 8)
-                fact = fp_factorize(f, seed=42)
+                fact = fp_factorize(f)
                 assert recompose_factorization(fact) == f
                 assert all(rabin_is_irreducible(g) for g, _ in fact.factors)
-                assert fp_factorize(f, seed=42) == fact
-                # different seed, same canonical factor list
-                assert fp_factorize(f, seed=43) == fact
+                assert fp_factorize(f) == fact
+
+    def test_equal_degree_split_is_seed_independent(self):
+        """The PRNG only drives the random splits of Cantor-Zassenhaus, so
+        any seed gives the same factors once they are sorted."""
+        fs = list(_equal_degree_inputs())
+        assert {f.p for f in fs} == {2, 3, 5, 7}
+        for f in fs:
+            products = [(prod, e) for part, _ in _squarefree_parts(f.monic())
+                        for prod, e in _distinct_degree(part) if prod.degree > e]
+            assert products, f  # the split runs
+            for prod, e in products:
+                splits = [sorted(_equal_degree(prod, e, random.Random(s)),
+                                 key=lambda g: g.coeffs)
+                          for s in (0, 1, 12345)]
+                assert splits[0] == splits[1] == splits[2], (f, prod)
+                assert len(splits[0]) == prod.degree // e
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -155,6 +173,30 @@ class TestFpFactorize:
         fact = fp_factorize(FqPoly(5, [3]))
         assert fact.factors == ()
         assert recompose_factorization(fact) == FqPoly(5, [3])
+
+
+def _splits_equal_degree(f):
+    """f has two distinct irreducible factors of one degree and one
+    multiplicity, so Cantor-Zassenhaus must split their product."""
+    shapes = [(g.degree, k) for g, k in fp_factorize(f).factors]
+    return len(shapes) > len(set(shapes))
+
+
+def _equal_degree_inputs():
+    """Polynomials over F_p that split equal-degree factors, at p = 2 (trace
+    map) and odd p (pow_mod): fixed products, then seeded random monic ones."""
+    yield parse_poly("(x^3+x+1)*(x^3+x^2+1)*(x^2+x+1)+2*x").reduce_mod(2)
+    yield parse_poly("(x+1)*(x+2)*(x^2+1)*(x^2+x+2)+3").reduce_mod(3)
+    yield parse_poly("x^4+4").reduce_mod(5)
+    rng = random.Random(2718)
+    for p in (2, 3, 5, 7):
+        found = 0
+        while found < 4:
+            coeffs = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randint(4, 9))]
+            f = IntPoly(coeffs + [1]).reduce_mod(p)
+            if _splits_equal_degree(f):
+                found += 1
+                yield f
 
 
 class TestExtField:

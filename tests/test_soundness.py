@@ -1,0 +1,89 @@
+"""Every certificate against an independent factorizer: sympy over Z.
+
+The inputs are the generator families of `oracles` (Eisenstein, power and
+factor-witness) at p = 2, 3 and 5, analyzed in single-phi and full mode.
+For each report, with sympy's factor_list as the truth:
+
+- the true factor count is at most factor_bound;
+- IRREDUCIBLE implies irreducible;
+- min_factor_degree is at most the smallest true degree;
+- factor_bound is at most w + the sum of the side degrees, the bound that
+  the residual factor counts refine.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from oracles import (
+    gen_eisenstein_family,
+    gen_factor_witness,
+    gen_power_family,
+    side_degree_bound,
+)
+from phinewton.criteria import INAPPLICABLE, IRREDUCIBLE, analyze
+from phinewton.polyring import IntPoly
+
+X = IntPoly.x()
+PHIS = {
+    2: (X, IntPoly([1, 1]), IntPoly([1, 1, 1])),
+    3: (X, IntPoly([2, 1]), IntPoly([1, 0, 1])),
+    5: (IntPoly([1, 1]), IntPoly([2, 0, 1])),
+}
+
+
+def true_degrees(f: IntPoly) -> list[int]:
+    """Degrees of the irreducible factors of f over Z, with multiplicity."""
+    _, factors = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"),
+                            domain=sympy.ZZ).factor_list()
+    return sorted(g.degree() for g, k in factors for _ in range(k))
+
+
+def inputs():
+    """(f, p, phi) triples; phi is the one the family was built on."""
+    rng = random.Random(314159)
+    for p, phis in PHIS.items():
+        for phi in phis:
+            max_n = 6 if phi.degree == 1 else 3
+            for f in gen_eisenstein_family(p, phi, 20, rng.randrange(2**30)):
+                yield f, p, phi
+            for f in gen_power_family(p, phi, 40, rng.randrange(2**30), max_n=max_n,
+                                      max_height=6, zero_a0_prob=0.1):
+                yield f, p, phi
+        for j in range(24):
+            witness = gen_factor_witness(p, 2 + j % 2, rng.randrange(2**30))
+            yield witness.product, p, witness.phis[0]
+
+
+def violations(r, degrees: list[int]) -> list[str]:
+    out = []
+    if len(degrees) > r.factor_bound:
+        out.append(f"factor_bound {r.factor_bound} < true count {len(degrees)}")
+    if r.verdict == IRREDUCIBLE and len(degrees) > 1:
+        out.append(f"IRREDUCIBLE but the true degrees are {degrees}")
+    if r.min_factor_degree is not None and r.min_factor_degree > degrees[0]:
+        out.append(f"min_factor_degree {r.min_factor_degree} > {degrees[0]}")
+    if r.phi_reports and r.factor_bound > side_degree_bound(r):
+        out.append(f"factor_bound {r.factor_bound} > side-degree bound "
+                   f"{side_degree_bound(r)}")
+    return out
+
+
+def test_certificates_survive_sympy():
+    failures = []
+    seen = Counter()
+    for f, p, phi in inputs():
+        degrees = true_degrees(f)
+        for r in (analyze(f, p, phi=phi), analyze(f, p)):
+            failures += [f"{f} p={p} {r.mode}: {v}" for v in violations(r, degrees)]
+            seen[r.mode, r.verdict] += 1
+            seen["strict"] += r.phi_reports != [] and r.factor_bound < side_degree_bound(r)
+    assert not failures, "\n".join(failures[:20])
+    # the suite reaches every verdict, and residual counts below side degrees
+    for mode in ("single-phi", "full"):
+        assert seen[mode, IRREDUCIBLE] and seen[mode, "BOUNDED"]
+    assert seen["single-phi", INAPPLICABLE]
+    assert seen["strict"]
