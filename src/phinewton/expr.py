@@ -15,10 +15,16 @@ rejected.  Parentheses nest at most MAX_NESTING deep, and no power or
 product may have degree above MAX_DEGREE.  No integer literal, power or
 product may have coefficients above MAX_COEFF_BITS bits: a power base^n is
 refused when n * (bits of base's largest coefficient + bits of its length)
-exceeds it, a product when the two operands' such sums do.  Both limits are
-checked before any arithmetic, so 2^1000000000 is refused at once; 2^9000
-still parses.  Integers of any number of digits parse and render (in
-chunks, below CPython's int/str conversion limit).
+exceeds it, a product when the two operands' such sums do.  Nor may a power
+or product have a predicted size above _MAX_SIZE_BITS = 2^22 bits: its
+degree plus one, times a bound on its coefficients' bits taken from the L1
+norm, n * ceil(log2 ||base||_1) for base^n and the sum of the two operands'
+ceil(log2 ||.||_1) for a product.  So (x+1)^2000, 2001 * 2000 bits, parses,
+and (x+1)^4000, 4001 * 4000 bits, is refused: its expansion alone would take
+half a minute.  All limits are checked before any arithmetic, so
+2^1000000000 is refused at once; 2^9000 still parses.  Integers of any
+number of digits parse and render (in chunks, below CPython's int/str
+conversion limit).
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .polyring import IntPoly
 MAX_NESTING = 100
 MAX_DEGREE = 10_000
 MAX_COEFF_BITS = 1 << 20
+_MAX_SIZE_BITS = 1 << 22
 
 # CPython refuses int <-> str conversions of more than
 # sys.get_int_max_str_digits() digits (4300 by default, never below 640), so
@@ -63,6 +70,23 @@ def _coeff_bits(poly: IntPoly) -> int:
     if poly.is_zero:
         return 0
     return max(map(int.bit_length, poly.coeffs)) + len(poly.coeffs).bit_length()
+
+
+def _norm_bits(poly: IntPoly) -> int:
+    """ceil(log2 ||poly||_1), 0 for zero: no coefficient of poly^n, nor of a
+    product, exceeds the product of the factors' L1 norms."""
+    return max(sum(map(abs, poly.coeffs)) - 1, 0).bit_length()
+
+
+def _power_size(base: IntPoly, n: int) -> int:
+    """Predicted bits of base^n: (degree + 1) * n * ceil(log2 ||base||_1)."""
+    return (base.degree * n + 1) * n * _norm_bits(base)
+
+
+def _product_size(a: IntPoly, b: IntPoly) -> int:
+    """Predicted bits of a * b: (degree + 1) times the operands' summed
+    ceil(log2 ||.||_1)."""
+    return (a.degree + b.degree + 1) * (_norm_bits(a) + _norm_bits(b))
 
 
 class ParseError(ValueError):
@@ -145,6 +169,12 @@ class _Parser:
                 f"coefficients could exceed the maximum of {MAX_COEFF_BITS} bits", start
             )
 
+    def _check_size(self, bits: int, start: int):
+        if bits > _MAX_SIZE_BITS:
+            raise ParseError(
+                f"the expansion could exceed {_MAX_SIZE_BITS} bits", start
+            )
+
     def parse_term(self) -> IntPoly:
         result = self.parse_factor()
         while True:
@@ -158,6 +188,7 @@ class _Parser:
             factor = self.parse_factor()
             self._check_degree(result.degree + factor.degree, start)
             self._check_bits(_coeff_bits(result) + _coeff_bits(factor), start)
+            self._check_size(_product_size(result, factor), start)
             result = result * factor
 
     def parse_factor(self) -> IntPoly:
@@ -169,6 +200,7 @@ class _Parser:
             n = self.parse_uint()
             self._check_degree(base.degree * n, start)
             self._check_bits(n * _coeff_bits(base), start)
+            self._check_size(_power_size(base, n), start)
             return base**n
         return base
 

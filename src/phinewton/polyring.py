@@ -3,6 +3,11 @@ phi-expansion, and Gauss valuations of the expansion coefficients.
 
 Coefficients are arbitrary-precision Python integers, stored in ascending
 degree order with no trailing zeros; arithmetic is exact throughout.
+
+phi_expand reads every integer coefficient of every a_i once, in one pass
+that yields both its valuation nu and its unit (c / p^nu) mod p.  The
+expansion keeps both, so the residual coefficients are read off it with no
+further big-integer division.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .residue_field import FqPoly
-from .valuation import INFINITY, ExtInt, valuation
+from .valuation import INFINITY, ExtInt, _split, valuation
 
 
 class IntPoly:
@@ -192,13 +197,17 @@ class PhiExpansion:
     """The unique writing f = sum a_i * phi^i with deg a_i < deg phi.
 
     `coeffs[i]` is a_i (zero coefficients kept in place) and `valuations[i]`
-    is its Gauss valuation u_i, INFINITY when a_i = 0.
+    is its Gauss valuation u_i, INFINITY when a_i = 0.  `splits[i][j]` is
+    (nu, unit) for the integer c = coeffs[i].coeffs[j]: nu = nu_p(c) and
+    unit = (c / p^nu) mod p, or (INFINITY, 0) when c = 0; u_i is the least
+    nu over a_i.
     """
 
     f: IntPoly
     phi: IntPoly
     coeffs: tuple
     valuations: tuple
+    splits: tuple
     p: int
 
     @property
@@ -221,6 +230,9 @@ class PhiExpansion:
         return list(enumerate(self.valuations))
 
 
+_ZERO_SPLIT = (INFINITY, 0)
+
+
 def phi_expand(f: IntPoly, phi: IntPoly, p: int) -> PhiExpansion:
     """Expand f in powers of phi by repeated Euclidean division."""
     if f.is_zero:
@@ -232,6 +244,12 @@ def phi_expand(f: IntPoly, phi: IntPoly, p: int) -> PhiExpansion:
     while not rest.is_zero:
         rest, a = divmod(rest, phi)
         coeffs.append(a)
-    valuations = tuple(gauss_valuation(a, p) for a in coeffs)
-    return PhiExpansion(f, phi, tuple(coeffs), valuations, p)
+    ladder = [p]  # p^(2^i), shared by the coefficients of this expansion
+    splits, valuations = [], []
+    for a in coeffs:
+        split = tuple([_split(c, p, ladder) if c else _ZERO_SPLIT for c in a.coeffs])
+        nus = [nu for nu, _ in split if nu is not INFINITY]
+        splits.append(split)
+        valuations.append(min(nus) if nus else INFINITY)
+    return PhiExpansion(f, phi, tuple(coeffs), tuple(valuations), tuple(splits), p)
 

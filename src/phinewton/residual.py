@@ -5,7 +5,10 @@ coefficient c_i in F_phi = F_p[x]/(phibar) is zero when the point
 (s+i, u_{s+i}) lies strictly above S (or the expansion coefficient
 vanishes), and otherwise is the class of a_{s+i} / p^(u_{s+i}) modulo
 (p, phibar).  Only the lattice points of S, at abscissas s, s+e, ..., s+de,
-can contribute nonzero values.
+can contribute nonzero values.  That class is read off the phi-expansion,
+which keeps each integer coefficient's valuation and its unit mod p: a
+coefficient c of a_{s+i} maps to its unit where nu_p(c) = u_{s+i} and to 0
+where nu_p(c) is larger, so no power of p is formed and nothing is divided.
 
 The residual polynomial f_S(y) = t_0 y^d + t_1 y^(d-1) + ... + t_d has
 t_i = c_{i*e}: the side's start anchors the highest power of y.  It is an
@@ -34,14 +37,15 @@ def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPo
         raise RuntimeError(
             f"point ({s + i}, {u}) lies below its own polygon side"
         )
-    pu = exp.p**u
-    quotients = []
-    for c in exp.coeffs[s + i].coeffs:
-        q, r = divmod(c, pu)
-        if r:
+    units = []
+    for c, (nu, unit) in zip(exp.coeffs[s + i].coeffs, exp.splits[s + i]):
+        if nu is INFINITY or nu > u:
+            units.append(0)  # c / p^u is divisible by p
+        elif nu == u:
+            units.append(unit)
+        else:
             raise ValueError(f"{c} is not divisible by {exp.p}^{u}")
-        quotients.append(q)
-    return field.elem(quotients)
+    return field.elem(units)
 
 
 def residual_coefficient(exp: PhiExpansion, side: Side, i: int) -> FqPoly:

@@ -566,12 +566,17 @@ def count_irreducible_factors(g: FqPoly) -> int:
 
     The count comes from squarefree decomposition plus distinct-degree
     splitting, so it is fully deterministic.  A linear g is one factor, with
-    no split and no field inversion.
+    no split and no field inversion.  Over a degree-1 field F_p[x]/(x - a),
+    which is F_p, each element is its constant term, and g is counted as
+    that image over F_p, where the packed kernel runs.
     """
     if g.degree < 1:
         raise ValueError("factor counting requires degree >= 1")
     if g.degree == 1:
         return 1
+    field = g.field
+    if isinstance(field, ExtField) and field.m == 1:
+        g = _poly(_prime_field(field.p), [c.coeffs[0] if c else 0 for c in g.coeffs])
     total = 0
     for part, mult in _squarefree_parts(g.monic()):
         for prod, e in _distinct_degree(part):

@@ -11,7 +11,9 @@ over F_p instead of reading the phi-expansion, and Rabin's irreducibility
 test checks the package's factor count.  pow_mod here is square-and-multiply
 on FqPoly's schoolbook `*` and `%`, so Rabin's test and the plain
 distinct-degree split never run the package's packed product kernel, which
-FqPoly.pow_mod uses over F_p.  The recompose helpers multiply an expansion or
+FqPoly.pow_mod uses over F_p.  The residual oracle divides each expansion
+coefficient by p^u, where the package reads the valuation and unit that the
+phi-expansion kept.  The recompose helpers multiply an expansion or
 a factorization back out.  build_parser is the argparse parser that the CLI's
 own argv reader reproduces.
 
@@ -33,7 +35,7 @@ from fractions import Fraction
 from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, PhiExpansion, phi_expand
 from phinewton.residual import residual_polynomial
-from phinewton.residue_field import ExtField, FactorizationFp, FqPoly
+from phinewton.residue_field import ExtField, FactorizationFp, FqPoly, _poly, ext_field
 from phinewton.valuation import INFINITY
 
 
@@ -89,6 +91,38 @@ def side_degree_bound(report) -> int:
     it, since a residual of degree d has at most d factors."""
     return sum(pr.exact_power_exponent + sum(rec.side.degree for rec in pr.sides)
                for pr in report.phi_reports)
+
+
+def divided_residual_coefficient(exp: PhiExpansion, side: Side, i: int,
+                                 field: ExtField) -> FqPoly:
+    """The residual coefficient c_i of the side, by dividing a_{s+i} by p^u."""
+    s = side.start[0]
+    u = exp.valuations[s + i]
+    if u is INFINITY:
+        return field.zero
+    line = side.height_at(s + i)
+    if u > line:
+        return field.zero
+    if u < line:
+        raise RuntimeError(
+            f"point ({s + i}, {u}) lies below its own polygon side"
+        )
+    pu = exp.p**u
+    quotients = []
+    for c in exp.coeffs[s + i].coeffs:
+        q, r = divmod(c, pu)
+        if r:
+            raise ValueError(f"{c} is not divisible by {exp.p}^{u}")
+        quotients.append(q)
+    return field.elem(quotients)
+
+
+def divided_residual_polynomial(exp: PhiExpansion, side: Side) -> FqPoly:
+    """f_S(y) = t_0 y^d + ... + t_d from the dividing residual coefficients."""
+    field = ext_field(exp.phi.reduce_mod(exp.p))
+    ts = [divided_residual_coefficient(exp, side, j * side.e, field)
+          for j in range(side.degree + 1)]
+    return _poly(field, ts[::-1])
 
 
 def recompose_expansion(exp: PhiExpansion) -> IntPoly:
@@ -490,6 +524,30 @@ def gen_factor_witness(p: int, k: int, seed: int) -> FactorWitness:
     return FactorWitness(
         tuple(factors), tuple(phis), product, tuple(polygons), tuple(residuals)
     )
+
+
+FAMILY_PHIS = {
+    2: (IntPoly((0, 1)), IntPoly((1, 1)), IntPoly((1, 1, 1))),
+    3: (IntPoly((0, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1))),
+    5: (IntPoly((1, 1)), IntPoly((2, 0, 1))),
+}
+
+
+def family_inputs():
+    """(f, p, phi) triples of the Eisenstein, power and factor-witness
+    families at p = 2, 3 and 5; phi is the one the family was built on."""
+    rng = random.Random(314159)
+    for p, phis in FAMILY_PHIS.items():
+        for phi in phis:
+            max_n = 6 if phi.degree == 1 else 3
+            for f in gen_eisenstein_family(p, phi, 20, rng.randrange(2**30)):
+                yield f, p, phi
+            for f in gen_power_family(p, phi, 40, rng.randrange(2**30), max_n=max_n,
+                                      max_height=6, zero_a0_prob=0.1):
+                yield f, p, phi
+        for j in range(24):
+            witness = gen_factor_witness(p, 2 + j % 2, rng.randrange(2**30))
+            yield witness.product, p, witness.phis[0]
 
 
 class _ArgumentParser(argparse.ArgumentParser):

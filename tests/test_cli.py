@@ -278,6 +278,16 @@ class TestHostileInput:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_short_power_of_huge_size_exits_1_fast(self):
+        # (x+1)^4000 would take half a minute to expand
+        start = time.perf_counter()
+        proc = run_subprocess("(x+1)^4000", "-p", "2")
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "(at position 6)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestCheckOnly:
     def test_applicable(self, capsys):

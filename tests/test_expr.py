@@ -1,10 +1,13 @@
 import pytest
 
 from phinewton.expr import (
+    _MAX_SIZE_BITS,
     MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_NESTING,
     ParseError,
+    _power_size,
+    _product_size,
     parse_poly,
     render_poly,
 )
@@ -148,6 +151,31 @@ class TestLimits:
         n = MAX_COEFF_BITS // 3
         assert parse_poly(f"2^{n} * 2^{n}").coeffs == (2 ** (2 * n),)
         src = f"2^{n} * 2^{n} * 2^{n}"
+        with pytest.raises(ParseError) as err:
+            parse_poly(src)
+        assert err.value.position == src.rindex("2^")
+
+    def test_size_predicate(self):
+        # (x+1)^n has degree n and L1 norm 2^n: (n + 1) * n bits predicted;
+        # the predicate expands neither power
+        x1 = IntPoly([1, 1])
+        assert _power_size(x1, 2000) == 2001 * 2000 <= _MAX_SIZE_BITS
+        assert _power_size(x1, 4000) == 4001 * 4000 > _MAX_SIZE_BITS
+        assert _power_size(IntPoly.x(), MAX_DEGREE) == 0
+        assert _power_size(IntPoly([7]), 27001) == 3 * 27001
+        assert _product_size(IntPoly([0, 3]), IntPoly([1, 1, 1])) == 4 * (2 + 2)
+
+    def test_size_limit_on_powers(self):
+        with pytest.raises(ParseError) as err:
+            parse_poly("(x+1)^4000")
+        assert err.value.position == 6
+        assert "could exceed" in str(err.value)
+
+    def test_size_limit_on_products(self):
+        # 2^2000 x^2000 is admitted (2001 * 2000 bits); another 2^2000
+        # doubles its coefficient bits
+        assert parse_poly("2^2000 x^2000").coeffs[-1] == 2**2000
+        src = "2^2000 x^2000 * 2^2000"
         with pytest.raises(ParseError) as err:
             parse_poly(src)
         assert err.value.position == src.rindex("2^")

@@ -1,13 +1,23 @@
 import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from oracles import gen, gen_power_family, side_at_slope
+from oracles import (
+    divided_residual_coefficient,
+    divided_residual_polynomial,
+    family_inputs,
+    gen,
+    gen_power_family,
+    side_at_slope,
+)
 from phinewton.polygon import Side, build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.residual import residual_coefficient, residual_polynomial
-from phinewton.residue_field import FqPoly, ext_field
+from phinewton.residue_field import FqPoly, ext_field, fp_factorize
+from phinewton.valuation import INFINITY
 
 
 def expansion_polygon(f, phi, p):
@@ -168,3 +178,54 @@ class TestResidualMultiplicativity:
             assert got.degree == expected.degree
             # equality up to a nonzero scalar of F_phi
             assert got.scale(expected.lead) == expected.scale(got.lead)
+
+
+def huge_heights_inputs():
+    """(f, p) for the seed-1 huge_heights pool of the benchmark, 36 inputs
+    whose coefficients are sums of p^k, k 3000-9000, at p = 2, 3 and 7."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for op in workloads.generate("huge_heights", 1, 36):
+        yield IntPoly(op.coeffs), int(op.argv[op.argv.index("-p") + 1])
+
+
+class TestAgainstDivision:
+    """The residual read off the expansion's kept units equals the one that
+    divides every coefficient by p^u (`oracles.divided_residual_*`)."""
+
+    @staticmethod
+    def check(f, p, phi):
+        exp = phi_expand(f, phi, p)
+        if sum(u is not INFINITY for u in exp.valuations) < 2:
+            return 0  # f = phi^n: no polygon side
+        polygon = build_polygon(exp.points())
+        field = ext_field(phi.reduce_mod(p))
+        sides = [side for side in polygon.sides if side.slope <= 0]
+        for side in sides:
+            for i in range(side.length + 1):
+                assert (residual_coefficient(exp, side, i)
+                        == divided_residual_coefficient(exp, side, i, field)), (f, p, phi, i)
+        for side in polygon.principal_part().sides:
+            assert residual_polynomial(exp, side) == divided_residual_polynomial(exp, side)
+        return len(sides)
+
+    def phis(self, f, p, phi=None):
+        lifts = [IntPoly(g.coeffs) for g, _ in fp_factorize(f.reduce_mod(p)).factors]
+        return ([phi] if phi is not None else []) + lifts
+
+    def test_generator_families(self):
+        sides = 0
+        for f, p, phi in family_inputs():
+            for psi in self.phis(f, p, phi):
+                sides += self.check(f, p, psi)
+        assert sides > 1000
+
+    def test_huge_heights_pool(self):
+        sides = 0
+        for f, p in huge_heights_inputs():
+            for psi in self.phis(f, p, IntPoly.x()):
+                sides += self.check(f, p, psi)
+        assert sides >= 36

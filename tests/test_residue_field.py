@@ -345,6 +345,53 @@ class TestFieldTypesAgree:
                 assert rabin_is_irreducible(g) == (count == 1), f
 
 
+def loop_count(g):
+    """count_irreducible_factors by its loops, over g's own field."""
+    return sum(mult * (prod.degree // e)
+               for part, mult in _squarefree_parts(g.monic())
+               for prod, e in _distinct_degree(part))
+
+
+class TestDegreeOneFieldCount:
+    """F_p[x]/(x - a) is F_p: a polynomial over it is counted as the image
+    of its constant terms over F_p."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+    def test_count_equals_the_image_count(self, p):
+        rng = random.Random(p)
+        for _ in range(30):
+            a = rng.randrange(p)
+            field = ext_field(FqPoly(p, [-a, 1]))
+            degree = rng.randint(1, 12)
+            # each element is reduced mod x - a from an F_p polynomial
+            coeffs = [[rng.randrange(p) for _ in range(3)] for _ in range(degree)]
+            g = FqPoly(field, coeffs + [[rng.randrange(1, p)]])
+            image = FqPoly(p, [c.coeffs[0] if c else 0 for c in g.coeffs])
+            count = count_irreducible_factors(g)
+            assert count == count_irreducible_factors(image) == loop_count(g), g
+            assert count == fp_factorize(image).factor_count
+
+    def test_routes(self, monkeypatch):
+        # the split runs over F_p for a degree-1 field, over F_4 for F_4
+        seen = []
+
+        def recording(f):
+            seen.append(f.field)
+            return _distinct_degree(f)
+
+        monkeypatch.setattr(residue_field, "_distinct_degree", recording)
+        f2 = FqPoly(2).field
+        line = ext_field(FqPoly(2, [1, 1]))
+        f4 = ext_field(FqPoly(2, [1, 1, 1]))
+        g = FqPoly(line, [1, 1, 1])  # y^2 + y + 1, irreducible over F_2
+        assert count_irreducible_factors(g) == 1
+        assert seen and all(field == f2 for field in seen)
+        seen.clear()
+        h = FqPoly(f4, [1, 1, 1])  # splits over F_4: (y - w)(y - w^2)
+        assert count_irreducible_factors(h) == 2 == loop_count(h)
+        assert seen and all(field == f4 for field in seen)
+
+
 def small_fields():
     """F_2, F_3, F_65521, F_4, F_8 and F_9."""
     return [

@@ -11,28 +11,15 @@ For each report, with sympy's factor_list as the truth:
   the residual factor counts refine.
 """
 
-import random
 from collections import Counter
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from oracles import (
-    gen_eisenstein_family,
-    gen_factor_witness,
-    gen_power_family,
-    side_degree_bound,
-)
+from oracles import family_inputs, side_degree_bound
 from phinewton.criteria import INAPPLICABLE, IRREDUCIBLE, analyze
 from phinewton.polyring import IntPoly
-
-X = IntPoly.x()
-PHIS = {
-    2: (X, IntPoly([1, 1]), IntPoly([1, 1, 1])),
-    3: (X, IntPoly([2, 1]), IntPoly([1, 0, 1])),
-    5: (IntPoly([1, 1]), IntPoly([2, 0, 1])),
-}
 
 
 def true_degrees(f: IntPoly) -> list[int]:
@@ -40,22 +27,6 @@ def true_degrees(f: IntPoly) -> list[int]:
     _, factors = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"),
                             domain=sympy.ZZ).factor_list()
     return sorted(g.degree() for g, k in factors for _ in range(k))
-
-
-def inputs():
-    """(f, p, phi) triples; phi is the one the family was built on."""
-    rng = random.Random(314159)
-    for p, phis in PHIS.items():
-        for phi in phis:
-            max_n = 6 if phi.degree == 1 else 3
-            for f in gen_eisenstein_family(p, phi, 20, rng.randrange(2**30)):
-                yield f, p, phi
-            for f in gen_power_family(p, phi, 40, rng.randrange(2**30), max_n=max_n,
-                                      max_height=6, zero_a0_prob=0.1):
-                yield f, p, phi
-        for j in range(24):
-            witness = gen_factor_witness(p, 2 + j % 2, rng.randrange(2**30))
-            yield witness.product, p, witness.phis[0]
 
 
 def violations(r, degrees: list[int]) -> list[str]:
@@ -75,7 +46,7 @@ def violations(r, degrees: list[int]) -> list[str]:
 def test_certificates_survive_sympy():
     failures = []
     seen = Counter()
-    for f, p, phi in inputs():
+    for f, p, phi in family_inputs():
         degrees = true_degrees(f)
         for r in (analyze(f, p, phi=phi), analyze(f, p)):
             failures += [f"{f} p={p} {r.mode}: {v}" for v in violations(r, degrees)]

@@ -6,7 +6,7 @@ import pytest
 
 from phinewton.criteria import analyze
 from phinewton.polyring import IntPoly
-from phinewton.valuation import INFINITY, is_prime, valuation
+from phinewton.valuation import INFINITY, _split, is_prime, valuation
 
 
 def naive_valuation(p, x):
@@ -85,6 +85,80 @@ class TestValuation:
             assert valuation(x, p) == 100_000
             assert valuation(-x, p) == 100_000
             assert time.perf_counter() - start < 5.0
+
+
+def naive_split(p, x):
+    # independent oracle: the unit left after naive_valuation's divisions
+    v = naive_valuation(p, x)
+    for _ in range(v):
+        x //= p
+    return v, x % p
+
+
+class TestSplit:
+    """_split(x, p, ladder) is (nu_p(x), (x / p^nu) mod p) for nonzero x."""
+
+    def test_examples(self):
+        assert _split(48, 2, [2]) == (4, 1)
+        assert _split(45, 3, [3]) == (2, 2)
+        assert _split(-45, 3, [3]) == (2, 1)
+        assert _split(7**40 * 12, 7, [7]) == (40, 5)
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(19)
+        for p in (2, 3, 5, 7, 10007, 65521):
+            for _ in range(200):
+                k = rng.choice((rng.randrange(5), rng.randrange(80)))
+                x = rng.choice((-1, 1)) * rng.randrange(1, 10**rng.randrange(1, 60)) * p**k
+                assert _split(x, p, [p]) == naive_split(p, x), (p, x)
+
+    def test_prime_power_times_unit(self):
+        # x = +-p^k * u with u prime to p: the split is (k, +-u mod p)
+        rng = random.Random(23)
+        ks = [0, 1, 3, 4, 5, 31, 32, 35, 36, 37, 100, 1023, 1024, 1025, 5000]
+        for p in (2, 3, 7, 65521):
+            for k in ks:
+                for bits in (1, 64, 2000):
+                    u = rng.getrandbits(bits) * p + rng.randrange(1, p)
+                    sign = rng.choice((-1, 1))
+                    x = sign * p**k * u
+                    assert _split(x, p, [p]) == naive_split(p, x) == (k, sign * u % p)
+
+    def test_valuation_near_half_the_bits(self):
+        # the descent's first and largest step divides x by P_k = p^(2^k)
+        # with P_k^2 > |x|: here nu_p(x) is close to 2^k on either side
+        rng = random.Random(29)
+        for p in (3, 7, 65521):
+            for top in (5, 8, 11):
+                for k in (2**top - 1, 2**top, 2**top + 1, 2**(top + 1) - 1):
+                    for j in (-2, -1, 0, 1, 2):
+                        # u has about k + j factors' worth of bits, so x has
+                        # about twice the bits of p^k
+                        bits = max((k + j) * p.bit_length(), 1)
+                        u = rng.getrandbits(bits) * p + rng.randrange(1, p)
+                        sign = rng.choice((-1, 1))
+                        x = sign * p**k * u
+                        assert _split(x, p, [p]) == (k, sign * u % p), (p, k, j)
+                        if k < 600:
+                            assert _split(x, p, [p]) == naive_split(p, x)
+
+    def test_shared_ladder(self):
+        # one ladder serves numbers of any size, larger and smaller, in any order
+        rng = random.Random(37)
+        for p in (3, 7, 65521):
+            ladder = [p]
+            for _ in range(60):
+                k = rng.randrange(3000)
+                x = rng.choice((-1, 1)) * p**k * (rng.getrandbits(rng.randrange(1, 3000)) * p + 1)
+                assert _split(x, p, ladder) == (k, x // p**k % p)
+                assert all(b == p ** (2**i) for i, b in enumerate(ladder))
+
+    def test_valuation_reads_the_split(self):
+        rng = random.Random(41)
+        for p in (2, 3, 65521):
+            for _ in range(50):
+                x = rng.choice((-1, 1)) * rng.randrange(1, 2**200) * p**rng.randrange(300)
+                assert valuation(x, p) == _split(x, p, [p])[0]
 
 
 class TestReduceRational:
