@@ -7,7 +7,6 @@ from .valuation import INFINITY, is_prime
 from .polyring import (
     IntPoly,
     PhiExpansion,
-    gauss_valuation,
     phi_expand,
 )
 from .residue_field import (
@@ -24,7 +23,7 @@ from .polygon import (
     Side,
     build_polygon,
 )
-from .residual import residual_coefficient, residual_polynomial
+from .residual import residual_polynomial
 from .criteria import (
     BOUNDED,
     INAPPLICABLE,
@@ -41,7 +40,6 @@ __all__ = [
     "is_prime",
     "IntPoly",
     "PhiExpansion",
-    "gauss_valuation",
     "phi_expand",
     "ExtField",
     "FactorizationFp",
@@ -53,7 +51,6 @@ __all__ = [
     "NewtonPolygon",
     "Side",
     "build_polygon",
-    "residual_coefficient",
     "residual_polynomial",
     "BOUNDED",
     "INAPPLICABLE",

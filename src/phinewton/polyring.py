@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .residue_field import FqPoly
-from .valuation import INFINITY, ExtInt, _split, valuation
+from .valuation import INFINITY, ExtInt, _split
 
 
 class IntPoly:
@@ -183,13 +183,6 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
-
-
-def gauss_valuation(a: IntPoly, p: int) -> ExtInt:
-    """Minimum p-adic valuation over the coefficients; INFINITY for zero."""
-    if a.is_zero:
-        return INFINITY
-    return min(valuation(c, p) for c in a.coeffs if c != 0)
 
 
 @dataclass(frozen=True)

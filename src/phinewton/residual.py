@@ -48,13 +48,6 @@ def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPo
     return field.elem(units)
 
 
-def residual_coefficient(exp: PhiExpansion, side: Side, i: int) -> FqPoly:
-    """The residual coefficient c_i of the side, an element of F_phi."""
-    if not 0 <= i <= side.length:
-        raise ValueError(f"index {i} outside side of length {side.length}")
-    return _coefficient(exp, side, i, ext_field(exp.phi.reduce_mod(exp.p)))
-
-
 def residual_polynomial(exp: PhiExpansion, side: Side) -> FqPoly:
     """Assemble f_S(y) = t_0 y^d + ... + t_d over F_phi from the side's
     lattice points.

@@ -26,16 +26,26 @@ it draws from a fixed PRNG, and its result is sorted canonically.
 The distinct-degree split applies the q-power (Frobenius) map through a
 table T[i] = x^(i*q) mod f, built once per modulus f from one pow_mod and
 deg f - 2 products: h^q = sum h_i T[i], because every coefficient h_i of h
-is fixed by Frobenius.
+is fixed by Frobenius.  Over F_p with the packed kernel below, it takes one
+gcd per block of l = isqrt(deg f // 2) consecutive degrees e: the gcd of the
+rest of f with prod (h_e - x) over the block holds every factor whose degree
+lies in the block, and only a nontrivial block gcd is split again, degree by
+degree; a part of degree below 2e is one irreducible and needs no gcd.
+Without the kernel, over F_phi and past its slot bound, a block product by
+the loops costs more than the gcds it saves, so each degree keeps its own.
 
 Over F_p, products modulo a monic f of degree n run through one packed int
 multiply (Kronecker substitution, _Kronecker) when 2 n (p-1)^2 < 2^64: each
 coefficient takes one 64-bit little-endian slot, and that bound keeps every
 slot of a product, after its high part is folded back mod f, from carrying
 into the next.  The bound holds for every p up to 65521 at every degree up
-to 10,000.  pow_mod, the Frobenius table and map, and the squarings of the
-p = 2 trace map in Cantor-Zassenhaus use it.  __mul__, __divmod__, gcd,
-every product over an ExtField, and primes past the bound keep the loops.
+to 10,000.  The factorizer builds one kernel per modulus and shares it among
+the square-and-multiply of x^q, the Frobenius table and map, the block
+products, and Cantor-Zassenhaus (its powers, and the squarings of the p = 2
+trace map); the public pow_mod builds its own.  gcd over F_p runs Euclid on
+plain int lists, making each divisor monic with one inverse, and builds one
+FqPoly at the end.  __mul__, __divmod__, every operation over an ExtField,
+and primes past the bound keep the loops.
 
 ext_field shares one ExtField per modulus.  A modulus it has not seen is
 checked in full, its factor count included; the factors of fp_factorize,
@@ -45,6 +55,7 @@ which are irreducible by construction, enter that cache without a test.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -234,6 +245,11 @@ class FqPoly:
         return self.scale(self.field.inv(self.lead))
 
     def gcd(self, other: "FqPoly") -> "FqPoly":
+        """The monic gcd; over F_p by Euclid on plain coefficient lists."""
+        self._check(other)
+        field = self.field
+        if isinstance(field, PrimeField):
+            return _poly(field, _fp_gcd(list(self.coeffs), list(other.coeffs), field.p))
         a, b = self, other
         while b:
             a, b = b, a % b
@@ -268,17 +284,7 @@ class FqPoly:
         every product goes through one packed int multiply (_Kronecker,
         built once per call).  Otherwise it is __mul__ then __divmod__.
         """
-        if n < 0:
-            raise ValueError("negative exponent")
-        mul = _mulmod(modulus)
-        result = _poly(self.field, [self.field.one]) % modulus
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            n >>= 1
-        return result
+        return _power(self, n, modulus, _mulmod(modulus, _kronecker(modulus)))
 
     def __eq__(self, other):
         return (
@@ -316,6 +322,47 @@ def _poly(field, cs: list) -> FqPoly:
     object.__setattr__(f, "field", field)
     object.__setattr__(f, "coeffs", tuple(cs))
     return f
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd over F_p of reduced coefficient lists, which it consumes.
+
+    The divisor is kept monic, so a quotient term is just the dividend's top
+    coefficient mod p.  The dividend is reduced in place and left unreduced;
+    its remainder is read off in one pass that reduces it and makes it the
+    next monic divisor, with one inverse.
+    """
+    if not b:
+        a, b = b, a
+    r = b
+    while True:
+        top = len(r) - 1
+        while top >= 0 and not r[top] % p:
+            top -= 1
+        if top < 0:
+            return a
+        inv = pow(r[top], -1, p)
+        b = [c * inv % p for c in r[:top + 1]]
+        low = b[:-1]
+        for k in range(len(a) - 1 - top, -1, -1):
+            c = a[k + top] % p
+            if c:
+                a[k:k + top] = [u - c * v for u, v in zip(a[k:k + top], low)]
+        a, r = b, a[:top]
+
+
+def _power(a: FqPoly, n: int, f: FqPoly, mul) -> FqPoly:
+    """a^n mod f by square-and-multiply, with mul the product mod f."""
+    if n < 0:
+        raise ValueError("negative exponent")
+    result = _poly(a.field, [a.field.one]) % f
+    base = a % f
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        n >>= 1
+    return result
 
 
 class _Kronecker:
@@ -388,14 +435,13 @@ def _kronecker(f: FqPoly):
     return None
 
 
-def _mulmod(f: FqPoly):
+def _mulmod(f: FqPoly, kernel):
     """Product mod f of two polynomials reduced mod f: the kernel's, or the
-    loops of __mul__ and __divmod__."""
-    kernel = _kronecker(f)
+    loops of __mul__ and __divmod__ where `_kronecker(f)` gave None."""
     return kernel.mulmod if kernel else lambda a, b: a * b % f
 
 
-def _frobenius_map(f: FqPoly, xq: FqPoly):
+def _frobenius_map(f: FqPoly, xq: FqPoly, kernel):
     """The q-power map h -> h^q mod f on h reduced mod f, given xq = x^q mod f.
 
     Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i]
@@ -405,8 +451,7 @@ def _frobenius_map(f: FqPoly, xq: FqPoly):
     the packed rows; each slot stays below n (p-1)^2.
     """
     field = f.field
-    kernel = _kronecker(f)
-    mul = kernel.mulmod if kernel else lambda a, b: a * b % f
+    mul = _mulmod(f, kernel)
     table = [_poly(field, [field.one]), xq]
     while len(table) < f.degree:
         table.append(mul(table[-1], xq))
@@ -535,27 +580,52 @@ def _squarefree_parts(f: FqPoly) -> list[tuple[FqPoly, int]]:
 
 
 def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
-    """Split monic squarefree f into (product of degree-e irreducibles, e).
+    """Split monic squarefree f into (product of degree-e irreducibles, e),
+    e ascending.
 
-    h = x^(q^e) stays reduced modulo the undivided f, so one Frobenius map
-    serves every step; the first step is its table row T[1] = x^q.
+    h_e = x^(q^e) stays reduced modulo the undivided f, so one Frobenius map
+    serves every degree; h_1 = x^q is one pow_mod.  The degrees go in blocks,
+    of isqrt(deg f // 2) with the packed kernel and of 1 without: one gcd
+    with prod (h_e - x) over the block takes out every factor of a degree in
+    the block, and only a nontrivial gcd is split again, degree by degree.
     """
-    whole = f
-    x = FqPoly.x(f.field)
+    if f.degree < 2:
+        return [(f, 1)] if f.degree == 1 else []
+    whole, field = f, f.field
+    x = FqPoly.x(field)
+    kernel = _kronecker(whole)
+    mul = _mulmod(whole, kernel)
+    size = math.isqrt(whole.degree // 2) if kernel else 1
     out = []
     e = 1
     while f.degree >= 2 * e:
-        if e == 1:
-            h = x.pow_mod(f.field.q, whole)
-        else:
-            if e == 2:
-                frobenius = _frobenius_map(whole, h)
-            h = frobenius(h)
-        g = f.gcd(h - x)
+        block = range(e, min(e + size, f.degree // 2 + 1))
+        diffs = []
+        for d in block:
+            if d == 1:
+                h = _power(x, field.q, whole, mul)
+            else:
+                if d == 2:
+                    frobenius = _frobenius_map(whole, h, kernel)
+                h = frobenius(h)
+            diffs.append(h - x)
+        g = f.gcd(functools.reduce(mul, diffs))
         if g.degree > 0:
-            out.append((g, e))
             f = f // g
-        e += 1
+            # every factor of g has its degree in the block and none below d
+            for d, diff in zip(block, diffs):
+                if g.degree < 2 * d:  # at most one irreducible, of degree deg g
+                    if g.degree > 0:
+                        out.append((g, g.degree))
+                    break
+                if d == block[-1]:  # every factor left has degree d
+                    out.append((g, d))
+                    break
+                split = g.gcd(diff)
+                if split.degree > 0:
+                    out.append((split, d))
+                    g = g // split
+        e = block[-1] + 1
     if f.degree > 0:
         out.append((f, f.degree))
     return out
@@ -605,7 +675,7 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
         return [f]
     p = f.p
     one = FqPoly(p, [1])
-    square = _mulmod(f) if p == 2 else None  # for the trace map
+    mul = _mulmod(f, _kronecker(f))
     while True:
         r = FqPoly(p, [rng.randrange(p) for _ in range(2 * e)])
         if r.degree < 1:
@@ -615,13 +685,13 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
             t = r % f
             s = t
             for _ in range(e - 1):
-                s = square(s, s)
+                s = mul(s, s)
                 t = t + s
             g = f.gcd(t)
         else:
             g = f.gcd(r)
             if not 0 < g.degree < n:
-                s = r.pow_mod((p**e - 1) // 2, f)
+                s = _power(r, (p**e - 1) // 2, f, mul)
                 g = f.gcd(s - one)
         if 0 < g.degree < n:
             return _equal_degree(g, e, rng) + _equal_degree(f // g, e, rng)

@@ -9,13 +9,17 @@ single-side check tests the paper's inequality point by point instead of
 reading it off the polygon, the power test raises phibar to the n-th power
 over F_p instead of reading the phi-expansion, and Rabin's irreducibility
 test checks the package's factor count.  pow_mod here is square-and-multiply
-on FqPoly's schoolbook `*` and `%`, so Rabin's test and the plain
-distinct-degree split never run the package's packed product kernel, which
-FqPoly.pow_mod uses over F_p.  The residual oracle divides each expansion
-coefficient by p^u, where the package reads the valuation and unit that the
-phi-expansion kept.  The recompose helpers multiply an expansion or
-a factorization back out.  build_parser is the argparse parser that the CLI's
-own argv reader reproduces.
+on FqPoly's schoolbook `*` and `%`, and plain_gcd is Euclid on its `divmod`,
+so Rabin's test and the plain distinct-degree split (one gcd per degree) run
+neither the package's packed product kernel, which FqPoly.pow_mod uses over
+F_p, nor its gcd, which runs on plain coefficient lists over F_p.  The
+residual oracle divides each expansion coefficient by p^u, where the package
+reads the valuation and unit that the phi-expansion kept.  gauss_valuation
+and residual_coefficient are test-only helpers: the Gauss valuation of an
+integer polynomial, and the package's residual coefficient at one point.
+The recompose helpers multiply an expansion or a factorization back out.
+build_parser is the argparse parser that the CLI's own argv reader
+reproduces.
 
 The generators build polynomials whose factor structure is known by
 construction, which turns the product rule and the factor-count bounds into
@@ -34,9 +38,9 @@ from fractions import Fraction
 
 from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, PhiExpansion, phi_expand
-from phinewton.residual import residual_polynomial
+from phinewton.residual import _coefficient, residual_polynomial
 from phinewton.residue_field import ExtField, FactorizationFp, FqPoly, _poly, ext_field
-from phinewton.valuation import INFINITY
+from phinewton.valuation import INFINITY, ExtInt, valuation
 
 
 def is_power_of_phibar(f: IntPoly, phi: IntPoly, p: int) -> bool:
@@ -47,6 +51,20 @@ def is_power_of_phibar(f: IntPoly, phi: IntPoly, p: int) -> bool:
     if m < 1 or f.degree % m != 0:
         return False
     return f.reduce_mod(p) == phi.reduce_mod(p) ** (f.degree // m)
+
+
+def gauss_valuation(a: IntPoly, p: int) -> ExtInt:
+    """Minimum p-adic valuation over the coefficients; INFINITY for zero."""
+    if a.is_zero:
+        return INFINITY
+    return min(valuation(c, p) for c in a.coeffs if c != 0)
+
+
+def plain_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
+    """Monic gcd by Euclid on FqPoly's `divmod`."""
+    while b:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
 
 
 def pow_mod(a: FqPoly, n: int, f: FqPoly) -> FqPoly:
@@ -82,7 +100,7 @@ def rabin_is_irreducible(f: FqPoly) -> bool:
         return False
     ells = [ell for ell in range(2, n + 1)
             if n % ell == 0 and all(ell % d for d in range(2, ell))]
-    return all(f.gcd(powers[n // ell] - x).degree == 0 for ell in ells)
+    return all(plain_gcd(f, powers[n // ell] - x).degree == 0 for ell in ells)
 
 
 def side_degree_bound(report) -> int:
@@ -91,6 +109,14 @@ def side_degree_bound(report) -> int:
     it, since a residual of degree d has at most d factors."""
     return sum(pr.exact_power_exponent + sum(rec.side.degree for rec in pr.sides)
                for pr in report.phi_reports)
+
+
+def residual_coefficient(exp: PhiExpansion, side: Side, i: int) -> FqPoly:
+    """The package's residual coefficient c_i of the side, an element of
+    F_phi, read off the expansion's kept units."""
+    if not 0 <= i <= side.length:
+        raise ValueError(f"index {i} outside side of length {side.length}")
+    return _coefficient(exp, side, i, ext_field(exp.phi.reduce_mod(exp.p)))
 
 
 def divided_residual_coefficient(exp: PhiExpansion, side: Side, i: int,
@@ -365,11 +391,13 @@ def exhaustive_ext_factor_count(g: FqPoly) -> int:
 
 
 def plain_distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
-    """Distinct-degree split of monic squarefree f with one pow_mod per step.
+    """Distinct-degree split of monic squarefree f with one pow_mod and one
+    gcd per degree.
 
     h = x^(q^e) is raised to the q-th power by this module's pow_mod, not
     FqPoly.pow_mod, and kept reduced modulo the shrinking f, where the
-    library applies a Frobenius table modulo the undivided f.
+    library applies a Frobenius table modulo the undivided f and takes one
+    gcd per block of degrees.  The gcd is plain_gcd, not FqPoly.gcd.
     """
     q = f.field.q
     x = FqPoly.x(f.field)
@@ -378,7 +406,7 @@ def plain_distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
     e = 1
     while f.degree >= 2 * e:
         h = pow_mod(h, q, f)
-        g = f.gcd(h - x)
+        g = plain_gcd(f, h - x)
         if g.degree > 0:
             out.append((g, e))
             f = f // g

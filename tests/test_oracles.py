@@ -10,6 +10,7 @@ from oracles import (
     gen,
     gen_eisenstein_family,
     gen_factor_witness,
+    gauss_valuation,
     gen_power_family,
     hull_oracle,
     is_power_of_phibar,
@@ -19,6 +20,7 @@ from oracles import (
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.residue_field import FqPoly, ext_field
+from phinewton.valuation import INFINITY, valuation
 
 
 class TestHullOracle:
@@ -149,3 +151,36 @@ class TestGenerators:
         for polygon, sides in zip(w.polygons, w.residuals):
             assert len(sides) == len(polygon.principal_part().sides)
         assert gen_factor_witness(2, 3, seed=17).product == w.product
+
+
+def random_int_poly(rng, max_degree, bound=50):
+    coeffs = [rng.randint(-bound, bound) for _ in range(rng.randint(0, max_degree) + 1)]
+    if not any(coeffs):
+        coeffs[-1] = 1
+    return IntPoly(coeffs)
+
+
+class TestGaussValuation:
+    def test_examples(self):
+        assert gauss_valuation(IntPoly([480, 240]), 2) == 4
+        assert gauss_valuation(IntPoly(), 2) is INFINITY
+        assert gauss_valuation(IntPoly([27, 9]), 3) == 2
+
+    def test_per_coefficient_oracle(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            a = random_int_poly(rng, 8, bound=10**6)
+            expected = min(
+                valuation(c, 3) for c in a.coeffs if c != 0
+            )
+            assert gauss_valuation(a, 3) == expected
+
+    def test_gauss_lemma_multiplicativity(self):
+        rng = random.Random(31)
+        for p in (2, 3):
+            for _ in range(200):
+                a = random_int_poly(rng, 6)
+                b = random_int_poly(rng, 6)
+                assert gauss_valuation(a * b, p) == gauss_valuation(
+                    a, p
+                ) + gauss_valuation(b, p)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from oracles import is_power_of_phibar, recompose_expansion
-from phinewton.polyring import IntPoly, gauss_valuation, phi_expand
-from phinewton.valuation import INFINITY, valuation
+from phinewton.polyring import IntPoly, phi_expand
+from phinewton.valuation import INFINITY
 
 
 def random_poly(rng, max_degree, bound=50, monic=False):
@@ -162,32 +162,6 @@ class TestPhiExpand:
             phi_expand(IntPoly.one(), IntPoly([2, 2]), 2)
         with pytest.raises(ValueError):
             phi_expand(IntPoly.one(), IntPoly([5]), 2)
-
-
-class TestGaussValuation:
-    def test_examples(self):
-        assert gauss_valuation(IntPoly([480, 240]), 2) == 4
-        assert gauss_valuation(IntPoly(), 2) is INFINITY
-        assert gauss_valuation(IntPoly([27, 9]), 3) == 2
-
-    def test_per_coefficient_oracle(self):
-        rng = random.Random(29)
-        for _ in range(100):
-            a = random_poly(rng, 8, bound=10**6)
-            expected = min(
-                valuation(c, 3) for c in a.coeffs if c != 0
-            )
-            assert gauss_valuation(a, 3) == expected
-
-    def test_gauss_lemma_multiplicativity(self):
-        rng = random.Random(31)
-        for p in (2, 3):
-            for _ in range(200):
-                a = random_poly(rng, 6)
-                b = random_poly(rng, 6)
-                assert gauss_valuation(a * b, p) == gauss_valuation(
-                    a, p
-                ) + gauss_valuation(b, p)
 
 
 class TestIsPowerOfPhibar:

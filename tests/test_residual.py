@@ -11,11 +11,12 @@ from oracles import (
     family_inputs,
     gen,
     gen_power_family,
+    residual_coefficient,
     side_at_slope,
 )
 from phinewton.polygon import Side, build_polygon
 from phinewton.polyring import IntPoly, phi_expand
-from phinewton.residual import residual_coefficient, residual_polynomial
+from phinewton.residual import residual_polynomial
 from phinewton.residue_field import FqPoly, ext_field, fp_factorize
 from phinewton.valuation import INFINITY
 

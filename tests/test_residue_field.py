@@ -9,6 +9,7 @@ from oracles import (
     exhaustive_fp_factor,
     gen,
     plain_distinct_degree,
+    plain_gcd,
     pow_mod,
     rabin_is_irreducible,
     recompose_factorization,
@@ -85,6 +86,28 @@ class TestFpPoly:
     def test_str(self):
         assert str(FqPoly(2, [1, 1, 1])) == "x^2 + x + 1"
         assert str(FqPoly(5, [])) == "0"
+
+
+class TestFpGcd:
+    """FqPoly.gcd over F_p, Euclid on plain coefficient lists, against
+    plain_gcd, Euclid on FqPoly's divmod."""
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_matches_plain_gcd(self, p):
+        rng = random.Random(p)
+        zero, unit = FqPoly(p), FqPoly(p, [rng.randrange(1, p)])
+        for _ in range(150):
+            a = random_fp(rng, p, 12)
+            b = random_fp(rng, p, 12)
+            common = random_fp(rng, p, 5)  # a nontrivial gcd, not monic
+            pairs = [(a, b), (a * common, b * common), (a, a), (a, a.scale(p - 1)),
+                     (a, zero), (zero, a), (a, unit), (unit, a)]
+            for u, v in pairs:
+                g = u.gcd(v)
+                assert g == plain_gcd(u, v), (u, v)
+                assert g.is_zero or g.is_monic
+        assert zero.gcd(zero) == zero
+        assert unit.gcd(zero) == FqPoly(p, [1])
 
 
 class TestFpIrreducible:
@@ -414,6 +437,18 @@ def random_monic(rng, field, degree):
     return FqPoly(field, [random_elem(rng, field) for _ in range(degree)] + [field.one])
 
 
+def irreducible_product(rng, p, degrees):
+    """The product of distinct random monic irreducibles over F_p, one of
+    each listed degree.  They are drawn by the package's own factor count."""
+    factors = []
+    for d in degrees:
+        g = random_monic(rng, FqPoly(p).field, d)
+        while g in factors or count_irreducible_factors(g) != 1:
+            g = random_monic(rng, FqPoly(p).field, d)
+        factors.append(g)
+    return math.prod(factors[1:], start=factors[0])
+
+
 class TestFrobeniusTable:
     def test_matches_pow_mod(self):
         rng = random.Random(41)
@@ -422,7 +457,7 @@ class TestFrobeniusTable:
             for degree in (1, 2, 3, 4, 5, 7):
                 for _ in range(6):
                     f = random_monic(rng, field, degree)
-                    frobenius = _frobenius_map(f, pow_mod(x, field.q, f))
+                    frobenius = _frobenius_map(f, pow_mod(x, field.q, f), _kronecker(f))
                     # the table rows T[i] = x^(i*q), T[0] = 1 among them
                     for i in range(degree):
                         row = pow_mod(x, i, f)
@@ -434,14 +469,41 @@ class TestFrobeniusTable:
 
     def test_distinct_degree_matches_reference(self):
         rng = random.Random(42)
-        for field in small_fields():
+        # degree up to 9 over every small field; up to 60 over F_p, where the
+        # degrees go in blocks of up to 5
+        cases = [(field, 9, 12) for field in small_fields()]
+        cases += [(FqPoly(p).field, 60, 5) for p in (2, 3, 10007, 65521)]
+        for field, max_degree, count in cases:
             checked = 0
-            while checked < 12:
-                f = random_monic(rng, field, rng.randint(1, 9))
-                if f.gcd(f.derivative()).degree != 0:
+            while checked < count:
+                f = random_monic(rng, field, rng.randint(1, max_degree))
+                if plain_gcd(f, f.derivative()).degree != 0:
                     continue  # not squarefree
                 assert _distinct_degree(f) == plain_distinct_degree(f), f
                 checked += 1
+
+    @pytest.mark.parametrize("p", [2, 10007])
+    def test_distinct_degree_block_edges(self, p):
+        """Products of irreducibles of chosen degrees.  With deg f = n the
+        blocks are e = 1..l, l+1..2l, ... for l = isqrt(n // 2).  The expected
+        degrees hold only if the package's count drew true irreducibles; the
+        oracle split checks the rest."""
+        rng = random.Random(p)
+        # n = 36, l = 4: blocks 1-4, 5-8, 9-12, ...
+        shapes = [
+            [4, 4, 4, 3, 3, 18],  # several factors of one degree in one block
+            [1, 4, 5, 8, 18],     # the first and last degree of blocks 1 and 2
+            [1, 6, 29],           # 6 alone in block 5-8: deg g < 2e at e = 5
+            [16, 20],             # the rest, of degree 20, left after the loop
+            [18, 18],             # none below deg f / 2: the last degree of a cut block
+            [36],                 # irreducible: every block gcd is 1
+        ]
+        for degrees in shapes:
+            f = irreducible_product(rng, p, degrees)
+            assert f.degree == 36
+            out = _distinct_degree(f)
+            assert out == plain_distinct_degree(f), degrees
+            assert [e for _, e in out] == sorted(set(degrees)), degrees
 
 
 class TestProvenFields:
@@ -542,6 +604,52 @@ class TestKronecker:
         assert _kronecker(FqPoly(65521, [1, 1, 2])) is None  # not monic
         assert _kronecker(FqPoly(65521, [3])) is None  # constant
         assert _kronecker(FqPoly(ext_field(FqPoly(2, [1, 1, 1])), [0, 1])) is None
+
+    @pytest.mark.parametrize("p", [2, 10007])
+    def test_one_kernel_per_modulus(self, p, monkeypatch):
+        """fp_factorize builds one kernel for each squarefree part it splits
+        by degree and one for each product Cantor-Zassenhaus splits."""
+        rng = random.Random(p)
+        # two squarefree parts; four distinct-degree products of two factors
+        f = irreducible_product(rng, p, [1, 1, 3, 3, 4, 4, 5, 5])
+        f = f * irreducible_product(rng, p, [7]) ** 2
+        assert f.degree == 40
+        built, split = [], []
+        kronecker, equal_degree = residue_field._Kronecker, residue_field._equal_degree
+
+        def counted(g):
+            built.append(g)
+            return kronecker(g)
+
+        def recorded(g, e, draws):
+            if g.degree > e:
+                split.append(g)
+            return equal_degree(g, e, draws)
+
+        monkeypatch.setattr(residue_field, "_Kronecker", counted)
+        monkeypatch.setattr(residue_field, "_equal_degree", recorded)
+        fact = fp_factorize(f)
+        assert recompose_factorization(fact) == f
+        parts = [part for part, _ in _squarefree_parts(f) if part.degree >= 2]
+        assert len(parts) >= 2 and split
+        assert sorted(g.coeffs for g in built) == sorted(g.coeffs for g in parts + split)
+
+    def test_no_kernel_over_extension_fields(self, monkeypatch):
+        def not_built(f):
+            raise AssertionError("a kernel was built over F_phi")
+
+        fields = small_fields()[3:]  # their moduli are counted over F_p
+        monkeypatch.setattr(residue_field, "_Kronecker", not_built)
+        rng = random.Random(16)
+        for field in fields:
+            # g^k for squarefree g and k prime to p: no p-th root, whose power
+            # is taken mod phibar over F_p
+            k = 3 if field.p == 2 else 2
+            for degree in (2, 5, 9, 13):
+                g = random_monic(rng, field, degree)
+                while plain_gcd(g, g.derivative()).degree:
+                    g = random_monic(rng, field, degree)
+                assert count_irreducible_factors(g**k) == k * count_irreducible_factors(g)
 
     @pytest.mark.parametrize("p", [2, 3, 7, 65521, "below", "above"])
     def test_pow_mod_matches_reference(self, p, monkeypatch):
