@@ -1,7 +1,7 @@
 """phi-adic Newton polygons, residual polynomials, and irreducibility bounds
 for monic integer polynomials with the p-adic valuation."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .valuation import INFINITY, is_prime
 from .polyring import (
@@ -14,7 +14,7 @@ from .residue_field import (
     FactorizationFp,
     FqPoly,
     PrimeField,
-    count_irreducible_factors,
+    factor_degrees,
     ext_field,
     fp_factorize,
 )
@@ -45,7 +45,7 @@ __all__ = [
     "FactorizationFp",
     "FqPoly",
     "PrimeField",
-    "count_irreducible_factors",
+    "factor_degrees",
     "ext_field",
     "fp_factorize",
     "NewtonPolygon",

@@ -21,8 +21,9 @@ line included.
 
 The JSON report is stable under re-runs: feeding the embedded input, prime
 and phi back through the tool reproduces the report byte for byte.
-Top-level keys: input, prime, mode, phi_reports, verdict, factor_bound,
-min_factor_degree (present only when certified), notes, version.
+Top-level keys: input, prime, mode, phi_reports, verdict, factor_bound (the
+sum of a over the factor groups (q, a)), min_factor_degree (their least q,
+present only when certified), notes, version.
 Each phi_report carries phi, multiplicity, and per-side geometry with the
 residual polynomial as the coefficient list [t_0 .. t_d] over F_phi (t_i is
 the F_p coefficient list, ascending in x, of the coefficient of y^(d-i)).

@@ -17,8 +17,8 @@ with no trailing zeros.  Extension fields are taken in the presentation the
 caller fixes, with no canonical-model normalization, so residue classes stay
 auditable against the inputs that produced them.
 
-Factor counting (squarefree decomposition plus distinct-degree splitting)
-works over any of these fields, and is also the irreducibility test: a
+Factor degrees (squarefree decomposition plus distinct-degree splitting)
+come out over any of these fields and are also the irreducibility test: a
 polynomial of degree >= 1 is irreducible iff it has one factor.  Complete
 factorization adds Cantor-Zassenhaus equal-degree splitting over F_p only;
 it draws from a fixed PRNG, and its result is sorted canonically.
@@ -48,7 +48,7 @@ FqPoly at the end.  __mul__, __divmod__, every operation over an ExtField,
 and primes past the bound keep the loops.
 
 ext_field shares one ExtField per modulus.  A modulus it has not seen is
-checked in full, its factor count included; the factors of fp_factorize,
+checked in full, its factor degrees included; the factors of fp_factorize,
 which are irreducible by construction, enter that cache without a test.
 """
 
@@ -487,7 +487,7 @@ class ExtField:
             raise ValueError("modulus must be a polynomial over a prime field")
         if not modulus.is_monic or modulus.degree < 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if count_irreducible_factors(modulus) != 1:
+        if factor_degrees(modulus) != ((modulus.degree, 1),):
             raise ValueError(f"modulus {modulus} is reducible over F_{modulus.p}")
         self._fill(modulus)
 
@@ -544,7 +544,7 @@ def ext_field(modulus: FqPoly) -> ExtField:
     """Shared-instance constructor for F_p[x]/(modulus).
 
     A modulus seen for the first time gets every check of ExtField, its
-    factor count included, unless fp_factorize has already proven it
+    factor degrees included, unless fp_factorize has already proven it
     irreducible.
     """
     field = _fields.get(modulus)
@@ -631,27 +631,27 @@ def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
     return out
 
 
-def count_irreducible_factors(g: FqPoly) -> int:
-    """Number of monic irreducible factors of g, counted with multiplicity.
+def factor_degrees(g: FqPoly) -> tuple[tuple[int, int], ...]:
+    """The degrees of the monic irreducible factors of g, as pairs (d, a):
+    a factors of degree d, counted with multiplicity, one pair per
+    squarefree part and degree; g is irreducible iff they are ((deg g, 1),).
 
-    The count comes from squarefree decomposition plus distinct-degree
-    splitting, so it is fully deterministic.  A linear g is one factor, with
-    no split and no field inversion.  Over a degree-1 field F_p[x]/(x - a),
-    which is F_p, each element is its constant term, and g is counted as
-    that image over F_p, where the packed kernel runs.
+    The pairs come from squarefree decomposition plus distinct-degree
+    splitting, so they are fully deterministic.  A linear g is ((1, 1),),
+    with no split and no field inversion.  Over a degree-1 field
+    F_p[x]/(x - a), which is F_p, each element is its constant term, and g
+    is split as that image over F_p, where the packed kernel runs.
     """
     if g.degree < 1:
         raise ValueError("factor counting requires degree >= 1")
     if g.degree == 1:
-        return 1
+        return ((1, 1),)
     field = g.field
     if isinstance(field, ExtField) and field.m == 1:
         g = _poly(_prime_field(field.p), [c.coeffs[0] if c else 0 for c in g.coeffs])
-    total = 0
-    for part, mult in _squarefree_parts(g.monic()):
-        for prod, e in _distinct_degree(part):
-            total += mult * (prod.degree // e)
-    return total
+    return tuple((e, mult * (prod.degree // e))
+                 for part, mult in _squarefree_parts(g.monic())
+                 for prod, e in _distinct_degree(part))
 
 
 @dataclass(frozen=True)

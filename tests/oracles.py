@@ -8,7 +8,7 @@ polygon validator checks the defining inequalities directly, the
 single-side check tests the paper's inequality point by point instead of
 reading it off the polygon, the power test raises phibar to the n-th power
 over F_p instead of reading the phi-expansion, and Rabin's irreducibility
-test checks the package's factor count.  pow_mod here is square-and-multiply
+test checks the package's factor degrees.  pow_mod here is square-and-multiply
 on FqPoly's schoolbook `*` and `%`, and plain_gcd is Euclid on its `divmod`,
 so Rabin's test and the plain distinct-degree split (one gcd per degree) run
 neither the package's packed product kernel, which FqPoly.pow_mod uses over
@@ -360,8 +360,9 @@ def exhaustive_fp_factor(f: FqPoly) -> FactorizationFp:
     return FactorizationFp(factors, unit, f.p)
 
 
-def exhaustive_ext_factor_count(g: FqPoly) -> int:
-    """Factor count (with multiplicity) by trial division over F_q, q <= 9."""
+def exhaustive_ext_factor_degrees(g: FqPoly) -> list[int]:
+    """Sorted degrees of the irreducible factors (with multiplicity) by trial
+    division over F_q, q <= 9."""
     field = g.field
     if field.q > 9 or g.degree > 6:
         raise ValueError("enumeration bounds exceeded (q <= 9, degree <= 6)")
@@ -372,7 +373,7 @@ def exhaustive_ext_factor_count(g: FqPoly) -> int:
         for tup in itertools.product(range(field.p), repeat=field.m)
     ]
     g = g.monic()
-    count = 0
+    degrees = []
     while g.degree > 0:
         divisor = None
         for d in range(1, g.degree // 2 + 1):
@@ -385,9 +386,9 @@ def exhaustive_ext_factor_count(g: FqPoly) -> int:
                 break
         if divisor is None:
             divisor = g
-        count += 1
+        degrees.append(divisor.degree)
         g = g // divisor
-    return count
+    return sorted(degrees)
 
 
 def plain_distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:

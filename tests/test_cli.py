@@ -347,14 +347,14 @@ def profiled_calls(capsys, func, argv, arg):
 
 class TestRabinOnce:
     """A single-phi run tests the irreducibility of phibar once, by its
-    factor count over F_p; the residual counts over F_phi (printed in y)
+    factor degrees over F_p; the residual splits over F_phi (printed in y)
     are not tests of phibar."""
 
     @pytest.mark.parametrize("extra", [(), ("--check-only",)])
     def test_one_rabin_test_on_phibar(self, capsys, monkeypatch, extra):
         monkeypatch.setattr(residue_field, "_fields", {})  # no field cached yet
         code, counted = profiled_calls(
-            capsys, residue_field.count_irreducible_factors,
+            capsys, residue_field.factor_degrees,
             (DEG12, "-p", "2", "--phi", "x^2+x+1", *extra), "g")
         assert code == 0
         assert [g for g in counted if "y" not in g] == ["x^2 + x + 1"]
@@ -390,7 +390,7 @@ class TestPowerOnce:
         assert code == 2
         assert built == []
         code, counted = profiled_calls(
-            capsys, residue_field.count_irreducible_factors, argv, "g")
+            capsys, residue_field.factor_degrees, argv, "g")
         assert code == 2
         assert counted == []
 

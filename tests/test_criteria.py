@@ -232,7 +232,7 @@ class TestBoundFull:
             r = analyze(f, p)
             assert r.verdict == BOUNDED
             assert r.factor_bound == 2
-            assert [pr.bound for pr in r.phi_reports] == [1, 1]
+            assert [pr.groups for pr in r.phi_reports] == [((5, 1),), ((4, 1),)]
             assert all(
                 len(pr.sides) == 1 and pr.sides[0].side.degree == 1
                 for pr in r.phi_reports
@@ -255,7 +255,7 @@ class TestBoundFull:
         f = X * (X + 1) * PHI_QUAD + IntPoly.constant(2)
         r = analyze(f, 2)
         assert r.factor_bound == 3
-        assert all(pr.bound == 1 for pr in r.phi_reports)
+        assert [pr.groups for pr in r.phi_reports] == [((1, 1),), ((1, 1),), ((2, 1),)]
         assert any("exactly three" in n for n in r.notes)
 
     def test_irreducible_mod_p(self):

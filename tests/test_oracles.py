@@ -5,7 +5,7 @@ import pytest
 from oracles import (
     check_single_side_hypothesis,
     enumerate_monic_fp,
-    exhaustive_ext_factor_count,
+    exhaustive_ext_factor_degrees,
     exhaustive_fp_factor,
     gen,
     gen_eisenstein_family,
@@ -91,11 +91,11 @@ class TestExhaustiveExtCount:
     def test_bounds(self):
         field = ext_field(FqPoly(5, [2, 0, 1]))  # F_25 too big
         with pytest.raises(ValueError):
-            exhaustive_ext_factor_count(FqPoly(field, [1, 1]))
+            exhaustive_ext_factor_degrees(FqPoly(field, [1, 1]))
 
     def test_linear(self):
         field = ext_field(FqPoly(2, [1, 1, 1]))
-        assert exhaustive_ext_factor_count(FqPoly(field, [gen(field), field.one])) == 1
+        assert exhaustive_ext_factor_degrees(FqPoly(field, [gen(field), field.one])) == [1]
 
 
 class TestEnumeration:

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (
     enumerate_monic_fp,
-    exhaustive_ext_factor_count,
+    exhaustive_ext_factor_degrees,
     exhaustive_fp_factor,
     gen,
     plain_distinct_degree,
@@ -24,10 +24,20 @@ from phinewton.residue_field import (
     _frobenius_map,
     _kronecker,
     _squarefree_parts,
-    count_irreducible_factors,
     ext_field,
+    factor_degrees,
     fp_factorize,
 )
+
+
+def factor_count(g):
+    """The number of irreducible factors of g, with multiplicity."""
+    return sum(a for _, a in factor_degrees(g))
+
+
+def degree_list(pairs):
+    """Sorted factor degrees, with multiplicity, from (d, a) pairs."""
+    return sorted(d for d, a in pairs for _ in range(a))
 
 
 def random_fp(rng, p, max_degree, monic=False):
@@ -118,12 +128,12 @@ class TestFpIrreducible:
         assert not rabin_is_irreducible(FqPoly(2, [1]))
 
     def test_against_exhaustive_enumeration(self):
-        # the package's decision, a factor count of 1, and Rabin's reference
+        # the package's decision, one factor of degree d, and Rabin's reference
         for p in (2, 3):
             for d in range(1, 5):
                 for f in enumerate_monic_fp(p, d):
                     expected = exhaustive_fp_factor(f).factor_count == 1
-                    assert (count_irreducible_factors(f) == 1) == expected, f
+                    assert (factor_degrees(f) == ((d, 1),)) == expected, f
                     assert rabin_is_irreducible(f) == expected, f
 
 
@@ -275,22 +285,22 @@ class TestExtIrreducible:
         field = ext_field(FqPoly.x(2))  # F_2 presented as F_2[x]/(x)
         g = FqPoly(field, [1, 1, 1])
         assert rabin_is_irreducible(g)
-        assert count_irreducible_factors(g) == 1
+        assert factor_degrees(g) == ((2, 1),)
 
     def test_y2_plus_1_over_f2(self):
         field = ext_field(FqPoly.x(2))
         g = FqPoly(field, [1, 0, 1])  # (y+1)^2
         assert not rabin_is_irreducible(g)
-        assert count_irreducible_factors(g) == 2
+        assert factor_degrees(g) == ((1, 2),)
 
     def test_y2_minus_generator_over_f4(self):
         field = ext_field(FqPoly(2, [1, 1, 1]))
         b = gen(field)
         g = FqPoly(field, [-b, field.zero, field.one])
-        expected = exhaustive_ext_factor_count(g)
-        assert expected == 2  # y^2 + b = (y + (b+1))^2 in characteristic 2
+        expected = exhaustive_ext_factor_degrees(g)
+        assert expected == [1, 1]  # y^2 + b = (y + (b+1))^2 in characteristic 2
         assert not rabin_is_irreducible(g)
-        assert count_irreducible_factors(g) == expected
+        assert degree_list(factor_degrees(g)) == expected
 
     def test_agrees_with_exhaustive_count_small(self):
         rng = random.Random(21)
@@ -304,18 +314,15 @@ class TestExtIrreducible:
                 ]
                 coeffs.append(field.one)
                 g = FqPoly(field, coeffs)
-                assert count_irreducible_factors(g) == (
-                    exhaustive_ext_factor_count(g)
-                )
-                assert rabin_is_irreducible(g) == (
-                    exhaustive_ext_factor_count(g) == 1
-                )
+                expected = exhaustive_ext_factor_degrees(g)
+                assert degree_list(factor_degrees(g)) == expected
+                assert rabin_is_irreducible(g) == (len(expected) == 1)
 
     def test_two_distinct_linear_factors_over_f9(self):
         field = ext_field(FqPoly(3, [1, 0, 1]))  # F_9
         b = gen(field)
         g = FqPoly(field, [b, field.one]) * FqPoly(field, [b + field.one, field.one])
-        assert count_irreducible_factors(g) == 2
+        assert factor_degrees(g) == ((1, 2),)
 
     def test_pth_power_over_extension(self):
         # (y + b)^2 has zero derivative over F_4; the Frobenius-inverse root
@@ -323,14 +330,47 @@ class TestExtIrreducible:
         field = ext_field(FqPoly(2, [1, 1, 1]))
         g = FqPoly(field, [gen(field), field.one]) ** 2
         assert g.derivative().is_zero
-        assert count_irreducible_factors(g) == 2
+        assert factor_degrees(g) == ((1, 2),)
 
     def test_degree_zero(self):
         field = ext_field(FqPoly.x(2))
         # a constant is not irreducible, as over F_p
         assert not rabin_is_irreducible(FqPoly(field, [1]))
         with pytest.raises(ValueError):
-            count_irreducible_factors(FqPoly(field, [1]))
+            factor_degrees(FqPoly(field, [1]))
+
+
+class TestFactorDegrees:
+    """factor_degrees gives the degrees of the factorization, with
+    multiplicity, also for repeated and p-th-power factors."""
+
+    @pytest.mark.parametrize("p", [2, 3, 10007])
+    def test_matches_fp_factorize(self, p):
+        rng = random.Random(p)
+        field = FqPoly(p).field
+        for _ in range(30):
+            parts = [random_monic(rng, field, rng.randint(1, 6))
+                     for _ in range(rng.randint(1, 4))]
+            parts += parts[:rng.randint(0, len(parts))]  # repeated factors
+            if p < 5:
+                parts.append(parts[0] ** p)  # a p-th power
+            f = math.prod(parts, start=FqPoly(p, [rng.randrange(1, p)]))
+            expected = sorted(g.degree for g, k in fp_factorize(f).factors
+                              for _ in range(k))
+            assert degree_list(factor_degrees(f)) == expected, f
+
+    def test_matches_exhaustive_over_extensions(self):
+        rng = random.Random(48)
+        for modulus in (FqPoly(2, [1, 1, 1]), FqPoly(2, [1, 1, 0, 1]),
+                        FqPoly(3, [1, 0, 1])):  # F_4, F_8, F_9
+            field = ext_field(modulus)
+            for k in range(1, field.p + 2):
+                for _ in range(4):
+                    a = random_monic(rng, field, rng.randint(1, 6 // (k + 1)))
+                    b = random_monic(rng, field, rng.randint(1, 6 - k * a.degree))
+                    g = a**k * b
+                    assert degree_list(factor_degrees(g)) == (
+                        exhaustive_ext_factor_degrees(g)), g
 
 
 class TestLinearCount:
@@ -348,7 +388,7 @@ class TestLinearCount:
         for cls in (residue_field.PrimeField, residue_field.ExtField):
             monkeypatch.setattr(cls, "inv", forbidden)
         for g in linear:
-            assert count_irreducible_factors(g) == 1, g
+            assert factor_degrees(g) == ((1, 1),), g
 
 
 class TestFieldTypesAgree:
@@ -360,19 +400,20 @@ class TestFieldTypesAgree:
             field = ext_field(FqPoly.x(p))
             for _ in range(40):
                 f = random_fp(rng, p, 8, monic=True)
-                count = count_irreducible_factors(f)
+                degrees = factor_degrees(f)
+                count = factor_count(f)
                 assert count == fp_factorize(f).factor_count, f
                 assert rabin_is_irreducible(f) == (count == 1), f
                 g = FqPoly(field, f.coeffs)
-                assert count_irreducible_factors(g) == count, f
+                assert factor_degrees(g) == degrees, f
                 assert rabin_is_irreducible(g) == (count == 1), f
 
 
-def loop_count(g):
-    """count_irreducible_factors by its loops, over g's own field."""
-    return sum(mult * (prod.degree // e)
-               for part, mult in _squarefree_parts(g.monic())
-               for prod, e in _distinct_degree(part))
+def loop_degrees(g):
+    """factor_degrees by its loops, over g's own field."""
+    return tuple((e, mult * (prod.degree // e))
+                 for part, mult in _squarefree_parts(g.monic())
+                 for prod, e in _distinct_degree(part))
 
 
 class TestDegreeOneFieldCount:
@@ -390,9 +431,9 @@ class TestDegreeOneFieldCount:
             coeffs = [[rng.randrange(p) for _ in range(3)] for _ in range(degree)]
             g = FqPoly(field, coeffs + [[rng.randrange(1, p)]])
             image = FqPoly(p, [c.coeffs[0] if c else 0 for c in g.coeffs])
-            count = count_irreducible_factors(g)
-            assert count == count_irreducible_factors(image) == loop_count(g), g
-            assert count == fp_factorize(image).factor_count
+            degrees = factor_degrees(g)
+            assert degrees == factor_degrees(image) == loop_degrees(g), g
+            assert factor_count(g) == fp_factorize(image).factor_count
 
     def test_routes(self, monkeypatch):
         # the split runs over F_p for a degree-1 field, over F_4 for F_4
@@ -407,11 +448,11 @@ class TestDegreeOneFieldCount:
         line = ext_field(FqPoly(2, [1, 1]))
         f4 = ext_field(FqPoly(2, [1, 1, 1]))
         g = FqPoly(line, [1, 1, 1])  # y^2 + y + 1, irreducible over F_2
-        assert count_irreducible_factors(g) == 1
+        assert factor_degrees(g) == ((2, 1),)
         assert seen and all(field == f2 for field in seen)
         seen.clear()
         h = FqPoly(f4, [1, 1, 1])  # splits over F_4: (y - w)(y - w^2)
-        assert count_irreducible_factors(h) == 2 == loop_count(h)
+        assert factor_degrees(h) == ((1, 2),) == loop_degrees(h)
         assert seen and all(field == f4 for field in seen)
 
 
@@ -439,11 +480,11 @@ def random_monic(rng, field, degree):
 
 def irreducible_product(rng, p, degrees):
     """The product of distinct random monic irreducibles over F_p, one of
-    each listed degree.  They are drawn by the package's own factor count."""
+    each listed degree.  They are drawn by the package's own factor degrees."""
     factors = []
     for d in degrees:
         g = random_monic(rng, FqPoly(p).field, d)
-        while g in factors or count_irreducible_factors(g) != 1:
+        while g in factors or factor_degrees(g) != ((d, 1),):
             g = random_monic(rng, FqPoly(p).field, d)
         factors.append(g)
     return math.prod(factors[1:], start=factors[0])
@@ -520,7 +561,7 @@ class TestProvenFields:
         def no_test(g):
             raise AssertionError("a proven factor was tested again")
 
-        monkeypatch.setattr(residue_field, "count_irreducible_factors", no_test)
+        monkeypatch.setattr(residue_field, "factor_degrees", no_test)
         for g in factors:
             assert ext_field(g).modulus == g
             assert ext_field(g) is ext_field(g)
@@ -530,17 +571,17 @@ class TestProvenFields:
 
     def test_unseen_modulus_runs_rabin(self, monkeypatch):
         # the factors of f enter the cache as proven; f itself is still
-        # tested, by its factor count
+        # tested, by its factor degrees
         f = FqPoly(65521, [5, 1]) * FqPoly(65521, [7, 1])
         fp_factorize(f)
         calls = []
-        count = residue_field.count_irreducible_factors
+        degrees = residue_field.factor_degrees
 
         def counted(g):
             calls.append(g)
-            return count(g)
+            return degrees(g)
 
-        monkeypatch.setattr(residue_field, "count_irreducible_factors", counted)
+        monkeypatch.setattr(residue_field, "factor_degrees", counted)
         with pytest.raises(ValueError):
             ext_field(f)
         assert calls == [f]
@@ -649,7 +690,7 @@ class TestKronecker:
                 g = random_monic(rng, field, degree)
                 while plain_gcd(g, g.derivative()).degree:
                     g = random_monic(rng, field, degree)
-                assert count_irreducible_factors(g**k) == k * count_irreducible_factors(g)
+                assert factor_count(g**k) == k * factor_count(g)
 
     @pytest.mark.parametrize("p", [2, 3, 7, 65521, "below", "above"])
     def test_pow_mod_matches_reference(self, p, monkeypatch):

@@ -9,6 +9,10 @@ For each report, with sympy's factor_list as the truth:
 - min_factor_degree is at most the smallest true degree;
 - factor_bound is at most w + the sum of the side degrees, the bound that
   the residual factor counts refine.
+
+A report with phi_reports must also agree with its factor groups (q, a):
+sum(q * a) = deg f, sum(a) = factor_bound and min(q) = min_factor_degree;
+and IRREDUCIBLE implies min_factor_degree = deg f.
 """
 
 from collections import Counter
@@ -40,6 +44,24 @@ def violations(r, degrees: list[int]) -> list[str]:
     if r.phi_reports and r.factor_bound > side_degree_bound(r):
         out.append(f"factor_bound {r.factor_bound} > side-degree bound "
                    f"{side_degree_bound(r)}")
+    if r.phi_reports:
+        out += group_violations(r, sum(degrees))
+    return out
+
+
+def group_violations(r, n: int) -> list[str]:
+    """The report's certificate against its groups, for f of degree n."""
+    groups = [g for pr in r.phi_reports for g in pr.groups]
+    out = []
+    if sum(q * a for q, a in groups) != n:
+        out.append(f"groups {groups} do not sum to degree {n}")
+    if sum(a for _, a in groups) != r.factor_bound:
+        out.append(f"groups {groups} do not count factor_bound {r.factor_bound}")
+    if min(q for q, _ in groups) != r.min_factor_degree:
+        out.append(f"groups {groups} do not give min_factor_degree "
+                   f"{r.min_factor_degree}")
+    if r.verdict == IRREDUCIBLE and r.min_factor_degree != n:
+        out.append(f"IRREDUCIBLE but min_factor_degree {r.min_factor_degree} < {n}")
     return out
 
 
