@@ -21,6 +21,8 @@ line included.
 
 The JSON report is stable under re-runs: feeding the embedded input, prime
 and phi back through the tool reproduces the report byte for byte.
+`render_json` writes the bytes that json.dumps(report_to_dict(report),
+indent=2) writes, escapes included, without importing json.
 Top-level keys: input, prime, mode, phi_reports, verdict, factor_bound (the
 sum of a over the factor groups (q, a)), min_factor_degree (their least q,
 present only when certified), notes, version.
@@ -31,7 +33,6 @@ the F_p coefficient list, ascending in x, of the coefficient of y^(d-i)).
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from pathlib import Path
@@ -81,8 +82,46 @@ def report_to_dict(report: AnalysisReport) -> dict:
     return out
 
 
+# What json.dumps escapes with ensure_ascii: '"', backslash, and every
+# character outside printable ASCII.
+_UNSAFE = re.compile(r'["\\]|[^ -~]')
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+            "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(match) -> str:
+    c = match.group()
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    n = ord(c)
+    if n > 0xFFFF:  # a UTF-16 surrogate pair
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _json(value, indent: str = "") -> str:
+    """A str, int, list or dict as json.dumps(value, indent=2) writes it,
+    with its closing bracket at `indent`."""
+    if isinstance(value, str):
+        return '"' + _UNSAFE.sub(_escape, value) + '"'
+    if isinstance(value, int):
+        return str(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return brackets
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json(k)}: {_json(v, inner)}" for k, v in value.items()]
+    else:
+        items = [_json(v, inner) for v in value]
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def render_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The report as json.dumps(report_to_dict(report), indent=2) writes
+    it, byte for byte, plus a newline."""
+    return _json(report_to_dict(report)) + "\n"
 
 
 def render_text(report: AnalysisReport) -> str:

@@ -35,8 +35,8 @@ factor count, never reducibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expr import render_poly
 from .polygon import NewtonPolygon, Side, build_polygon
@@ -66,8 +66,7 @@ def _count_word(n: int) -> str:
     return _NUM_WORDS.get(n, str(n))
 
 
-@dataclass(frozen=True)
-class SideAnalysis:
+class SideAnalysis(NamedTuple):
     """One principal side with its residual polynomial over F_phi (ascending
     in y) and the factor groups (q, a) it gives: a residual factor pair
     (d, a) of `factor_degrees` gives q = e * deg(phi) * d."""
@@ -82,8 +81,7 @@ class SideAnalysis:
         return sum(a for _, a in self.groups)
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     """Per-phi polygon data: N_phi(f), its principal sides, and residuals.
 
     `exact_power_exponent` is the exact multiplicity w with phi^w | f in
@@ -122,20 +120,18 @@ class PhiReport:
                 and self.sides[0].side.end == (self.multiplicity, 0))
 
 
-@dataclass
 class AnalysisReport:
     """Everything the criteria certify about one input polynomial.  It starts
     INAPPLICABLE with the trivial bound deg f and no degree, which a failed
     single-phi gate keeps, until `certify` reads the groups."""
 
-    input: str
-    prime: int
-    mode: str
-    verdict: str
-    factor_bound: int
-    min_factor_degree: int | None = None
-    notes: list = field(default_factory=list)
-    phi_reports: list = field(default_factory=list)
+    def __init__(self, input: str, prime: int, mode: str, verdict: str,
+                 factor_bound: int, min_factor_degree: int | None = None,
+                 notes: list = (), phi_reports: list = ()):
+        self.input, self.prime, self.mode = input, prime, mode
+        self.verdict, self.factor_bound = verdict, factor_bound
+        self.min_factor_degree = min_factor_degree
+        self.notes, self.phi_reports = list(notes), list(phi_reports)
 
     def certify(self, phi_reports: list) -> None:
         """Read the certificate off the groups (q, a) of every phi:

@@ -7,14 +7,13 @@ at INFINITY never become vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .valuation import INFINITY
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One edge of a Newton polygon.
 
     For a side of slope -h/e in lowest terms (h >= 0, e >= 1), the degree is
@@ -50,8 +49,7 @@ class Side:
         return self.start[1] + self.slope * (index - self.start[0])
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower convex envelope: hull vertices and merged sides.
 
     Sides have strictly increasing slopes (collinear segments are merged),

@@ -12,7 +12,7 @@ further big-integer division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .residue_field import FqPoly
 from .valuation import INFINITY, ExtInt, _split
@@ -185,8 +185,7 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-@dataclass(frozen=True)
-class PhiExpansion:
+class PhiExpansion(NamedTuple):
     """The unique writing f = sum a_i * phi^i with deg a_i < deg phi.
 
     `coeffs[i]` is a_i (zero coefficients kept in place) and `valuations[i]`

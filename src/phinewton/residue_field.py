@@ -44,8 +44,9 @@ the square-and-multiply of x^q, the Frobenius table and map, the block
 products, and Cantor-Zassenhaus (its powers, and the squarings of the p = 2
 trace map); the public pow_mod builds its own.  gcd over F_p runs Euclid on
 plain int lists, making each divisor monic with one inverse, and builds one
-FqPoly at the end.  __mul__, __divmod__, every operation over an ExtField,
-and primes past the bound keep the loops.
+FqPoly at the end.  __mul__, __divmod__, every operation over an ExtField
+(ExtField.pth_root, a power mod phibar, included), and primes past the bound
+keep the loops.
 
 ext_field shares one ExtField per modulus.  A modulus it has not seen is
 checked in full, its factor degrees included; the factors of fp_factorize,
@@ -58,8 +59,8 @@ import functools
 import math
 import random
 import struct
-from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 
 def _term_str(coeff: str, power: int, var: str) -> str:
@@ -523,8 +524,9 @@ class ExtField:
         return s % self.modulus
 
     def pth_root(self, a: FqPoly) -> FqPoly:
-        """The unique p-th root: a^(p^(m-1))."""
-        return a.pow_mod(self.p ** (self.m - 1), self.modulus)
+        """The unique p-th root: a^(p^(m-1)), by the loops, so no packed
+        kernel of the modulus is built per call."""
+        return _power(a, self.p ** (self.m - 1), self.modulus, _mulmod(self.modulus, None))
 
     def __eq__(self, other):
         return isinstance(other, ExtField) and self.modulus == other.modulus
@@ -654,8 +656,7 @@ def factor_degrees(g: FqPoly) -> tuple[tuple[int, int], ...]:
                  for prod, e in _distinct_degree(part))
 
 
-@dataclass(frozen=True)
-class FactorizationFp:
+class FactorizationFp(NamedTuple):
     """Complete factorization over F_p: unit * prod(factor^multiplicity)."""
 
     factors: tuple  # ((FqPoly, int), ...), monic irreducible, canonically sorted

@@ -11,7 +11,7 @@ import pytest
 import phinewton
 from oracles import gen_power_family
 from phinewton import polygon, polyring, residue_field, valuation
-from phinewton.cli import main, report_to_dict, render_svg
+from phinewton.cli import main, render_json, report_to_dict, render_svg
 from phinewton.criteria import analyze
 from phinewton.expr import MAX_NESTING, ParseError, parse_poly, render_poly
 from phinewton.polyring import IntPoly
@@ -209,6 +209,23 @@ def test_cli_imports_no_argparse_gettext_or_locale():
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_imports_no_dataclasses_inspect_or_json():
+    """Against a bare interpreter, since site loads other modules on other
+    hosts."""
+    src = str(Path(phinewton.__file__).resolve().parents[1])
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import phinewton.cli\n") - loaded("")
+    assert "phinewton.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
 
 
 class TestHostileInput:
@@ -494,6 +511,43 @@ class TestRoundTrip:
             rerun += ["--phi", doc["phi_reports"][0]["phi"]]
         code2, out2, _ = run_cli(capsys, *rerun)
         assert out2 == out
+
+
+def dumped(report):
+    return json.dumps(report_to_dict(report), indent=2) + "\n"
+
+
+class TestJsonWriter:
+    """render_json writes the bytes of json.dumps(indent=2), escapes included."""
+
+    @pytest.mark.parametrize("space", ["\u3000", "\u0085", "\u00a0", "\t", "\n"])
+    def test_odd_whitespace_in_the_expression(self, capsys, space):
+        expr = f"x^2{space}+ 2x +{space}2"
+        report = analyze(parse_poly(expr), 2, input_str=expr)
+        assert render_json(report) == dumped(report)
+        assert run_cli(capsys, expr, "-p", "2", "--format", "json") == (0, dumped(report), "")
+
+    def test_odd_whitespace_in_an_input_file(self, tmp_path, capsys):
+        text = "x^2\u3000+\u00a02x\t+\u0085\n2\n"
+        src = tmp_path / "poly.txt"
+        src.write_text(text, encoding="utf-8")
+        report = analyze(parse_poly(text), 2, input_str=text.strip())
+        assert render_json(report) == dumped(report)
+        code, out, _ = run_cli(capsys, "--input", str(src), "-p", "2", "--format", "json")
+        assert (code, out) == (0, dumped(report))
+
+    def test_every_escape(self):
+        """Control characters, DEL, non-ASCII, lone surrogates (as argv
+        decoding leaves them) and characters past U+FFFF."""
+        text = "".join(map(chr, range(0x800))) + "\ud800\udcff\uffff\U0001f600\U0010ffff"
+        report = analyze(parse_poly("x^2+1"), 3, input_str=text)
+        assert render_json(report) == dumped(report)
+
+    def test_empty_lists_and_nested_records(self):
+        report = analyze(parse_poly("x^4+1"), 2, phi=parse_poly("x^2+1"))
+        assert report.phi_reports == [] and render_json(report) == dumped(report)
+        report = analyze(parse_poly("(x+1)^3*(x^2+x+1)"), 2)
+        assert render_json(report) == dumped(report)
 
 
 class TestRenderHelpers:

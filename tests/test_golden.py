@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from phinewton import cli
 from phinewton.cli import main
+from phinewton.criteria import analyze
 
 CORPUS = json.loads(
     (Path(__file__).parent / "data" / "golden_cli.json").read_text(encoding="utf-8")
@@ -29,3 +31,23 @@ def test_replay(case, capsys):
     assert captured.out == case["stdout"]
     assert captured.err == case["stderr"]
     assert code == case["exit"]
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[str(i) for i in range(len(CORPUS))])
+def test_json_writer_matches_json_dumps(case, capsys, monkeypatch):
+    """render_json writes what json.dumps(indent=2) writes for each report
+    the case reaches, whatever format it asks for."""
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(analyze(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "analyze", recorded)
+    try:
+        main(list(case["argv"]))
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    for report in reports:
+        assert cli.render_json(report) == json.dumps(cli.report_to_dict(report), indent=2) + "\n"

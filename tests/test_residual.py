@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -59,7 +58,7 @@ class TestResidualCoefficient:
         # an expansion claiming nu(a_0) = 2 for a_0 = 2: the side from (0, 2)
         # to (2, 0) passes through that point, and 2 / 2^2 is not exact
         exp = phi_expand(IntPoly([2, 2, 1]), IntPoly.x(), 2)
-        wrong = dataclasses.replace(exp, valuations=(2,) + exp.valuations[1:])
+        wrong = exp._replace(valuations=(2,) + exp.valuations[1:])
         side = build_polygon(wrong.points()).sides[0]
         assert side.start == (0, 2)
         with pytest.raises(ValueError, match="not divisible"):

@@ -692,6 +692,30 @@ class TestKronecker:
                     g = random_monic(rng, field, degree)
                 assert factor_count(g**k) == k * factor_count(g)
 
+    def test_no_kernel_for_pth_roots_over_extension_fields(self, monkeypatch):
+        """g^p has a p-th-power part, so the count takes p-th roots in F_phi,
+        which are powers mod phibar over F_p; none builds a kernel."""
+        fields = small_fields()[3:]  # their moduli are counted over F_p
+        built, roots = [], []
+        pth_root = residue_field.ExtField.pth_root
+
+        def counted_root(field, a):
+            roots.append(a)
+            return pth_root(field, a)
+
+        monkeypatch.setattr(residue_field, "_Kronecker", built.append)
+        monkeypatch.setattr(residue_field.ExtField, "pth_root", counted_root)
+        rng = random.Random(17)
+        for field in fields:
+            for degree in (2, 5, 6, 9):
+                g = random_monic(rng, field, degree)
+                while plain_gcd(g, g.derivative()).degree:
+                    g = random_monic(rng, field, degree)
+                count = len(roots)
+                assert factor_count(g**field.p) == field.p * factor_count(g)
+                assert len(roots) > count
+        assert built == []
+
     @pytest.mark.parametrize("p", [2, 3, 7, 65521, "below", "above"])
     def test_pow_mod_matches_reference(self, p, monkeypatch):
         p = {"below": self.BELOW, "above": self.ABOVE}.get(p, p)
