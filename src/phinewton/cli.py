@@ -149,9 +149,8 @@ def render_text(report: AnalysisReport) -> str:
     lines.append(f"factor bound: {report.factor_bound}")
     if report.min_factor_degree is not None:
         lines.append(f"minimum factor degree: {report.min_factor_degree}")
-    if report.notes:
-        lines.append("notes:")
-        lines.extend(f"  - {note}" for note in report.notes)
+    lines.append("notes:")  # never empty: the last note restates the bound
+    lines.extend(f"  - {note}" for note in report.notes)
     return "\n".join(lines) + "\n"
 
 

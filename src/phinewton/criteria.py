@@ -16,17 +16,14 @@ Two modes are supported for a monic f in Z[x] and a prime p:
 
 `analyze` is the one entry point and `_validate_input` the one statement
 of the input policy: p prime, f monic of degree >= 1, phi (when given)
-monic of degree >= 1.  Both modes send each phi-expansion through
-`_analyze_phi`, which gives one list of factor groups (q, a) per phi: at
-most a factors over Z_p, whose degrees are multiples of q and sum to q * a.
-`AnalysisReport.certify` reads factor_bound = sum(a) and min_factor_degree
-= min(q) off the groups, and answers IRREDUCIBLE exactly when the sum is 1.
-Single-phi mode only adds its gate and the single-side hypothesis, which
-can make the verdict INAPPLICABLE.  The gate, f mod p = phibar^n, is read
-off the phi-expansion (`PhiExpansion.is_phibar_power`) before any polygon
-is built; the hypothesis n*u_i >= (n-i)*u_0 > 0 is read off N_phi(f)
-(`PhiReport.is_single_side`), and the inequalities are only re-evaluated
-to word the notes when it fails.
+monic of degree >= 1.  Single-phi mode first passes a gate: phibar is
+irreducible and f mod p = phibar^n, read off the phi-expansion
+(`PhiExpansion.is_phibar_power`) before any polygon is built.  Both modes
+send each phi-expansion through `_analyze_phi`, which gives one list of
+factor groups (q, a) per phi: at most a factors over Z_p, whose degrees are
+multiples of q and sum to q * a.  `analyze` then builds one `AnalysisReport`
+from these facts, and nothing changes it: its constructor reads the bounds
+and the verdict, and its `notes` word the facts.
 
 Verdicts are one-directional: the tool certifies IRREDUCIBLE or a BOUNDED
 factor count, never reducibility.
@@ -55,6 +52,10 @@ INAPPLICABLE = "INAPPLICABLE"
 
 MODE_SINGLE_PHI = "single-phi"
 MODE_FULL = "full"
+
+# The single-phi gate that failed, when one did (AnalysisReport.gate).
+GATE_PHIBAR_REDUCIBLE = "phibar-reducible"
+GATE_NOT_PHIBAR_POWER = "not-phibar-power"
 
 _NUM_WORDS = {
     1: "one", 2: "two", 3: "three", 4: "four", 5: "five",
@@ -89,7 +90,6 @@ class PhiReport(NamedTuple):
     (deg phi, w) of w certified irreducible factors on top of the sides'.
     """
 
-    multiplicity: int
     expansion: PhiExpansion
     polygon: NewtonPolygon
     sides: tuple
@@ -98,6 +98,13 @@ class PhiReport(NamedTuple):
     @property
     def phi(self) -> IntPoly:
         return self.expansion.phi
+
+    @property
+    def multiplicity(self) -> int:
+        """The exponent of phibar in f mod p: the least i with u_i = 0.  f mod
+        p = sum (a_i mod p) phibar^i, and a nonzero a_i mod p has degree below
+        deg phibar, so it is prime to phibar."""
+        return self.expansion.valuations.index(0)
 
     @property
     def groups(self) -> tuple:
@@ -121,22 +128,16 @@ class PhiReport(NamedTuple):
 
 
 class AnalysisReport:
-    """Everything the criteria certify about one input polynomial.  It starts
-    INAPPLICABLE with the trivial bound deg f and no degree, which a failed
-    single-phi gate keeps, until `certify` reads the groups."""
+    """Everything the criteria certify about one input polynomial, built
+    once from the facts that `analyze` found."""
 
-    def __init__(self, input: str, prime: int, mode: str, verdict: str,
-                 factor_bound: int, min_factor_degree: int | None = None,
-                 notes: list = (), phi_reports: list = ()):
-        self.input, self.prime, self.mode = input, prime, mode
-        self.verdict, self.factor_bound = verdict, factor_bound
-        self.min_factor_degree = min_factor_degree
-        self.notes, self.phi_reports = list(notes), list(phi_reports)
-
-    def certify(self, phi_reports: list) -> None:
+    def __init__(self, input: str, prime: int, degree: int, phi: IntPoly | None,
+                 gate: str | None, phi_reports: list):
         """Read the certificate off the groups (q, a) of every phi:
         factor_bound = sum(a), min_factor_degree = min(q), and IRREDUCIBLE
-        iff the sum is 1.
+        iff the sum is 1.  A failed gate gives deg f, no degree and
+        INAPPLICABLE, as does a single-phi polygon that is neither one side
+        nor an exact power.
 
         Proof that these bound the factors of f over Z_p, and so over Q.
         Each factor of f over Z_p reduces to a power of one phibar, so it
@@ -156,19 +157,66 @@ class AnalysisReport:
         sum of 1 therefore means that f is irreducible over Z_p, and so over
         Q; its one group is then (deg f, 1).
         """
-        groups = [g for pr in phi_reports for g in pr.groups]
-        self.phi_reports = phi_reports
-        self.factor_bound = sum(a for _, a in groups)
-        self.min_factor_degree = min(q for q, _ in groups)
-        self.verdict = IRREDUCIBLE if self.factor_bound == 1 else BOUNDED
+        self.input, self.prime, self.degree = input, prime, degree
+        self.phi, self.gate, self.phi_reports = phi, gate, phi_reports
+        groups = [g for pr in self.phi_reports for g in pr.groups]
+        self.factor_bound = degree if gate else sum(a for _, a in groups)
+        self.min_factor_degree = None if gate else min(q for q, _ in groups)
+        if gate or phi is not None and not any(
+                pr.is_single_side or pr.is_exact_power for pr in self.phi_reports):
+            self.verdict = INAPPLICABLE
+        else:
+            self.verdict = IRREDUCIBLE if self.factor_bound == 1 else BOUNDED
+
+    @property
+    def mode(self) -> str:
+        return MODE_FULL if self.phi is None else MODE_SINGLE_PHI
+
+    @property
+    def notes(self) -> list[str]:
+        """The facts in words, then the bound restated as valuations and as
+        prime ideals."""
+        p, bound = self.prime, self.factor_bound
+        if self.gate:
+            phibar = self.phi.reduce_mod(p)
+            notes = [f"phi mod {p} = {phibar} is reducible over F_{p}"
+                     if self.gate == GATE_PHIBAR_REDUCIBLE
+                     else f"f mod {p} is not a power of {phibar}",
+                     f"factor bound falls back to the trivial degree bound {bound}"]
+        elif self.phi is not None:
+            notes = _single_phi_notes(self.phi_reports[0], self.verdict, bound)
+        else:
+            notes = []
+            for pr in self.phi_reports:
+                name = render_poly(pr.phi)
+                if pr.exact_power_exponent:
+                    notes.append(f"phi = {name} divides f exactly "
+                                 f"{pr.exact_power_exponent} time(s)")
+                notes.extend(_zero_interior_notes(pr))
+                notes.append(
+                    f"phi = {name}: multiplicity {pr.multiplicity}, "
+                    f"{len(pr.sides)} principal side(s), at most "
+                    f"{sum(a for _, a in pr.groups)} irreducible factor(s)"
+                )
+            if bound == 1:
+                notes.append("factor bound is 1: f is irreducible")
+            elif bound == len(self.phi_reports):
+                notes.append(
+                    f"coprime-factor lower bound matches the polygon bound: exactly "
+                    f"{_count_word(bound)} irreducible factor(s) over the "
+                    f"henselization"
+                )
+        notes.append(
+            f"if f is irreducible over the base field, at most {bound} "
+            f"valuation(s) extend nu to the root field, equivalently at most "
+            f"{bound} prime ideal(s) lie above {p}"
+        )
+        return notes
 
 
-def _analyze_phi(exp: PhiExpansion, multiplicity: int) -> PhiReport:
+def _analyze_phi(exp: PhiExpansion) -> PhiReport:
     """From the phi-expansion of f, split off the exact power phi^w dividing
-    f and build N_phi(f) with the residual and groups of each principal side.
-
-    `multiplicity` is the exponent of phi mod p in f mod p, recorded as given.
-    """
+    f and build N_phi(f) with the residual and groups of each principal side."""
     w = 0
     while w < len(exp.valuations) and exp.valuations[w] is INFINITY:
         w += 1
@@ -176,7 +224,7 @@ def _analyze_phi(exp: PhiExpansion, multiplicity: int) -> PhiReport:
         # f = phi^n exactly: phi is irreducible over the henselization, so
         # the factor count is exactly n.
         polygon = NewtonPolygon(((exp.length, 0),), ())
-        return PhiReport(multiplicity, exp, polygon, (), w)
+        return PhiReport(exp, polygon, (), w)
     polygon = build_polygon(exp.points())
     sides = []
     for side in polygon.principal_part().sides:
@@ -184,7 +232,7 @@ def _analyze_phi(exp: PhiExpansion, multiplicity: int) -> PhiReport:
         q = side.e * exp.phi.degree
         groups = tuple((q * d, a) for d, a in ext_count_irreducible_factors(g))
         sides.append(SideAnalysis(side, g, groups))
-    return PhiReport(multiplicity, exp, polygon, tuple(sides), w)
+    return PhiReport(exp, polygon, tuple(sides), w)
 
 
 def _zero_interior_notes(pr: PhiReport) -> list[str]:
@@ -202,6 +250,44 @@ def _zero_interior_notes(pr: PhiReport) -> list[str]:
                     f"(no point on the side at abscissa {side.start[0] + j * side.e})"
                 )
     return notes
+
+
+def _single_phi_notes(pr: PhiReport, verdict: str, bound: int) -> list[str]:
+    """The notes of a single phi past the gate: the exact power, the single
+    side with its gcd and residual, or the failed hypothesis with the
+    polygon's bound."""
+    n, u0 = pr.multiplicity, pr.expansion.valuations[0]
+    if pr.is_exact_power:
+        return [f"f equals phi^{n} exactly: exactly {_count_word(n)} "
+                f"irreducible factor(s) over the henselization"]
+    if pr.is_single_side:
+        # One side from (0, u_0) to (n, 0): its degree is gcd(u_0, n).
+        rec = pr.sides[0]
+        d = math.gcd(u0, n)
+        assert rec.side.degree == d, "single-side gcd identity violated"
+        first = [f"single side from (0, {u0}) to ({n}, 0): slope {rec.side.slope}, "
+                 f"gcd({u0}, {n}) = {d}"]
+        if d == 1:
+            last = f"gcd({u0}, {n}) = 1: f is irreducible (Eisenstein/Dumas shape)"
+        elif verdict == IRREDUCIBLE:
+            last = (f"residual polynomial {rec.residual} is irreducible over F_phi: "
+                    f"f is irreducible over the henselization")
+        else:
+            last = (f"residual polynomial {rec.residual} factors over F_phi "
+                    f"({rec.factor_count} factor(s) with multiplicity): "
+                    f"at most {rec.factor_count} irreducible factor(s)")
+    else:
+        if u0 is INFINITY:
+            first = [f"a_0 = 0: f is divisible by phi "
+                     f"(phi^{pr.exact_power_exponent} divides f)"]
+        else:
+            first = [f"single-side hypothesis fails at index {i}: "
+                     f"need nu(a_{i}) >= {Fraction((n - i) * u0, n)}, got {u}"
+                     for i, u in enumerate(pr.expansion.valuations[1:n], 1)
+                     if u is not INFINITY and n * u < (n - i) * u0]
+        last = (f"polygon has {len(pr.sides)} principal side(s); the residual factor "
+                f"counts still apply: at most {bound} irreducible factor(s)")
+    return first + _zero_interior_notes(pr) + [last]
 
 
 def _validate_input(f: IntPoly, p: int, phi: IntPoly | None = None) -> None:
@@ -224,128 +310,28 @@ def analyze(
 ) -> AnalysisReport:
     """Run the single-phi criteria when phi is given, the full bound otherwise.
 
+    Full mode analyzes the canonical lift of every irreducible factor of
+    f mod p.  Single-phi mode builds F_phi, which checks phibar once, and
+    reads the power gate off the one phi-expansion; a failed gate leaves no
+    phi report.
+
     Raises ValueError when the input breaks the policy of `_validate_input`.
     """
     _validate_input(f, p, phi)
-    report = AnalysisReport(render_poly(f) if input_str is None else input_str,
-                            p, MODE_FULL if phi is None else MODE_SINGLE_PHI,
-                            INAPPLICABLE, f.degree)
+    gate, phi_reports = None, []
     if phi is None:
-        _full(report, f)
+        phi_reports = [_analyze_phi(phi_expand(f, IntPoly(phibar.coeffs), p))
+                       for phibar, _ in fp_factorize(f.reduce_mod(p)).factors]
     else:
-        _single_phi(report, f, phi)
-    report.notes.append(
-        f"if f is irreducible over the base field, at most {report.factor_bound} "
-        f"valuation(s) extend nu to the root field, equivalently at most "
-        f"{report.factor_bound} prime ideal(s) lie above {p}"
-    )
-    return report
-
-
-def _gate_failed(report: AnalysisReport, reason: str) -> None:
-    report.notes += [reason, f"factor bound falls back to the trivial degree "
-                             f"bound {report.factor_bound}"]
-
-
-def _single_phi(report: AnalysisReport, f: IntPoly, phi: IntPoly) -> None:
-    """The single-phi criteria need phi mod p irreducible and f mod p a power
-    of it; otherwise the verdict stays INAPPLICABLE with the reason as first
-    note.  The field F_phi is built here, so phibar's irreducibility is
-    checked once, and the power test reads the one phi-expansion before any
-    polygon is built."""
-    p = report.prime
-    phibar = phi.reduce_mod(p)
-    try:
-        ext_field(phibar)
-    except ValueError:
-        return _gate_failed(report, f"phi mod {p} = {phibar} is reducible over F_{p}")
-    exp = phi_expand(f, phi, p)
-    if not exp.is_phibar_power:
-        return _gate_failed(report, f"f mod {p} is not a power of {phibar}")
-    pr = _analyze_phi(exp, exp.length)
-
-    report.certify([pr])
-    notes = report.notes
-    n, w = pr.multiplicity, pr.exact_power_exponent
-    if pr.is_exact_power:
-        notes.append(f"f equals phi^{n} exactly: exactly {_count_word(n)} "
-                     f"irreducible factor(s) over the henselization")
-        return
-
-    u0 = pr.expansion.valuations[0]
-    if not pr.is_single_side:
-        if u0 is INFINITY:
-            notes.append(f"a_0 = 0: f is divisible by phi (phi^{w} divides f)")
+        try:
+            ext_field(phi.reduce_mod(p))
+        except ValueError:
+            gate = GATE_PHIBAR_REDUCIBLE
         else:
-            notes.extend(
-                f"single-side hypothesis fails at index {i}: "
-                f"need nu(a_{i}) >= {Fraction((n - i) * u0, n)}, got {u}"
-                for i, u in enumerate(pr.expansion.valuations[1:n], 1)
-                if u is not INFINITY and n * u < (n - i) * u0
-            )
-        notes.extend(_zero_interior_notes(pr))
-        notes.append(
-            f"polygon has {len(pr.sides)} principal side(s); the residual factor "
-            f"counts still apply: at most {report.factor_bound} irreducible factor(s)"
-        )
-        report.verdict = INAPPLICABLE
-        return
-
-    # Single side from (0, u_0) to (n, 0): its degree is gcd(u_0, n).
-    rec = pr.sides[0]
-    d = math.gcd(u0, n)
-    assert rec.side.degree == d, "single-side gcd identity violated"
-    notes.append(f"single side from (0, {u0}) to ({n}, 0): slope {rec.side.slope}, "
-                 f"gcd({u0}, {n}) = {d}")
-    notes.extend(_zero_interior_notes(pr))
-    if d == 1:
-        notes.append(f"gcd({u0}, {n}) = 1: f is irreducible (Eisenstein/Dumas shape)")
-    elif report.verdict == IRREDUCIBLE:
-        notes.append(
-            f"residual polynomial {rec.residual} is irreducible over F_phi: "
-            f"f is irreducible over the henselization"
-        )
-    else:
-        notes.append(
-            f"residual polynomial {rec.residual} factors over F_phi "
-            f"({rec.factor_count} factor(s) with multiplicity): "
-            f"at most {rec.factor_count} irreducible factor(s)"
-        )
-
-
-def _full(report: AnalysisReport, f: IntPoly) -> None:
-    """Sum of residual factor counts over every irreducible factor of f mod p.
-
-    Factors f mod p completely, builds each phi_i-polygon from the canonical
-    lift of phibar_i, and certifies the groups of the principal sides (plus
-    the exact power of phi_i dividing f, when positive).
-    """
-    p = report.prime
-    factorization = fp_factorize(f.reduce_mod(p))
-    phi_reports = [
-        _analyze_phi(phi_expand(f, IntPoly(phibar.coeffs), p), n_i)
-        for phibar, n_i in factorization.factors
-    ]
-    report.certify(phi_reports)
-    notes = report.notes
-    for pr in phi_reports:
-        name = render_poly(pr.phi)
-        if pr.exact_power_exponent:
-            notes.append(
-                f"phi = {name} divides f exactly {pr.exact_power_exponent} time(s)"
-            )
-        notes.extend(_zero_interior_notes(pr))
-        notes.append(
-            f"phi = {name}: multiplicity {pr.multiplicity}, "
-            f"{len(pr.sides)} principal side(s), at most "
-            f"{sum(a for _, a in pr.groups)} irreducible factor(s)"
-        )
-
-    if report.factor_bound == 1:
-        notes.append("factor bound is 1: f is irreducible")
-    elif report.factor_bound == len(phi_reports):
-        notes.append(
-            f"coprime-factor lower bound matches the polygon bound: exactly "
-            f"{_count_word(report.factor_bound)} irreducible factor(s) over the "
-            f"henselization"
-        )
+            exp = phi_expand(f, phi, p)
+            if exp.is_phibar_power:
+                phi_reports = [_analyze_phi(exp)]
+            else:
+                gate = GATE_NOT_PHIBAR_POWER
+    return AnalysisReport(render_poly(f) if input_str is None else input_str,
+                          p, f.degree, phi, gate, phi_reports)

@@ -42,11 +42,11 @@ into the next.  The bound holds for every p up to 65521 at every degree up
 to 10,000.  The factorizer builds one kernel per modulus and shares it among
 the square-and-multiply of x^q, the Frobenius table and map, the block
 products, and Cantor-Zassenhaus (its powers, and the squarings of the p = 2
-trace map); the public pow_mod builds its own.  gcd over F_p runs Euclid on
-plain int lists, making each divisor monic with one inverse, and builds one
-FqPoly at the end.  __mul__, __divmod__, every operation over an ExtField
-(ExtField.pth_root, a power mod phibar, included), and primes past the bound
-keep the loops.
+trace map); the public pow_mod builds its own.  gcd, over every field,
+runs Euclid on plain coefficient lists, making each divisor monic with one
+inverse, and builds one FqPoly at the end.  __mul__, __divmod__, every
+operation over an ExtField (ExtField.pth_root, a power mod phibar,
+included), and primes past the bound keep the loops.
 
 ext_field shares one ExtField per modulus.  A modulus it has not seen is
 checked in full, its factor degrees included; the factors of fp_factorize,
@@ -246,15 +246,10 @@ class FqPoly:
         return self.scale(self.field.inv(self.lead))
 
     def gcd(self, other: "FqPoly") -> "FqPoly":
-        """The monic gcd; over F_p by Euclid on plain coefficient lists."""
+        """The monic gcd, by Euclid on plain coefficient lists."""
         self._check(other)
         field = self.field
-        if isinstance(field, PrimeField):
-            return _poly(field, _fp_gcd(list(self.coeffs), list(other.coeffs), field.p))
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic()
+        return _poly(field, _gcd(list(self.coeffs), list(other.coeffs), field))
 
     def xgcd(self, other: "FqPoly"):
         """Extended gcd: returns monic (g, s, t) with s*self + t*other = g."""
@@ -325,28 +320,30 @@ def _poly(field, cs: list) -> FqPoly:
     return f
 
 
-def _fp_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd over F_p of reduced coefficient lists, which it consumes.
+def _gcd(a: list, b: list, field) -> list:
+    """Monic gcd over any field of reduced coefficient lists, which it
+    consumes.
 
     The divisor is kept monic, so a quotient term is just the dividend's top
-    coefficient mod p.  The dividend is reduced in place and left unreduced;
-    its remainder is read off in one pass that reduces it and makes it the
-    next monic divisor, with one inverse.
+    coefficient reduced by the field's modulus.  The dividend is reduced in
+    place and left unreduced; its remainder is read off in one pass that
+    reduces it and makes it the next monic divisor, with one inverse.
     """
+    mod = field.modulus
     if not b:
         a, b = b, a
     r = b
     while True:
         top = len(r) - 1
-        while top >= 0 and not r[top] % p:
+        while top >= 0 and not r[top] % mod:
             top -= 1
         if top < 0:
             return a
-        inv = pow(r[top], -1, p)
-        b = [c * inv % p for c in r[:top + 1]]
+        inv = field.inv(r[top] % mod)
+        b = [c * inv % mod for c in r[:top + 1]]
         low = b[:-1]
         for k in range(len(a) - 1 - top, -1, -1):
-            c = a[k + top] % p
+            c = a[k + top] % mod
             if c:
                 a[k:k + top] = [u - c * v for u, v in zip(a[k:k + top], low)]
         a, r = b, a[:top]

@@ -6,6 +6,8 @@ import pytest
 
 from phinewton.criteria import (
     BOUNDED,
+    GATE_NOT_PHIBAR_POWER,
+    GATE_PHIBAR_REDUCIBLE,
     INAPPLICABLE,
     IRREDUCIBLE,
     analyze,
@@ -198,6 +200,22 @@ class TestAnalyzeSinglePhi:
     def test_not_power_inapplicable(self):
         r = analyze(IntPoly([1, 0, 1]), 3, phi=X)
         assert r.verdict == INAPPLICABLE
+
+    @pytest.mark.parametrize("f, p, phi, gate, reason", [
+        (IntPoly([1, 0, 0, 0, 1]), 2, IntPoly([1, 0, 1]), GATE_PHIBAR_REDUCIBLE,
+         "phi mod 2 = x^2 + 1 is reducible over F_2"),
+        (IntPoly([3, 1, 0, 1]), 3, X, GATE_NOT_PHIBAR_POWER,
+         "f mod 3 is not a power of x"),
+    ], ids=["phibar-reducible", "not-phibar-power"])
+    def test_failed_gate_is_the_only_fact(self, f, p, phi, gate, reason):
+        r = analyze(f, p, phi=phi)
+        assert r.gate == gate
+        assert r.phi_reports == []
+        assert r.factor_bound == f.degree
+        assert r.min_factor_degree is None
+        assert r.verdict == INAPPLICABLE
+        assert r.notes[0] == reason
+        assert analyze(f, p).gate is None  # full mode has no gate
 
     def test_hypothesis_fails_keeps_polygon_bound(self):
         f = IntPoly([8, 2, 0, 1])  # two sides, degrees 1 and 1

@@ -99,25 +99,33 @@ class TestFpPoly:
 
 
 class TestFpGcd:
-    """FqPoly.gcd over F_p, Euclid on plain coefficient lists, against
-    plain_gcd, Euclid on FqPoly's divmod."""
+    """FqPoly.gcd, Euclid on plain coefficient lists, against plain_gcd,
+    Euclid on FqPoly's divmod, over F_p, F_4 and F_9."""
 
-    @pytest.mark.parametrize("p", [2, 3, 65521])
-    def test_matches_plain_gcd(self, p):
-        rng = random.Random(p)
-        zero, unit = FqPoly(p), FqPoly(p, [rng.randrange(1, p)])
+    @pytest.mark.parametrize("field", [
+        FqPoly(2).field, FqPoly(3).field, FqPoly(65521).field,
+        ext_field(FqPoly(2, [1, 1, 1])), ext_field(FqPoly(3, [1, 0, 1])),
+    ], ids=["2", "3", "65521", "F_4", "F_9"])
+    def test_matches_plain_gcd(self, field):
+        rng = random.Random(field.q)
+
+        def poly(max_degree):  # not monic unless its unit is 1
+            degree = rng.randint(1, max_degree)
+            return random_monic(rng, field, degree).scale(random_unit(rng, field))
+
+        zero, unit = FqPoly(field), FqPoly(field, [random_unit(rng, field)])
         for _ in range(150):
-            a = random_fp(rng, p, 12)
-            b = random_fp(rng, p, 12)
-            common = random_fp(rng, p, 5)  # a nontrivial gcd, not monic
-            pairs = [(a, b), (a * common, b * common), (a, a), (a, a.scale(p - 1)),
+            a, b = poly(12), poly(12)
+            common = poly(5)  # a nontrivial gcd
+            pairs = [(a, b), (a * common, b * common), (a, a),
+                     (a, a.scale(random_unit(rng, field))),
                      (a, zero), (zero, a), (a, unit), (unit, a)]
             for u, v in pairs:
                 g = u.gcd(v)
                 assert g == plain_gcd(u, v), (u, v)
                 assert g.is_zero or g.is_monic
         assert zero.gcd(zero) == zero
-        assert unit.gcd(zero) == FqPoly(p, [1])
+        assert unit.gcd(zero) == FqPoly(field, [field.one])
 
 
 class TestFpIrreducible:
@@ -472,6 +480,13 @@ def random_elem(rng, field):
     if field.m == 1:
         return rng.randrange(field.p)
     return field.elem([rng.randrange(field.p) for _ in range(field.m)])
+
+
+def random_unit(rng, field):
+    while True:
+        c = random_elem(rng, field)
+        if c:
+            return c
 
 
 def random_monic(rng, field, degree):

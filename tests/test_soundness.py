@@ -12,7 +12,10 @@ For each report, with sympy's factor_list as the truth:
 
 A report with phi_reports must also agree with its factor groups (q, a):
 sum(q * a) = deg f, sum(a) = factor_bound and min(q) = min_factor_degree;
-and IRREDUCIBLE implies min_factor_degree = deg f.
+and IRREDUCIBLE implies min_factor_degree = deg f.  Each phi report's
+multiplicity, read off its expansion, must be the exponent of phibar in
+fp_factorize(f mod p) in full mode, and the expansion's length past the
+single-phi gate.
 """
 
 from collections import Counter
@@ -24,6 +27,7 @@ sympy = pytest.importorskip("sympy")
 from oracles import family_inputs, side_degree_bound
 from phinewton.criteria import INAPPLICABLE, IRREDUCIBLE, analyze
 from phinewton.polyring import IntPoly
+from phinewton.residue_field import fp_factorize
 
 
 def true_degrees(f: IntPoly) -> list[int]:
@@ -65,13 +69,26 @@ def group_violations(r, n: int) -> list[str]:
     return out
 
 
+def multiplicity_violations(r, f: IntPoly, p: int) -> list[str]:
+    """Each PhiReport.multiplicity against fp_factorize, or against the
+    expansion's length in single-phi mode."""
+    if r.mode == "full":
+        exponents = dict(fp_factorize(f.reduce_mod(p)).factors)
+        expected = [exponents[pr.phi.reduce_mod(p)] for pr in r.phi_reports]
+    else:
+        expected = [pr.expansion.length for pr in r.phi_reports]
+    found = [pr.multiplicity for pr in r.phi_reports]
+    return [] if found == expected else [f"multiplicities {found} != {expected}"]
+
+
 def test_certificates_survive_sympy():
     failures = []
     seen = Counter()
     for f, p, phi in family_inputs():
         degrees = true_degrees(f)
         for r in (analyze(f, p, phi=phi), analyze(f, p)):
-            failures += [f"{f} p={p} {r.mode}: {v}" for v in violations(r, degrees)]
+            found = violations(r, degrees) + multiplicity_violations(r, f, p)
+            failures += [f"{f} p={p} {r.mode}: {v}" for v in found]
             seen[r.mode, r.verdict] += 1
             seen["strict"] += r.phi_reports != [] and r.factor_bound < side_degree_bound(r)
     assert not failures, "\n".join(failures[:20])
