@@ -10,14 +10,14 @@ named before a bad p.
 
 Exit codes: 0 on success, 1 on input errors (syntax, non-prime p, non-monic
 f, phi not monic of degree >= 1, a usage error such as a missing or
-non-integer -p, an unwritable --output), 2 when the requested single-phi
-criteria are inapplicable to the input, so batch scripts can tell "theorems
-don't apply" from "bad input".  An exact power f = phi^n is certified with
-exit 0.  With --phi, --check-only runs the same analysis and prints one line
-of the report instead of all of it, so it exits with the code the full run
-would return; without --phi it only runs the input validator of `analyze`
-on f and p.  --output takes whatever would go to stdout, the --check-only
-line included.
+non-integer -p, an --output or a stdout that cannot take the report), 2
+when the requested single-phi criteria are inapplicable to the input, so
+batch scripts can tell "theorems don't apply" from "bad input".  An exact
+power f = phi^n is certified with exit 0.  With --phi, --check-only runs the
+same analysis and prints one line of the report instead of all of it, so it
+exits with the code the full run would return; without --phi it only runs
+the input validator of `analyze` on f and p.  --output takes whatever would
+go to stdout, the --check-only line included.
 
 The JSON report is stable under re-runs: feeding the embedded input, prime
 and phi back through the tool reproduces the report byte for byte.
@@ -33,6 +33,7 @@ the F_p coefficient list, ascending in x, of the coefficient of y^(d-i)).
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from pathlib import Path
@@ -261,16 +262,25 @@ def _check_only_line(report: AnalysisReport) -> str:
 
 
 def _emit(rendered: str, output: str | None, code: int) -> int:
-    """Write to the --output path, or to stdout; returns code, or 1 when the
-    path cannot be written."""
-    if output:
-        try:
+    """Write to the --output path, or to stdout; returns code, or 1 after an
+    error line when the output cannot be written."""
+    try:
+        if output:
             Path(output).write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(rendered)
+        elif sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError("stdout is closed")
+        else:
+            try:
+                sys.stdout.write(rendered)
+                sys.stdout.flush()
+            except OSError:
+                # What stays buffered goes to the null device, so the flush
+                # at exit raises no second error.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
+    except (OSError, UnicodeEncodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 
@@ -442,8 +452,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
             if not show_help:
                 fields[field] = _value(field, value)
         if show_help:
-            sys.stdout.write(_HELP)
-            raise SystemExit(0)
+            raise SystemExit(_emit(_HELP, None, 0))
     if fields["prime"] is None:
         _refuse("the following arguments are required: -p/--prime")
     if extras:

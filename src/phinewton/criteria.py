@@ -131,6 +131,9 @@ class AnalysisReport:
     """Everything the criteria certify about one input polynomial, built
     once from the facts that `analyze` found."""
 
+    __slots__ = ("input", "prime", "degree", "phi", "gate", "phi_reports",
+                 "factor_bound", "min_factor_degree", "verdict")
+
     def __init__(self, input: str, prime: int, degree: int, phi: IntPoly | None,
                  gate: str | None, phi_reports: list):
         """Read the certificate off the groups (q, a) of every phi:
@@ -157,16 +160,21 @@ class AnalysisReport:
         sum of 1 therefore means that f is irreducible over Z_p, and so over
         Q; its one group is then (deg f, 1).
         """
-        self.input, self.prime, self.degree = input, prime, degree
-        self.phi, self.gate, self.phi_reports = phi, gate, phi_reports
-        groups = [g for pr in self.phi_reports for g in pr.groups]
-        self.factor_bound = degree if gate else sum(a for _, a in groups)
-        self.min_factor_degree = None if gate else min(q for q, _ in groups)
+        groups = [g for pr in phi_reports for g in pr.groups]
+        factor_bound = degree if gate else sum(a for _, a in groups)
+        min_factor_degree = None if gate else min(q for q, _ in groups)
         if gate or phi is not None and not any(
-                pr.is_single_side or pr.is_exact_power for pr in self.phi_reports):
-            self.verdict = INAPPLICABLE
+                pr.is_single_side or pr.is_exact_power for pr in phi_reports):
+            verdict = INAPPLICABLE
         else:
-            self.verdict = IRREDUCIBLE if self.factor_bound == 1 else BOUNDED
+            verdict = IRREDUCIBLE if factor_bound == 1 else BOUNDED
+        values = (input, prime, degree, phi, gate, phi_reports, factor_bound,
+                  min_factor_degree, verdict)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("AnalysisReport is immutable")
 
     @property
     def mode(self) -> str:

@@ -1,6 +1,7 @@
 """Parser and renderer for integer polynomial expressions in x.
 
-Grammar (whitespace between tokens ignored, integers unbounded):
+Grammar over tokens, each a run of ASCII digits or any one other character,
+with whitespace (str.isspace) between tokens ignored and integers unbounded:
 
     expr   := '-'? term (('+' | '-') term)*
     term   := factor ('*'? factor)*
@@ -29,12 +30,18 @@ conversion limit).
 
 from __future__ import annotations
 
+import re
+
 from .polyring import IntPoly
 
 MAX_NESTING = 100
 MAX_DEGREE = 10_000
 MAX_COEFF_BITS = 1 << 20
 _MAX_SIZE_BITS = 1 << 22
+
+# A token is a run of ASCII digits or any one other character; \s skips
+# exactly the characters for which str.isspace is true.
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")
 
 # CPython refuses int <-> str conversions of more than
 # sys.get_int_max_str_digits() digits (4300 by default, never below 640), so
@@ -48,11 +55,6 @@ def _parse_digits(digits: str) -> int:
         return int(digits)
     k = len(digits) // 2
     return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
-
-
-def _is_digit(ch: str) -> bool:
-    # str.isdigit is also true for superscripts and other scripts' digits
-    return "0" <= ch <= "9"
 
 
 def _decimal(n: int) -> str:
@@ -97,144 +99,118 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _check(start: int, degree: int, bits: int, size: int):
+    """Refuse a literal, power or product at start whose degree, coefficient
+    bits or predicted size exceeds its limit."""
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {_decimal(degree)} exceeds the maximum {MAX_DEGREE}", start)
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(
+            f"coefficients could exceed the maximum of {MAX_COEFF_BITS} bits", start)
+    if size > _MAX_SIZE_BITS:
+        raise ParseError(f"the expansion could exceed {_MAX_SIZE_BITS} bits", start)
+
+
 class _Parser:
+    """Recursive descent over the tokens of src, read one at a time: `tok` is
+    the next token's text, "" at the end, and `pos` its offset."""
+
     def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
+        self.tokens = _TOKEN.finditer(src)
+        self.end = len(src)
         self.depth = 0
+        self.advance()
 
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            raise ParseError(f"expected '{ch}'", self.pos)
-        self.pos += 1
+    def advance(self):
+        m = next(self.tokens, None)
+        self.pos, self.tok = (m.start(1), m.group(1)) if m else (self.end, "")
 
     def parse_uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and _is_digit(self.src[self.pos]):
-            self.pos += 1
-        if self.pos == start:
+        start, digits = self.pos, self.tok
+        if not "0" <= digits[:1] <= "9":
             raise ParseError("expected an integer", start)
-        if self.pos < len(self.src) and self.src[self.pos] == ".":
-            raise ParseError("non-integer coefficient", self.pos)
-        end = self.pos
-        if _is_digit(self.peek()):
+        end = start + len(digits)
+        self.advance()
+        if self.tok == "." and self.pos == end:
+            raise ParseError("non-integer coefficient", end)
+        if "0" <= self.tok[:1] <= "9":
             raise ParseError("whitespace inside an integer", end)
-        value = _parse_digits(self.src[start:end])
-        self._check_bits(value.bit_length(), start)
+        value = _parse_digits(digits)
+        _check(start, 0, value.bit_length(), 0)
         return value
 
     def parse_expr(self) -> IntPoly:
-        negate = False
-        if self.peek() == "-":
-            self.take()
-            negate = True
-        result = self.parse_term()
-        if negate:
-            result = -result
+        """Add the terms' coefficients into one list, subtracting after a '-'."""
+        op = self.tok
+        if op == "-":
+            self.advance()
+        acc = []
         while True:
-            op = self.peek()
-            if op == "+":
-                self.take()
-                result = result + self.parse_term()
-            elif op == "-":
-                self.take()
-                result = result - self.parse_term()
-            else:
-                return result
-
-    def _check_degree(self, degree: int, start: int):
-        if degree > MAX_DEGREE:
-            raise ParseError(
-                f"degree {_decimal(degree)} exceeds the maximum {MAX_DEGREE}", start
-            )
-
-    def _check_bits(self, bits: int, start: int):
-        if bits > MAX_COEFF_BITS:
-            raise ParseError(
-                f"coefficients could exceed the maximum of {MAX_COEFF_BITS} bits", start
-            )
-
-    def _check_size(self, bits: int, start: int):
-        if bits > _MAX_SIZE_BITS:
-            raise ParseError(
-                f"the expansion could exceed {_MAX_SIZE_BITS} bits", start
-            )
+            coeffs = self.parse_term().coeffs
+            acc.extend([0] * (len(coeffs) - len(acc)))
+            for i, c in enumerate(coeffs):
+                acc[i] += -c if op == "-" else c
+            op = self.tok
+            if op != "+" and op != "-":
+                return IntPoly(acc)
+            self.advance()
 
     def parse_term(self) -> IntPoly:
         result = self.parse_factor()
         while True:
-            ch = self.peek()
-            if ch == "*":
-                self.take()
-            elif not (_is_digit(ch) or ch == "x" or ch == "("):
+            if self.tok == "*":
+                self.advance()
+            elif not ("0" <= self.tok[:1] <= "9" or self.tok in ("x", "(")):
                 return result
-            self._skip_ws()
             start = self.pos
             factor = self.parse_factor()
-            self._check_degree(result.degree + factor.degree, start)
-            self._check_bits(_coeff_bits(result) + _coeff_bits(factor), start)
-            self._check_size(_product_size(result, factor), start)
+            _check(start, result.degree + factor.degree,
+                   _coeff_bits(result) + _coeff_bits(factor), _product_size(result, factor))
             result = result * factor
 
     def parse_factor(self) -> IntPoly:
         base = self.parse_base()
-        if self.peek() == "^":
-            self.take()
-            self._skip_ws()
-            start = self.pos
-            n = self.parse_uint()
-            self._check_degree(base.degree * n, start)
-            self._check_bits(n * _coeff_bits(base), start)
-            self._check_size(_power_size(base, n), start)
-            return base**n
-        return base
+        if self.tok != "^":
+            return base
+        self.advance()
+        start = self.pos
+        n = self.parse_uint()
+        _check(start, base.degree * n, n * _coeff_bits(base), _power_size(base, n))
+        return base**n
 
     def parse_base(self) -> IntPoly:
-        ch = self.peek()
-        if _is_digit(ch):
+        tok, pos = self.tok, self.pos
+        if "0" <= tok[:1] <= "9":
             return IntPoly.constant(self.parse_uint())
-        if ch == "x":
-            self.take()
+        if tok == "x":
+            self.advance()
             return IntPoly.x()
-        if ch == "(":
+        if tok == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.pos)
-            self.take()
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.advance()
             self.depth += 1
             inner = self.parse_expr()
-            self.expect(")")
+            if self.tok != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.advance()
             self.depth -= 1
             return inner
-        if ch.isalpha():
-            raise ParseError(f"unknown variable '{ch}'", self.pos)
-        if ch == ".":
-            raise ParseError("non-integer coefficient", self.pos)
-        if ch == "":
-            raise ParseError("unexpected end of input", self.pos)
-        raise ParseError(f"unexpected character '{ch}'", self.pos)
+        if tok.isalpha():
+            raise ParseError(f"unknown variable '{tok}'", pos)
+        if tok == ".":
+            raise ParseError("non-integer coefficient", pos)
+        if tok == "":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected character '{tok}'", pos)
 
 
 def parse_poly(src: str) -> IntPoly:
     """Parse an expression into an IntPoly with exact integer coefficients."""
     parser = _Parser(src)
     result = parser.parse_expr()
-    if parser.peek() != "":
-        raise ParseError(f"unexpected character '{parser.peek()}'", parser.pos)
+    if parser.tok:
+        raise ParseError(f"unexpected character '{parser.tok}'", parser.pos)
     return result
 
 

@@ -306,6 +306,54 @@ class TestHostileInput:
         assert "Traceback" not in proc.stderr
 
 
+class TestStdoutFailures:
+    """A stdout that cannot take the output gives one error line and exit 1,
+    and nothing more when the interpreter flushes at exit."""
+
+    @staticmethod
+    def run(argv, stdout, shell=False, unbuffered="", **env):
+        src = str(Path(phinewton.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, **env)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        command = [sys.executable, "-m", "phinewton.cli", *argv]
+        if shell:  # the shell closes fd 1 before Python starts
+            command = subprocess.list2cmdline(command) + " >&-"
+        return subprocess.run(command, shell=shell, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+    @staticmethod
+    def assert_one_error_line(proc, message):
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [("x^2+1", "-p", "2"), ("--help",),
+                                      ("x^2+1", "-p", "2", "--check-only")])
+    def test_pipe_without_reader(self, argv, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # before the child starts, so every write fails
+        try:
+            proc = self.run(argv, write, unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        self.assert_one_error_line(proc, "[Errno 32] Broken pipe")
+
+    @pytest.mark.parametrize("argv", [("x", "-p", "2"), ("--help",)])
+    def test_closed_stdout(self, argv):
+        proc = self.run(argv, None, shell=True)
+        self.assert_one_error_line(proc, "stdout is closed")
+
+    def test_character_outside_the_stdout_encoding(self):
+        proc = self.run(["x^2　+1", "-p", "2"], subprocess.PIPE,
+                        PYTHONIOENCODING="ascii")
+        self.assert_one_error_line(
+            proc, "'ascii' codec can't encode character '\\u3000' in position 11: "
+                  "ordinal not in range(128)")
+        assert proc.stdout == ""
+
+
 class TestCheckOnly:
     def test_applicable(self, capsys):
         code, out, _ = run_cli(

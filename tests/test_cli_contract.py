@@ -2,7 +2,8 @@
 
 `cli.main` runs in process on expressions drawn from a bounded grammar
 (total degree at most 48): arbitrary, monic, or a power of phi plus p times
-lower terms, sometimes negated or with one stray character inserted.  The
+lower terms, sometimes negated or with one stray character inserted, an
+operator, a dot, whitespace or a character the lexer refuses.  The
 prime is drawn from primes, composites and integers in -3..100; phi and
 --check-only are optional.  No exception may escape; usage errors leave
 through SystemExit, whose code counts as the exit code.  The run is
@@ -72,14 +73,19 @@ def monics(draw, budget=MAX_DEGREE, depth=3):
     return f"({a})^{k}", da * k
 
 
+# Operators, a dot, ASCII and Unicode whitespace (U+3000, U+0085), two
+# format characters that are not whitespace (U+200B, U+FEFF) and a
+# non-ASCII digit: none of them can raise the degree.
+STRAYS = "+-*() .\t\u3000\u0085\u200b\ufeff\u0663"
+
+
 def stray(draw, text):
-    """Maybe negate text, maybe insert one of "+-*() ", which cannot raise
-    the degree."""
+    """Maybe negate text, maybe insert one character of STRAYS."""
     if draw(st.integers(0, 7)) == 0:
         text = "-" + text
     if draw(st.integers(0, 7)) == 0:
         at = draw(st.integers(0, len(text)))
-        text = text[:at] + draw(st.sampled_from("+-*() ")) + text[at:]
+        text = text[:at] + draw(st.sampled_from(STRAYS)) + text[at:]
     return text
 
 

@@ -409,3 +409,15 @@ class TestIrreducibleVerdict:
         for mode in ("single-phi", "full"):
             assert seen[mode, IRREDUCIBLE, True] and seen[mode, IRREDUCIBLE, False]
             assert seen[mode, BOUNDED, False]
+
+
+class TestReportIsImmutable:
+    @pytest.mark.parametrize("name, value", [
+        ("verdict", IRREDUCIBLE), ("factor_bound", 99), ("phi_reports", []),
+        ("notes", [])])
+    def test_assignment_raises(self, name, value):
+        r = analyze(IntPoly([1, 0, 1]), 3)
+        before = report_to_dict(r)
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
+        assert report_to_dict(r) == before

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from phinewton.expr import (
@@ -50,6 +52,48 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_poly(src)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("space", [
+        chr(n) for n in range(0x110000) if chr(n).isspace()])
+    def test_every_isspace_character_is_skipped(self, space):
+        assert parse_poly(f"{space}x{space}^{space}2{space}+{space}1{space}") == (
+            IntPoly([1, 0, 1]))
+
+    @pytest.mark.parametrize("char", ["\u200b", "\ufeff"])
+    @pytest.mark.parametrize("template", ["{}x", "x{}", "x+{}1", "x^2 {}"])
+    def test_format_characters_are_not_whitespace(self, char, template):
+        src = template.format(char)
+        with pytest.raises(ParseError) as err:
+            parse_poly(src)
+        assert str(err.value) == (
+            f"unexpected character '{char}' (at position {src.index(char)})")
+
+    @pytest.mark.parametrize("src, message", [
+        ("1 .5", "unexpected character '.' (at position 2)"),
+        ("x*.5", "non-integer coefficient (at position 2)"),
+        ("x^(2)", "expected an integer (at position 2)"),
+        ("((x)", "expected ')' (at position 4)"),
+        ("x +", "unexpected end of input (at position 3)"),
+    ])
+    def test_lexical_edge_errors(self, src, message):
+        with pytest.raises(ParseError) as err:
+            parse_poly(src)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("src", ["x^ 2", "x^2\u0085"])
+    def test_lexical_edge_successes(self, src):
+        assert parse_poly(src) == IntPoly([0, 0, 1])
+
+    def test_long_sum_streams_its_tokens(self):
+        # tokens are read one at a time and the terms add into one list
+        src = "x+" * 50_000 + "x"
+        tracemalloc.start()
+        try:
+            assert parse_poly(src) == IntPoly([0, 50_001])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_nested_phi_form(self):
         src = "(x^2+x+1)^6 + 24x*(x^2+x+1)^3 + 9*(16x+32)*(x^2+x+1) + 3*(16x+16)"
