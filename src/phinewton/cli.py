@@ -42,6 +42,7 @@ from types import SimpleNamespace
 from . import __version__
 from .criteria import INAPPLICABLE, AnalysisReport, _validate_input, analyze
 from .expr import parse_poly, render_poly
+from .polygon import ratio
 from .valuation import INFINITY
 
 
@@ -56,7 +57,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "start": list(s.start),
                 "end": list(s.end),
                 "length": s.length,
-                "slope": {"num": s.slope.numerator, "den": s.slope.denominator},
+                "slope": {"num": -s.h, "den": s.e},  # every side is principal
                 "h": s.h,
                 "e": s.e,
                 "degree": s.degree,
@@ -139,7 +140,8 @@ def render_text(report: AnalysisReport) -> str:
             s = rec.side
             lines.append(
                 f"  side {k}: ({s.start[0]},{s.start[1]})->({s.end[0]},{s.end[1]})"
-                f"  length {s.length}  slope {s.slope}  h={s.h} e={s.e} degree {s.degree}"
+                f"  length {s.length}  slope {ratio(-s.h, s.e)}"
+                f"  h={s.h} e={s.e} degree {s.degree}"
             )
             irreducible = "yes" if rec.factor_count == 1 else "no"
             lines.append(
@@ -197,10 +199,9 @@ def _svg_phi_block(pr, y_offset: int) -> tuple[list[str], int, int]:
         )
     # points: solid when on a side's line inside its span, hollow when above
     for i, u in finite:
-        on_side = any(
-            s.start[0] <= i <= s.end[0] and s.height_at(i) == u
-            for s in pr.polygon.sides
-        ) or (i, u) in pr.polygon.vertices
+        # a point on a side's line outside its span would lie below the hull
+        on_side = (i, u) in pr.polygon.vertices or any(
+            s.above(i, u) == 0 for s in pr.polygon.sides)
         fill = "#000" if on_side else "#fff"
         parts.append(
             f'<circle cx="{px(i)}" cy="{py(u)}" r="4" fill="{fill}" '
@@ -212,7 +213,7 @@ def _svg_phi_block(pr, y_offset: int) -> tuple[list[str], int, int]:
         label = "irreducible" if rec.factor_count == 1 else f"{rec.factor_count} factors"
         mx = (px(s.start[0]) + px(s.end[0])) / 2
         my = (py(s.start[1]) + py(s.end[1])) / 2 - 8
-        parts.append(f'<text x="{mx:.1f}" y="{my:.1f}">slope {s.slope}</text>')
+        parts.append(f'<text x="{mx:.1f}" y="{my:.1f}">slope {ratio(-s.h, s.e)}</text>')
         parts.append(
             f'<text x="{_MARGIN}" y="{y_offset + height - 28 + 14 * k}">'
             f'side {k + 1}: f_S = {rec.residual} '
@@ -258,7 +259,8 @@ def _check_only_line(report: AnalysisReport) -> str:
     pr = report.phi_reports[0]
     if pr.is_exact_power:
         return f"ok: f equals phi^{pr.multiplicity} exactly"
-    return f"ok: single-side hypothesis holds (lambda = {-pr.sides[0].side.slope})"
+    s = pr.sides[0].side
+    return f"ok: single-side hypothesis holds (lambda = {ratio(s.h, s.e)})"
 
 
 def _emit(rendered: str, output: str | None, code: int) -> int:

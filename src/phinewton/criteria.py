@@ -32,11 +32,10 @@ factor count, never reducibility.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .expr import render_poly
-from .polygon import NewtonPolygon, Side, build_polygon
+from .polygon import NewtonPolygon, Side, build_polygon, ratio
 from .polyring import IntPoly, PhiExpansion, phi_expand
 from .residual import residual_polynomial
 from .residue_field import FqPoly, ext_field
@@ -129,13 +128,14 @@ class PhiReport(NamedTuple):
 
 class AnalysisReport:
     """Everything the criteria certify about one input polynomial, built
-    once from the facts that `analyze` found."""
+    once from the facts that `analyze` found; phi_reports is kept as a tuple,
+    so no field can change."""
 
     __slots__ = ("input", "prime", "degree", "phi", "gate", "phi_reports",
                  "factor_bound", "min_factor_degree", "verdict")
 
     def __init__(self, input: str, prime: int, degree: int, phi: IntPoly | None,
-                 gate: str | None, phi_reports: list):
+                 gate: str | None, phi_reports):
         """Read the certificate off the groups (q, a) of every phi:
         factor_bound = sum(a), min_factor_degree = min(q), and IRREDUCIBLE
         iff the sum is 1.  A failed gate gives deg f, no degree and
@@ -168,7 +168,7 @@ class AnalysisReport:
             verdict = INAPPLICABLE
         else:
             verdict = IRREDUCIBLE if factor_bound == 1 else BOUNDED
-        values = (input, prime, degree, phi, gate, phi_reports, factor_bound,
+        values = (input, prime, degree, phi, gate, tuple(phi_reports), factor_bound,
                   min_factor_degree, verdict)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -273,7 +273,7 @@ def _single_phi_notes(pr: PhiReport, verdict: str, bound: int) -> list[str]:
         rec = pr.sides[0]
         d = math.gcd(u0, n)
         assert rec.side.degree == d, "single-side gcd identity violated"
-        first = [f"single side from (0, {u0}) to ({n}, 0): slope {rec.side.slope}, "
+        first = [f"single side from (0, {u0}) to ({n}, 0): slope {ratio(-u0, n)}, "
                  f"gcd({u0}, {n}) = {d}"]
         if d == 1:
             last = f"gcd({u0}, {n}) = 1: f is irreducible (Eisenstein/Dumas shape)"
@@ -290,7 +290,7 @@ def _single_phi_notes(pr: PhiReport, verdict: str, bound: int) -> list[str]:
                      f"(phi^{pr.exact_power_exponent} divides f)"]
         else:
             first = [f"single-side hypothesis fails at index {i}: "
-                     f"need nu(a_{i}) >= {Fraction((n - i) * u0, n)}, got {u}"
+                     f"need nu(a_{i}) >= {ratio((n - i) * u0, n)}, got {u}"
                      for i, u in enumerate(pr.expansion.valuations[1:n], 1)
                      if u is not INFINITY and n * u < (n - i) * u0]
         last = (f"polygon has {len(pr.sides)} principal side(s); the residual factor "

@@ -103,7 +103,9 @@ def _check(start: int, degree: int, bits: int, size: int):
     """Refuse a literal, power or product at start whose degree, coefficient
     bits or predicted size exceeds its limit."""
     if degree > MAX_DEGREE:
-        raise ParseError(f"degree {_decimal(degree)} exceeds the maximum {MAX_DEGREE}", start)
+        # a longer degree is not printed: its digits could fill the message
+        shown = f"degree {degree}" if degree.bit_length() <= 64 else "degree"
+        raise ParseError(f"{shown} exceeds the maximum {MAX_DEGREE}", start)
     if bits > MAX_COEFF_BITS:
         raise ParseError(
             f"coefficients could exceed the maximum of {MAX_COEFF_BITS} bits", start)

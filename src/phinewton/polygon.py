@@ -1,13 +1,13 @@
 """Lower convex envelopes of valuation points: sides, slopes, and degrees.
 
-All geometry is exact: points are lattice points (index, valuation), hull
-comparisons are integer cross products, and slopes are `Fraction`s.  Points
-at INFINITY never become vertices.
+All geometry is exact integer arithmetic: points are lattice points (index,
+valuation), hull comparisons are integer cross products, and a side keeps its
+slope as the coprime pair h, e.  Points at INFINITY never become vertices.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import NamedTuple
 
 from .valuation import INFINITY
@@ -17,15 +17,14 @@ class Side(NamedTuple):
     """One edge of a Newton polygon.
 
     For a side of slope -h/e in lowest terms (h >= 0, e >= 1), the degree is
-    d = length/e; the endpoints are lattice points so e always divides the
-    length.  Ascending sides store the same data with a positive slope and h
-    equal to the absolute numerator.
+    d = gcd(rise, length) = length/e, where rise = end[1] - start[1] = -h*d.
+    An ascending side keeps its slope h/e as the same pair; its endpoints
+    give the sign.
     """
 
     start: tuple[int, int]
     end: tuple[int, int]
     length: int
-    slope: Fraction
     h: int
     e: int
     degree: int
@@ -37,16 +36,15 @@ class Side(NamedTuple):
         length = end[0] - start[0]
         if length <= 0:
             raise ValueError("side endpoints must have increasing indices")
-        slope = Fraction(end[1] - start[1], length)
-        e = slope.denominator
-        h = abs(slope.numerator)
-        if length % e != 0:
-            raise ValueError("side endpoints are not lattice points")
-        return cls(start, end, length, slope, h, e, length // e)
+        rise = end[1] - start[1]
+        d = math.gcd(rise, length)
+        return cls(start, end, length, abs(rise) // d, length // d, d)
 
-    def height_at(self, index: int) -> Fraction:
-        """Exact height of the supporting line at the given abscissa."""
-        return self.start[1] + self.slope * (index - self.start[0])
+    def above(self, index: int, u: int) -> int:
+        """length times the height of the point (index, u) over the side's
+        line: positive above it, zero on it, negative below."""
+        (i0, u0), (_, u1) = self.start, self.end
+        return (u - u0) * self.length - (u1 - u0) * (index - i0)
 
 
 class NewtonPolygon(NamedTuple):
@@ -61,8 +59,15 @@ class NewtonPolygon(NamedTuple):
 
     def principal_part(self) -> "NewtonPolygon":
         """The sub-polygon of sides with strictly negative slope."""
-        kept = [s for s in self.sides if s.slope < 0]
+        kept = [s for s in self.sides if s.end[1] < s.start[1]]
         return NewtonPolygon(self.vertices[: len(kept) + 1], tuple(kept))
+
+
+def ratio(num: int, den: int) -> str:
+    """num/den (den >= 1) in lowest terms: "-1/3", or "-2" when it is an
+    integer."""
+    d = math.gcd(num, den)
+    return str(num // d) if d == den else f"{num // d}/{den // d}"
 
 
 def _normalize_points(points) -> list[tuple]:

@@ -30,13 +30,11 @@ def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPo
     u = exp.valuations[s + i]
     if u is INFINITY:
         return field.zero
-    line = side.height_at(s + i)
-    if u > line:
+    above = side.above(s + i, u)
+    if above > 0:
         return field.zero
-    if u < line:
-        raise RuntimeError(
-            f"point ({s + i}, {u}) lies below its own polygon side"
-        )
+    if above < 0:
+        raise RuntimeError(f"point ({s + i}, {u}) lies below its own polygon side")
     units = []
     for c, (nu, unit) in zip(exp.coeffs[s + i].coeffs, exp.splits[s + i]):
         if nu is INFINITY or nu > u:
@@ -55,7 +53,7 @@ def residual_polynomial(exp: PhiExpansion, side: Side) -> FqPoly:
     Defined for sides of non-positive slope; on a slope-zero side with phi = x
     this reproduces the plain reduction of f modulo p.
     """
-    if side.slope > 0:
+    if side.end[1] > side.start[1]:
         raise ValueError("residual polynomials are attached to sides of slope <= 0")
     field = ext_field(exp.phi.reduce_mod(exp.p))
     ts = [_coefficient(exp, side, j * side.e, field) for j in range(side.degree + 1)]

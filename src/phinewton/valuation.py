@@ -1,8 +1,8 @@
 """The p-adic valuation on Z, and primality checking.
 
 nu_p is normalized (nu_p(p) = 1).  Everything here is exact: valuations are
-non-negative integers or INFINITY, slopes elsewhere are
-`fractions.Fraction`, and there is no floating point anywhere.
+non-negative integers or INFINITY, slopes elsewhere are pairs of integers,
+and there is no floating point anywhere.
 
 The private `_split` gives, for nonzero x, both nu_p(x) and the unit
 (x / p^nu) mod p from one descent over x, which `polyring.phi_expand` keeps

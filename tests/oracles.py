@@ -17,6 +17,9 @@ residual oracle divides each expansion coefficient by p^u, where the package
 reads the valuation and unit that the phi-expansion kept.  gauss_valuation
 and residual_coefficient are test-only helpers: the Gauss valuation of an
 integer polynomial, and the package's residual coefficient at one point.
+slope and height_at give a side's slope and the heights of its line as
+`Fraction`s built from its endpoints, the reference for the package's
+integer h and e.
 The recompose helpers multiply an expansion or a factorization back out.
 build_parser is the argparse parser that the CLI's own argv reader
 reproduces.
@@ -111,6 +114,17 @@ def side_degree_bound(report) -> int:
                for pr in report.phi_reports)
 
 
+def slope(side: Side) -> Fraction:
+    """The side's slope as a `Fraction`, from its endpoints: the reference
+    for the integer pair h, e that the package keeps."""
+    return Fraction(side.end[1] - side.start[1], side.length)
+
+
+def height_at(side: Side, index: int) -> Fraction:
+    """Exact height of the side's supporting line at the given abscissa."""
+    return side.start[1] + slope(side) * (index - side.start[0])
+
+
 def residual_coefficient(exp: PhiExpansion, side: Side, i: int) -> FqPoly:
     """The package's residual coefficient c_i of the side, an element of
     F_phi, read off the expansion's kept units."""
@@ -126,7 +140,7 @@ def divided_residual_coefficient(exp: PhiExpansion, side: Side, i: int,
     u = exp.valuations[s + i]
     if u is INFINITY:
         return field.zero
-    line = side.height_at(s + i)
+    line = height_at(side, s + i)
     if u > line:
         return field.zero
     if u < line:
@@ -220,13 +234,13 @@ def validate_polygon(np: NewtonPolygon, points) -> bool:
         raise ValueError("polygon does not start at the lowest finite index")
     if np.vertices[-1][0] != finite[-1][0]:
         raise ValueError("polygon does not end at the highest finite index")
-    slopes = [s.slope for s in np.sides]
+    slopes = [slope(s) for s in np.sides]
     for a, b in zip(slopes, slopes[1:]):
         if not a < b:
             raise ValueError("side slopes are not strictly increasing")
     for s in np.sides:
         for i, u in finite:
-            if s.start[0] <= i <= s.end[0] and u < s.height_at(i):
+            if s.start[0] <= i <= s.end[0] and u < height_at(s, i):
                 raise ValueError(f"point ({i}, {u}) lies below side {s}")
     for prev, cur in zip(np.sides, np.sides[1:]):
         if prev.end != cur.start:
@@ -234,10 +248,10 @@ def validate_polygon(np: NewtonPolygon, points) -> bool:
     return True
 
 
-def side_at_slope(np: NewtonPolygon, slope):
-    """The side of the given slope, or None."""
+def side_at_slope(np: NewtonPolygon, q: Fraction):
+    """The side of slope q, or None."""
     for s in np.sides:
-        if s.slope == slope:
+        if slope(s) == q:
             return s
     return None
 
@@ -251,15 +265,15 @@ def minkowski_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:
     """
     if not a.vertices or not b.vertices:
         raise ValueError("minkowski_sum requires nonempty polygons")
-    segs = [[s.slope, s.length, s.end[1] - s.start[1]] for s in a.sides + b.sides]
+    segs = [[slope(s), s.length, s.end[1] - s.start[1]] for s in a.sides + b.sides]
     segs.sort(key=lambda t: t[0])
     merged: list[list] = []
-    for slope, length, dy in segs:
-        if merged and merged[-1][0] == slope:
+    for q, length, dy in segs:
+        if merged and merged[-1][0] == q:
             merged[-1][1] += length
             merged[-1][2] += dy
         else:
-            merged.append([slope, length, dy])
+            merged.append([q, length, dy])
     i = a.vertices[0][0] + b.vertices[0][0]
     u = a.vertices[0][1] + b.vertices[0][1]
     verts = [(i, u)]

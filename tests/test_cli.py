@@ -225,7 +225,7 @@ def test_cli_imports_no_dataclasses_inspect_or_json():
 
     added = loaded("import phinewton.cli\n") - loaded("")
     assert "phinewton.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}
+    assert not added & {"dataclasses", "inspect", "json", "fractions", "decimal", "numbers"}
 
 
 class TestHostileInput:
@@ -593,7 +593,7 @@ class TestJsonWriter:
 
     def test_empty_lists_and_nested_records(self):
         report = analyze(parse_poly("x^4+1"), 2, phi=parse_poly("x^2+1"))
-        assert report.phi_reports == [] and render_json(report) == dumped(report)
+        assert report.phi_reports == () and render_json(report) == dumped(report)
         report = analyze(parse_poly("(x+1)^3*(x^2+x+1)"), 2)
         assert render_json(report) == dumped(report)
 

@@ -19,8 +19,9 @@ from oracles import (
     gen_power_family,
     is_power_of_phibar,
     side_degree_bound,
+    slope,
 )
-from phinewton.cli import report_to_dict
+from phinewton.cli import render_text, report_to_dict
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.valuation import INFINITY
@@ -96,7 +97,7 @@ class TestSingleSideHypothesis:
                         len(np_.sides) == 1
                         and np_.sides[0].start[0] == 0
                         and np_.sides[0].end == (n, 0)
-                        and np_.sides[0].slope < 0
+                        and slope(np_.sides[0]) < 0
                     )
                 assert hyp.holds == single, f
                 # the production path reads the hypothesis off N_phi(f), and
@@ -164,7 +165,7 @@ class TestAnalyzeSinglePhi:
         assert doc["factor_bound"] == 2
         side = r.phi_reports[0].sides[0].side
         assert (side.length, side.start[1] - side.end[1], side.degree) == (6, 4, 2)
-        assert side.slope == Fraction(-2, 3)
+        assert slope(side) == Fraction(-2, 3) and (side.h, side.e) == (2, 3)
         # (3, 3) lies strictly above the side, whose height at 3 is 2
         assert any("is zero (no point on the side at abscissa 3)" in n for n in r.notes)
 
@@ -195,7 +196,7 @@ class TestAnalyzeSinglePhi:
         r = analyze(IntPoly([1, 0, 0, 0, 1]), 2, phi=IntPoly([1, 0, 1]))
         assert r.verdict == INAPPLICABLE
         assert r.factor_bound == 4  # trivial degree bound
-        assert r.phi_reports == []
+        assert r.phi_reports == ()
 
     def test_not_power_inapplicable(self):
         r = analyze(IntPoly([1, 0, 1]), 3, phi=X)
@@ -210,7 +211,7 @@ class TestAnalyzeSinglePhi:
     def test_failed_gate_is_the_only_fact(self, f, p, phi, gate, reason):
         r = analyze(f, p, phi=phi)
         assert r.gate == gate
-        assert r.phi_reports == []
+        assert r.phi_reports == ()
         assert r.factor_bound == f.degree
         assert r.min_factor_degree is None
         assert r.verdict == INAPPLICABLE
@@ -421,3 +422,13 @@ class TestReportIsImmutable:
         with pytest.raises(AttributeError):
             setattr(r, name, value)
         assert report_to_dict(r) == before
+
+    @pytest.mark.parametrize("mutate", [lambda prs: prs.clear(),
+                                        lambda prs: prs.append(prs[0])])
+    def test_phi_reports_cannot_change(self, mutate):
+        r = analyze(IntPoly([1, 0, 1]), 3)
+        before = (report_to_dict(r), render_text(r))
+        assert isinstance(r.phi_reports, tuple)
+        with pytest.raises(AttributeError):
+            mutate(r.phi_reports)
+        assert (report_to_dict(r), render_text(r)) == before

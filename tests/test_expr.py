@@ -167,6 +167,16 @@ class TestLimits:
         with pytest.raises(ParseError):
             parse_poly("(x^2+1)^999999999")
 
+    def test_degree_message_states_a_long_degree_without_its_digits(self):
+        for src, degree in ((f"x^{MAX_DEGREE + 1}", "10001 "),
+                            (f"x^{2**64 - 1}", f"{2**64 - 1} "),
+                            (f"x^{2**64}", ""), ("x^" + "9" * 300_000, "")):
+            with pytest.raises(ParseError) as err:
+                parse_poly(src)
+            message = f"degree {degree}exceeds the maximum 10000 (at position 2)"
+            assert str(err.value) == message
+        assert len(str(err.value)) == 48
+
     def test_degree_limit_on_products(self):
         half = MAX_DEGREE // 2
         assert parse_poly(f"x^{half} * x^{MAX_DEGREE - half}").degree == MAX_DEGREE

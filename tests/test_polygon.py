@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import gen_power_family, hull_oracle, minkowski_sum, validate_polygon
+from oracles import (
+    gen_power_family,
+    height_at,
+    hull_oracle,
+    minkowski_sum,
+    slope,
+    validate_polygon,
+)
 from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.valuation import INFINITY
@@ -33,18 +40,18 @@ class TestBuildPolygon:
         assert len(np_.sides) == 1
         s = np_.sides[0]
         assert (s.start, s.end) == ((0, 4), (6, 0))
-        assert s.slope == Fraction(-2, 3)
+        assert slope(s) == Fraction(-2, 3)
         assert (s.length, s.start[1] - s.end[1], s.degree, s.h, s.e) == (6, 4, 2, 2, 3)
 
     def test_two_points(self):
         np_ = build_polygon([(0, 1), (2, 0)])
         s = np_.sides[0]
-        assert s.slope == Fraction(-1, 2)
+        assert slope(s) == Fraction(-1, 2)
         assert (s.e, s.h, s.degree) == (2, 1, 1)
 
     def test_two_sides(self):
         np_ = build_polygon([(0, 3), (1, 1), (3, 0)])
-        assert [s.slope for s in np_.sides] == [Fraction(-2), Fraction(-1, 2)]
+        assert [slope(s) for s in np_.sides] == [Fraction(-2), Fraction(-1, 2)]
         assert np_.vertices == ((0, 3), (1, 1), (3, 0))
 
     def test_collinear_points_merge(self):
@@ -72,8 +79,7 @@ class TestBuildPolygon:
                 assert s.length % s.e == 0
                 assert s.degree >= 1
                 assert s.degree * s.e == s.length
-                if s.slope < 0:
-                    assert abs(s.end[1] - s.start[1]) == s.degree * s.h
+                assert abs(s.end[1] - s.start[1]) == s.degree * s.h
 
     def test_equals_hull_oracle_random(self):
         rng = random.Random(43)
@@ -99,7 +105,7 @@ class TestPrincipalPart:
     def test_mixed_polygon_negative_prefix(self):
         pts = [(0, 3), (1, 1), (3, 0), (5, 0), (6, 2)]
         pp = build_polygon(pts).principal_part()
-        assert [s.slope for s in pp.sides] == [Fraction(-2), Fraction(-1, 2)]
+        assert [slope(s) for s in pp.sides] == [Fraction(-2), Fraction(-1, 2)]
         assert pp.vertices[-1] == (3, 0)
 
 
@@ -108,7 +114,7 @@ class TestMinkowskiSum:
         a = build_polygon([(0, 3), (5, 0)])
         b = build_polygon([(0, 3), (4, 0)])
         total = minkowski_sum(a, b)
-        assert [s.slope for s in total.sides] == [Fraction(-3, 4), Fraction(-3, 5)]
+        assert [slope(s) for s in total.sides] == [Fraction(-3, 4), Fraction(-3, 5)]
         assert total.vertices == ((0, 6), (4, 3), (9, 0))
 
     def test_identity_element(self):
@@ -157,10 +163,12 @@ class TestSide:
         with pytest.raises(ValueError):
             Side.from_endpoints((2, 0), (0, 1))
         s = Side.from_endpoints((1, 5), (4, 2))
-        assert s.slope == Fraction(-1)
+        assert slope(s) == Fraction(-1)
         assert (s.h, s.e, s.degree) == (1, 1, 3)
 
     def test_height_at(self):
         s = Side.from_endpoints((0, 4), (6, 0))
-        assert s.height_at(3) == Fraction(2)
-        assert s.height_at(1) == Fraction(10, 3)
+        assert height_at(s, 3) == Fraction(2)
+        assert height_at(s, 1) == Fraction(10, 3)
+        # the package's integer test: length times the height over the line
+        assert (s.above(3, 2), s.above(1, 4), s.above(1, 3)) == (0, 4, -2)

@@ -1,10 +1,14 @@
+import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from oracles import height_at, slope
 from phinewton.criteria import analyze
+from phinewton.polygon import Side, ratio
 from phinewton.polyring import IntPoly
 from phinewton.valuation import INFINITY, _split, is_prime, valuation
 
@@ -161,26 +165,50 @@ class TestSplit:
                 assert valuation(x, p) == _split(x, p, [p])[0]
 
 
-class TestReduceRational:
-    """Polygon slopes are `Fraction`s: lowest terms, positive denominator."""
+class TestSideAgainstFraction:
+    """A side keeps its slope as the integer pair h, e and prints it with
+    `ratio`; `Fraction` is the reference for both, and for the heights that
+    `Side.above` compares with."""
 
     def test_examples(self):
-        assert Fraction(-4, 6) == Fraction(-2, 3)
-        assert Fraction(0, 7) == Fraction(0, 1)
-        assert Fraction(-6, -4) == Fraction(3, 2)
+        # descending, flat and ascending: -4/6 = -2/3, 0/7 = 0, 6/4 = 3/2
+        cases = [((0, 4), (6, 0), (2, 3, 2), "-2/3"), ((0, 0), (7, 0), (0, 1, 7), "0"),
+                 ((0, 1), (4, 7), (3, 2, 2), "3/2"), ((2, 5), (3, 3), (2, 1, 1), "-2")]
+        for start, end, hed, printed in cases:
+            s = Side.from_endpoints(start, end)
+            assert (s.h, s.e, s.degree) == hed
+            assert ratio(end[1] - start[1], s.length) == printed == str(slope(s))
 
     def test_lowest_terms_positive_denominator(self):
         rng = random.Random(3)
-        import math
+        shapes = Counter()
+        for _ in range(300):
+            i0, i1 = sorted(rng.sample(range(-40, 41), 2))
+            u0 = rng.randint(0, 60)
+            u1 = rng.choice((u0, rng.randint(0, 60)))  # flat sides too
+            s = Side.from_endpoints((i0, u0), (i1, u1))
+            q = Fraction(u1 - u0, i1 - i0)
+            shapes[(q > 0) - (q < 0)] += 1
+            assert s.e == q.denominator > 0 and s.h == abs(q.numerator)
+            assert math.gcd(s.h, s.e) == 1 and s.degree * s.e == s.length
+            sign = (u1 > u0) - (u1 < u0)
+            assert slope(s) == Fraction(sign * s.h, s.e) == q
+            assert ratio(sign * s.h, s.e) == str(q)
+            if sign < 0:  # a principal side prints -h/e, and lambda = h/e
+                assert (ratio(-s.h, s.e), ratio(s.h, s.e)) == (str(q), str(-q))
+            for i in range(i0, i1 + 1):
+                line = height_at(s, i)
+                for u in range(math.floor(line) - 1, math.ceil(line) + 2):
+                    d = u - line
+                    assert (s.above(i, u) > 0) == (d > 0)
+                    assert (s.above(i, u) == 0) == (d == 0)
+        assert min(shapes[-1], shapes[0], shapes[1]) > 30
 
-        for _ in range(200):
-            num = rng.randint(-500, 500)
-            den = rng.randint(-500, 500)
-            if den == 0:
-                continue
-            q = Fraction(num, den)
-            assert q.denominator > 0
-            assert math.gcd(abs(q.numerator), q.denominator) == 1
+    def test_ratio_prints_as_fraction(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            num, den = rng.randint(-500, 500), rng.randint(1, 500)
+            assert ratio(num, den) == str(Fraction(num, den))
 
 
 class TestPrimality:
