@@ -1,12 +1,15 @@
 """Command-line front end: parse, analyze, and render certificates.
 
-`main` reads its options with `_read_argv`, which accepts and refuses the
-same spellings as an argparse parser would and prints argparse's usage and
-error lines, but imports neither argparse nor the gettext and locale modules
-behind it.  -p takes an optional "-" and ASCII digits only.  `main`
-then parses f and phi and hands them to `criteria.analyze`, which alone
-decides whether p, f and phi are acceptable; a syntax error is therefore
-named before a bad p.
+`main` reads its options with `_read_argv`, a left-to-right reader over the
+small grammar stated in its docstring: options by exact name, a value as the
+next argument or after "=", and "--" before an expression that starts with
+"-".  The reader writes nothing and never exits; on a malformed argv it
+raises UsageError, and `main` prints the usage line and
+"phinewton: error: <message>" and returns 1.  It imports neither argparse
+nor the gettext and locale modules behind it.  -p takes an optional "-" and
+ASCII digits only.  `main` then parses f and phi and hands them to
+`criteria.analyze`, which alone decides whether p, f and phi are
+acceptable; a syntax error is therefore named before a bad p.
 
 Exit codes: 0 on success, 1 on input errors (syntax, non-prime p, non-monic
 f, phi not monic of degree >= 1, a usage error such as a missing or
@@ -278,7 +281,11 @@ def _emit(rendered: str, output: str | None, code: int) -> int:
             except OSError:
                 # What stays buffered goes to the null device, so the flush
                 # at exit raises no second error.
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                null = os.open(os.devnull, os.O_WRONLY)
+                try:
+                    os.dup2(null, sys.stdout.fileno())
+                finally:
+                    os.close(null)
                 raise
     except (OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -311,7 +318,7 @@ options:
                         path
 """
 
-# Option string -> field.  An ambiguous prefix lists its matches in this order.
+# Option string -> field.
 _OPTIONS = {
     "-h": "help", "--help": "help",
     "--input": "input",
@@ -325,46 +332,17 @@ _FLAGS = ("help", "check_only")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _refuse(message: str):
-    """A usage error: the usage line and the message on stderr, exit 1."""
-    sys.stderr.write(f"{_USAGE}phinewton: error: {message}\n")
-    raise SystemExit(1)
+class UsageError(Exception):
+    """A malformed argv; `main` prints it under the usage line."""
 
 
 def _argument(field: str) -> str:
     return "argument " + "/".join(o for o, f in _OPTIONS.items() if f == field)
 
 
-def _option(token: str):
-    """(option string, attached value or None) if token is an option, None if
-    it is a positional; the option string is "" for an unknown option.
-
-    A long option may be abbreviated to a unique prefix and takes its value
-    after "="; -p takes it attached or after "=".  A token that is not an
-    option and looks like a negative number or holds a space is positional.
-    """
-    if not token.startswith("-"):
-        return None
-    if token in _OPTIONS:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, value = token.partition("=")
-    if eq and name in _OPTIONS:
-        return name, value
-    if token[1] == "-":
-        matches = [o for o in _OPTIONS if o.startswith(name)]
-        value = value if eq else None
-    else:
-        matches = [o for o in _OPTIONS if o == token[:2]]
-        value = token[2:]
-    if len(matches) > 1:
-        _refuse(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return "", None
+def _looks_like_option(arg: str) -> bool:
+    return (arg.startswith("-") and arg != "-" and " " not in arg
+            and not _NEGATIVE_NUMBER.match(arg))
 
 
 def _value(field: str, value: str):
@@ -377,95 +355,71 @@ def _value(field: str, value: str):
                 return int(value)
             except ValueError:  # more digits than int() converts
                 pass
-        _refuse(f"{_argument(field)}: invalid int value: {value!r}")
+        raise UsageError(f"{_argument(field)}: invalid int value: {value!r}")
     if field == "fmt" and value not in RENDERERS:
         choices = ", ".join(map(repr, RENDERERS))
-        _refuse(f"{_argument(field)}: invalid choice: {value!r} (choose from {choices})")
+        raise UsageError(f"{_argument(field)}: invalid choice: {value!r} (choose from {choices})")
     return value
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace:
-    """The fields of argv: expression, input, prime, phi, fmt, check_only
-    and output.
+    """The fields of argv: expression, input, prime, phi, fmt, check_only,
+    output and help.  Writes nothing; a malformed argv raises UsageError.
 
-    "--" ends the options; the last occurrence of an option wins.  -h may
-    be bundled with -p (-hp3).  A usage error exits 1 through _refuse, and
-    -h/--help prints the help and exits 0.
+    The grammar, read left to right:
+    - An option is one of _OPTIONS by its exact name.  -h/--help and
+      --check-only take no value; the others take one, either the next
+      argument or after "=" in the same argument (--phi=-1+x, -p=3).
+    - An argument looks like an option when it starts with "-", is not "-"
+      alone, is not a negative number and holds no space; so -p -3 and
+      --phi "-x + 1" read as values.  Such a next argument is not taken as a
+      value: the option expected one argument.
+    - "--" ends the options: every later argument is positional, and "--"
+      itself is none.  There is at most one positional, the expression.
+    - The last occurrence of an option wins.  -h/--help stops the reading
+      where it stands, with every other field as read so far.
+    - A missing -p is refused before an unknown option-like argument or a
+      second positional ("unrecognized arguments").
     """
-    # Tokens are classified first, so an ambiguous option is refused before
-    # any value is read.  Kinds: None for a positional, "--" for the end of
-    # the options, or the pair from _option.
-    kinds, ended = [], False
-    for token in argv:
-        if ended:
-            kinds.append(None)
-        elif token == "--":
-            kinds.append("--")
-            ended = True
-        else:
-            kinds.append(_option(token))
     fields = dict(expression=None, input=None, prime=None, phi=None, fmt="text",
-                  check_only=False, output=None)
-    expression_read = False
-    extras = []
-    i = 0
-    while i < len(argv):
-        kind = kinds[i]
-        if not isinstance(kind, tuple):
-            if expression_read:
-                extras.append(argv[i])
-                i += 1
-                continue
-            # The expression, with a "--" before or after it.
-            expression_read = True
-            if kind == "--":
-                i += 1
-            if i < len(argv) and kinds[i] is None:
-                fields["expression"] = argv[i]
-                i += 1
-            if i < len(argv) and kinds[i] == "--":
-                i += 1
-            continue
-        name, value = kind
-        i += 1
-        if not name:
-            extras.append(argv[i - 1])
-            continue
-        field = _OPTIONS[name]
-        show_help = field == "help"
-        if name == "-h" and value:
-            rest = value.lstrip("h")
-            if rest.startswith("p"):
-                field, value = "prime", rest[1:] or None
-            elif rest:
-                _refuse(f"{_argument('help')}: ignored explicit argument {rest!r}")
+                  check_only=False, output=None, help=False)
+    extras, ended = [], False
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        field = None if ended else _OPTIONS.get(name)
+        if field is None:
+            if arg == "--" and not ended:
+                ended = True
+            elif fields["expression"] is None and (ended or not _looks_like_option(arg)):
+                fields["expression"] = arg
             else:
-                value = None
-        if field in _FLAGS:
-            if value is not None:
-                _refuse(f"{_argument(field)}: ignored explicit argument {value!r}")
+                extras.append(arg)
+        elif field in _FLAGS:
+            if eq:
+                raise UsageError(f"{_argument(field)}: ignored explicit argument {value!r}")
             fields[field] = True
+            if field == "help":
+                return SimpleNamespace(**fields)
         else:
-            if value is None:
-                if i == len(argv) or kinds[i] is not None:
-                    _refuse(f"{_argument(field)}: expected one argument")
-                value = argv[i]
-                i += 1
-            if not show_help:
-                fields[field] = _value(field, value)
-        if show_help:
-            raise SystemExit(_emit(_HELP, None, 0))
+            if not eq:
+                value = next(args, None)
+                if value is None or _looks_like_option(value):
+                    raise UsageError(f"{_argument(field)}: expected one argument")
+            fields[field] = _value(field, value)
     if fields["prime"] is None:
-        _refuse("the following arguments are required: -p/--prime")
+        raise UsageError("the following arguments are required: -p/--prime")
     if extras:
-        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
     """Execute one analysis; returns the process exit code."""
-    args = _read_argv(sys.argv[1:] if argv is None else list(argv))
     try:
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        if args.help:
+            return _emit(_HELP, None, 0)
         if (args.expression is None) == (args.input is None):
             raise ValueError("supply exactly one input: a positional expression "
                              "or --input FILE")
@@ -480,6 +434,9 @@ def main(argv=None) -> int:
             line = f"ok: monic degree-{f.degree} polynomial, p = {args.prime}"
             return _emit(line + "\n", args.output, 0)
         report = analyze(f, args.prime, phi=phi, input_str=expression)
+    except UsageError as exc:
+        sys.stderr.write(f"{_USAGE}phinewton: error: {exc}\n")
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

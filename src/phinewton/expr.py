@@ -99,6 +99,13 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _unexpected(tok: str, pos: int) -> ParseError:
+    """A token that is not printable is shown escaped, as ascii() writes it:
+    an input must not send terminal control sequences to stderr."""
+    shown = tok if tok.isprintable() else ascii(tok)[1:-1]
+    return ParseError(f"unexpected character '{shown}'", pos)
+
+
 def _check(start: int, degree: int, bits: int, size: int):
     """Refuse a literal, power or product at start whose degree, coefficient
     bits or predicted size exceeds its limit."""
@@ -204,7 +211,7 @@ class _Parser:
             raise ParseError("non-integer coefficient", pos)
         if tok == "":
             raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected character '{tok}'", pos)
+        raise _unexpected(tok, pos)
 
 
 def parse_poly(src: str) -> IntPoly:
@@ -212,7 +219,7 @@ def parse_poly(src: str) -> IntPoly:
     parser = _Parser(src)
     result = parser.parse_expr()
     if parser.tok:
-        raise ParseError(f"unexpected character '{parser.tok}'", parser.pos)
+        raise _unexpected(parser.tok, parser.pos)
     return result
 
 

@@ -21,8 +21,9 @@ slope and height_at give a side's slope and the heights of its line as
 `Fraction`s built from its endpoints, the reference for the package's
 integer h and e.
 The recompose helpers multiply an expansion or a factorization back out.
-build_parser is the argparse parser that the CLI's own argv reader
-reproduces.
+build_parser is an argparse parser with the CLI's options.  The CLI's own
+argv reader reads a smaller grammar, so build_parser is a reference only
+where both accept an argv: there they must read the same fields.
 
 The generators build polynomials whose factor structure is known by
 construction, which turns the product rule and the factor-count bounds into

@@ -175,10 +175,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("option, name", [("-p", "-p/--prime")])
     @pytest.mark.parametrize("value", ["٣", "1_1", " 3", "+3"])
     def test_integer_options_take_ascii_digits_only(self, capsys, option, name, value):
-        with pytest.raises(SystemExit) as usage:
-            main(["x^2+1", "-p", "3", option, value])
-        assert usage.value.code == 1
-        out, err = capsys.readouterr()
+        code, out, err = run_cli(capsys, "x^2+1", "-p", "3", option, value)
+        assert code == 1
         assert out == ""
         assert err.startswith("usage: phinewton")
         assert err.endswith(
@@ -186,9 +184,9 @@ class TestUsageErrors:
 
     def test_leading_minus_after_double_dash(self, capsys):
         # "-x^2+x^3" reads as an unknown option; "--" and "--phi=" avoid it
-        with pytest.raises(SystemExit) as usage:
-            main(["-x^2+x^3", "-p", "2"])
-        assert usage.value.code == 1
+        code, _, err = run_cli(capsys, "-x^2+x^3", "-p", "2")
+        assert code == 1
+        assert err.endswith("phinewton: error: unrecognized arguments: -x^2+x^3\n")
         assert run_cli(capsys, "-p", "2", "--", "-x^2+x^3")[0] == 0
         code, out, _ = run_cli(capsys, "x^2-2x+3", "-p", "2", "--phi=-1+x",
                                "--check-only")
@@ -238,6 +236,14 @@ class TestHostileInput:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_control_characters_in_an_input_file_are_escaped(self, tmp_path):
+        src = tmp_path / "poly.txt"
+        src.write_text("x^2+1\x1b[31m", encoding="utf-8")
+        proc = run_subprocess("--input", str(src), "-p", "2")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: unexpected character '\\x1b' (at position 5)\n"
+        assert proc.stderr[:-1].isprintable()
 
     def test_whitespace_inside_an_integer_exits_1(self):
         proc = run_subprocess("x^3 + 1 000 003", "-p", "2")
@@ -344,6 +350,27 @@ class TestStdoutFailures:
     def test_closed_stdout(self, argv):
         proc = self.run(argv, None, shell=True)
         self.assert_one_error_line(proc, "stdout is closed")
+
+    def test_pipe_without_reader_in_process_leaks_no_descriptor(self, monkeypatch, capsys):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to count open descriptors")
+
+        def broken_pipe_run():
+            read, write = os.pipe()
+            os.close(read)
+            with open(write, "w", encoding="utf-8") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                code = main(["x^2+1", "-p", "2"])
+                monkeypatch.undo()
+            assert code == 1
+            assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+        broken_pipe_run()  # anything opened once, on a first call, is opened here
+        before = len(list(fds.iterdir()))
+        for _ in range(5):
+            broken_pipe_run()
+        assert len(list(fds.iterdir())) == before
 
     def test_character_outside_the_stdout_encoding(self):
         proc = self.run(["x^2　+1", "-p", "2"], subprocess.PIPE,
@@ -533,10 +560,8 @@ class TestSeedHandling:
                 assert run_cli(capsys, *argv) == unset
 
     def test_seed_option_is_refused(self, capsys):
-        with pytest.raises(SystemExit) as usage:
-            main(["x^2+1", "-p", "2", "--seed", "3"])
-        assert usage.value.code == 1
-        out, err = capsys.readouterr()
+        code, out, err = run_cli(capsys, "x^2+1", "-p", "2", "--seed", "3")
+        assert code == 1
         assert out == ""
         assert err.endswith("phinewton: error: unrecognized arguments: --seed 3\n")
 

@@ -5,9 +5,9 @@
 lower terms, sometimes negated or with one stray character inserted, an
 operator, a dot, whitespace or a character the lexer refuses.  The
 prime is drawn from primes, composites and integers in -3..100; phi and
---check-only are optional.  No exception may escape; usage errors leave
-through SystemExit, whose code counts as the exit code.  The run is
-derandomized, so it tests the same examples every time."""
+--check-only are optional.  `main` returns the code: no exception may
+escape, SystemExit included.  The run is derandomized, so it tests the same
+examples every time."""
 
 import contextlib
 import io
@@ -139,10 +139,7 @@ def argvs(draw):
 def exit_code(argv) -> int:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        try:
-            return main(argv)
-        except SystemExit as exc:
-            return exc.code
+        return main(argv)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

@@ -62,11 +62,28 @@ class TestParse:
     @pytest.mark.parametrize("char", ["\u200b", "\ufeff"])
     @pytest.mark.parametrize("template", ["{}x", "x{}", "x+{}1", "x^2 {}"])
     def test_format_characters_are_not_whitespace(self, char, template):
+        # shown escaped, as they are not printable
+        shown = {"\u200b": "\\u200b", "\ufeff": "\\ufeff"}[char]
         src = template.format(char)
         with pytest.raises(ParseError) as err:
             parse_poly(src)
         assert str(err.value) == (
-            f"unexpected character '{char}' (at position {src.index(char)})")
+            f"unexpected character '{shown}' (at position {src.index(char)})")
+
+    @pytest.mark.parametrize("src, message", [
+        ("x^2+1\x1b[31m", "unexpected character '\\x1b' (at position 5)"),
+        ("x\x07", "unexpected character '\\x07' (at position 1)"),
+        ("\u202ex", "unexpected character '\\u202e' (at position 0)"),
+        ("x\x7f", "unexpected character '\\x7f' (at position 1)"),
+        ("x+\U000e0001", "unexpected character '\\U000e0001' (at position 2)"),
+        ("x%", "unexpected character '%' (at position 1)"),
+        ("x'", "unexpected character ''' (at position 1)"),
+    ])
+    def test_unprintable_characters_are_escaped(self, src, message):
+        # an input file must not send terminal control sequences to stderr
+        with pytest.raises(ParseError) as err:
+            parse_poly(src)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("src, message", [
         ("1 .5", "unexpected character '.' (at position 2)"),

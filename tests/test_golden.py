@@ -23,10 +23,7 @@ CORPUS = json.loads(
 
 @pytest.mark.parametrize("case", CORPUS, ids=[str(i) for i in range(len(CORPUS))])
 def test_replay(case, capsys):
-    try:
-        code = main(list(case["argv"]))
-    except SystemExit as usage:  # a usage error, as the script exits
-        code = usage.code
+    code = main(list(case["argv"]))
     captured = capsys.readouterr()
     assert captured.out == case["stdout"]
     assert captured.err == case["stderr"]
@@ -44,10 +41,7 @@ def test_json_writer_matches_json_dumps(case, capsys, monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(cli, "analyze", recorded)
-    try:
-        main(list(case["argv"]))
-    except SystemExit:
-        pass
+    main(list(case["argv"]))
     capsys.readouterr()
     for report in reports:
         assert cli.render_json(report) == json.dumps(cli.report_to_dict(report), indent=2) + "\n"
