@@ -44,7 +44,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .criteria import INAPPLICABLE, AnalysisReport, _validate_input, analyze
-from .expr import parse_poly, render_poly
+from .expr import _escaped, parse_poly, render_poly
 from .polygon import ratio
 from .valuation import INFINITY
 
@@ -379,7 +379,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
     - The last occurrence of an option wins.  -h/--help stops the reading
       where it stands, with every other field as read so far.
     - A missing -p is refused before an unknown option-like argument or a
-      second positional ("unrecognized arguments").
+      second positional ("unrecognized arguments", each shown as
+      expr._escaped shows it).
     """
     fields = dict(expression=None, input=None, prime=None, phi=None, fmt="text",
                   check_only=False, output=None, help=False)
@@ -410,7 +411,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
     if fields["prime"] is None:
         raise UsageError("the following arguments are required: -p/--prime")
     if extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+        raise UsageError(f"unrecognized arguments: {' '.join(map(_escaped, extras))}")
     return SimpleNamespace(**fields)
 
 

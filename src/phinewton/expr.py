@@ -99,11 +99,15 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _escaped(text: str) -> str:
+    """text as it stands if printable, else as ascii() writes it without the
+    quotes: an input or argument must not send terminal control sequences to
+    stderr."""
+    return text if text.isprintable() else ascii(text)[1:-1]
+
+
 def _unexpected(tok: str, pos: int) -> ParseError:
-    """A token that is not printable is shown escaped, as ascii() writes it:
-    an input must not send terminal control sequences to stderr."""
-    shown = tok if tok.isprintable() else ascii(tok)[1:-1]
-    return ParseError(f"unexpected character '{shown}'", pos)
+    return ParseError(f"unexpected character '{_escaped(tok)}'", pos)
 
 
 def _check(start: int, degree: int, bits: int, size: int):

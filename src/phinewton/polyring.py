@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .residue_field import FqPoly
+from .residue_field import FqPoly, _power
 from .valuation import INFINITY, ExtInt, _split
 
 
@@ -129,14 +129,7 @@ class IntPoly:
         cs = self.coeffs
         if cs and not any(cs[:-1]):  # (c*x^k)^n = c^n * x^(k*n)
             return IntPoly((0,) * ((len(cs) - 1) * n) + (cs[-1] ** n,))
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, IntPoly.__mul__, IntPoly.one())
 
     def __divmod__(self, other: "IntPoly"):
         """Euclidean division by a monic divisor, exact over Z."""

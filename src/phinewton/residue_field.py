@@ -23,30 +23,28 @@ polynomial of degree >= 1 is irreducible iff it has one factor.  Complete
 factorization adds Cantor-Zassenhaus equal-degree splitting over F_p only;
 it draws from a fixed PRNG, and its result is sorted canonically.
 
-The distinct-degree split applies the q-power (Frobenius) map through a
-table T[i] = x^(i*q) mod f, built once per modulus f from one pow_mod and
+Arithmetic modulo a polynomial f, its products and its q-power
+(Frobenius) map, goes through one _Modulus(f), which decides once whether
+those products are packed into int multiplies or run through the
+coefficient loops.  The factorizer builds one per modulus and shares it
+among the power x^q, the Frobenius table and map, the block products, and
+Cantor-Zassenhaus (its powers, and the squarings of the p = 2 trace map);
+the public pow_mod builds its own.  ExtField.pth_root, a power mod phibar,
+keeps the loops product and builds none.  Every power, IntPoly's included,
+is the one square-and-multiply _power.  gcd, over every field, runs Euclid
+on plain coefficient lists, making each divisor monic with one inverse,
+and builds one FqPoly at the end.
+
+The distinct-degree split applies the Frobenius map through a table
+T[i] = x^(i*q) mod f, built once per modulus f from one power and
 deg f - 2 products: h^q = sum h_i T[i], because every coefficient h_i of h
-is fixed by Frobenius.  Over F_p with the packed kernel below, it takes one
-gcd per block of l = isqrt(deg f // 2) consecutive degrees e: the gcd of the
+is fixed by Frobenius.  Where the products are packed, it takes one gcd
+per block of l = isqrt(deg f // 2) consecutive degrees e: the gcd of the
 rest of f with prod (h_e - x) over the block holds every factor whose degree
 lies in the block, and only a nontrivial block gcd is split again, degree by
 degree; a part of degree below 2e is one irreducible and needs no gcd.
-Without the kernel, over F_phi and past its slot bound, a block product by
-the loops costs more than the gcds it saves, so each degree keeps its own.
-
-Over F_p, products modulo a monic f of degree n run through one packed int
-multiply (Kronecker substitution, _Kronecker) when 2 n (p-1)^2 < 2^64: each
-coefficient takes one 64-bit little-endian slot, and that bound keeps every
-slot of a product, after its high part is folded back mod f, from carrying
-into the next.  The bound holds for every p up to 65521 at every degree up
-to 10,000.  The factorizer builds one kernel per modulus and shares it among
-the square-and-multiply of x^q, the Frobenius table and map, the block
-products, and Cantor-Zassenhaus (its powers, and the squarings of the p = 2
-trace map); the public pow_mod builds its own.  gcd, over every field,
-runs Euclid on plain coefficient lists, making each divisor monic with one
-inverse, and builds one FqPoly at the end.  __mul__, __divmod__, every
-operation over an ExtField (ExtField.pth_root, a power mod phibar,
-included), and primes past the bound keep the loops.
+Where they run through the loops, a block product costs more than the gcds
+it saves, so each degree keeps its own.
 
 ext_field shares one ExtField per modulus.  A modulus it has not seen is
 checked in full, its factor degrees included; the factors of fp_factorize,
@@ -197,16 +195,7 @@ class FqPoly:
         return _poly(self.field, [c * a % mod for a in self.coeffs])
 
     def __pow__(self, n: int) -> "FqPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = _poly(self.field, [self.field.one])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, FqPoly.__mul__, _poly(self.field, [self.field.one]))
 
     def __divmod__(self, other: "FqPoly"):
         self._check(other)
@@ -274,13 +263,10 @@ class FqPoly:
                              for i, c in enumerate(self.coeffs)][1:])
 
     def pow_mod(self, n: int, modulus: "FqPoly") -> "FqPoly":
-        """self^n mod modulus by square-and-multiply.
-
-        Over F_p, for a monic modulus of degree d with 2 d (p-1)^2 < 2^64,
-        every product goes through one packed int multiply (_Kronecker,
-        built once per call).  Otherwise it is __mul__ then __divmod__.
-        """
-        return _power(self, n, modulus, _mulmod(modulus, _kronecker(modulus)))
+        """self^n mod modulus by square-and-multiply, with the products of
+        one _Modulus(modulus)."""
+        one = _poly(self.field, [self.field.one])
+        return _power(self % modulus, n, _Modulus(modulus).mulmod, one % modulus)
 
     def __eq__(self, other):
         return (
@@ -349,56 +335,69 @@ def _gcd(a: list, b: list, field) -> list:
         a, r = b, a[:top]
 
 
-def _power(a: FqPoly, n: int, f: FqPoly, mul) -> FqPoly:
-    """a^n mod f by square-and-multiply, with mul the product mod f."""
+def _power(base, n: int, mul, one):
+    """base^n by square-and-multiply, for the product mul with unit one.
+
+    base and one come already reduced for mul (mod f, say).  No squaring
+    follows the last bit of n.
+    """
     if n < 0:
         raise ValueError("negative exponent")
-    result = _poly(a.field, [a.field.one]) % f
-    base = a % f
+    result = one
     while n:
         if n & 1:
             result = mul(result, base)
-        base = mul(base, base)
         n >>= 1
+        if n:
+            base = mul(base, base)
     return result
 
 
-class _Kronecker:
-    """Products modulo a monic f of degree n over F_p by Kronecker substitution.
+def _pack(coeffs) -> int:
+    return int.from_bytes(struct.pack(f"<{len(coeffs)}Q", *coeffs), "little")
 
-    A reduced polynomial packs into one int with one 64-bit slot per
+
+class _Modulus:
+    """Arithmetic modulo a polynomial f: products of reduced polynomials, and
+    the q-power (Frobenius) map.
+
+    The constructor alone decides whether the products are `packed`: they
+    are exactly when f is monic of degree n >= 1 over a PrimeField and
+    2 n (p-1)^2 < 2^64, which holds for every p up to 65521 at every degree
+    up to 10,000.  Otherwise (over an ExtField, for a constant or non-monic
+    f, and past that slot bound) a product is __mul__ then __divmod__, and
+    the Frobenius map runs through the coefficient loops.
+
+    Packed, a reduced polynomial is one int with one 64-bit slot per
     coefficient, little-endian through struct, so the packing does not
-    depend on the host's byte order.  One int multiply then forms every
-    coefficient of a product at once.  Each high coefficient c_i, i >= n,
-    is reduced mod p and folded back in as one multiply-add c_i * R[i] over
-    the packed rows R[i] = x^i mod f, n <= i <= 2n - 2.  The result is
-    unpacked once and each slot reduced mod p.
-
-    A slot of the folded sum is at most n (p-1)^2 + (n-1) (p-1)^2, so no
-    slot carries into the next while 2 n (p-1)^2 < 2^64; `_kronecker`
-    builds the kernel only then.
+    depend on the host's byte order, and one int multiply forms every
+    coefficient of a product at once (Kronecker substitution).  Each high
+    coefficient c_i, i >= n, is reduced mod p and folded back in as one
+    multiply-add c_i * R[i] over the packed rows R[i] = x^i mod f,
+    n <= i <= 2n - 2.  The result is unpacked once and each slot reduced
+    mod p.  A slot of the folded sum is at most n (p-1)^2 + (n-1) (p-1)^2,
+    so the bound keeps every slot from carrying into the next.
     """
 
-    __slots__ = ("field", "n", "rows", "_slots")
+    __slots__ = ("f", "field", "n", "packed", "rows", "_slots")
 
     def __init__(self, f: FqPoly):
         field, n = f.field, f.degree
-        p = field.p
-        low = [-c % p for c in f.coeffs[:n]]  # x^n mod f
-        rows = [low]
-        for _ in range(n - 2):
-            top, shifted = rows[-1][-1], [0, *rows[-1][:-1]]
-            rows.append([(a + top * b) % p for a, b in zip(shifted, low)]
-                        if top else shifted)
-        self.field, self.n = field, n
-        self.rows = [self.pack(row) for row in rows]
-        self._slots = struct.Struct(f"<{n}Q")
+        self.f, self.field, self.n = f, field, n
+        self.packed = (isinstance(field, PrimeField) and n >= 1 and f.is_monic
+                       and 2 * n * (field.p - 1) ** 2 < 1 << 64)
+        if self.packed:
+            p = field.p
+            low = [-c % p for c in f.coeffs[:n]]  # x^n mod f
+            rows = [low]
+            for _ in range(n - 2):
+                top, shifted = rows[-1][-1], [0, *rows[-1][:-1]]
+                rows.append([(a + top * b) % p for a, b in zip(shifted, low)]
+                            if top else shifted)
+            self.rows = [_pack(row) for row in rows]
+            self._slots = struct.Struct(f"<{n}Q")
 
-    @staticmethod
-    def pack(coeffs) -> int:
-        return int.from_bytes(struct.pack(f"<{len(coeffs)}Q", *coeffs), "little")
-
-    def unpack(self, packed: int) -> FqPoly:
+    def _unpack(self, packed: int) -> FqPoly:
         """The polynomial whose i-th coefficient is slot i of packed, mod p."""
         p = self.field.p
         slots = self._slots.unpack(packed.to_bytes(8 * self.n, "little"))
@@ -406,8 +405,10 @@ class _Kronecker:
 
     def mulmod(self, a: FqPoly, b: FqPoly) -> FqPoly:
         """a * b mod f for a and b reduced mod f."""
-        a_packed = self.pack(a.coeffs)
-        product = a_packed * (a_packed if a is b else self.pack(b.coeffs))
+        if not self.packed:
+            return a * b % self.f
+        a_packed = _pack(a.coeffs)
+        product = a_packed * (a_packed if a is b else _pack(b.coeffs))
         n, high = self.n, len(a.coeffs) + len(b.coeffs) - 1 - self.n
         if high > 0:
             p = self.field.p
@@ -417,59 +418,35 @@ class _Kronecker:
                 c %= p
                 if c:
                     product += c * row
-        return self.unpack(product)
+        return self._unpack(product)
 
+    def frobenius(self, xq: FqPoly):
+        """The q-power map h -> h^q mod f on h reduced mod f, given xq = x^q mod f.
 
-def _kronecker(f: FqPoly):
-    """The packed product kernel mod monic f, or None where the loops stay.
+        Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i]
+        over the table T[i] = x^(i*q) mod f, 0 <= i < deg f: the rows of
+        Berlekamp's Q-matrix, built once from deg f - 2 products.  Packed, the
+        sum is one multiply-add per coefficient over the packed rows; each
+        slot stays below n (p-1)^2.
+        """
+        field, n = self.field, self.n
+        table = [_poly(field, [field.one]), xq]
+        while len(table) < n:
+            table.append(self.mulmod(table[-1], xq))
+        table = table[:n]
+        if self.packed:
+            packed = [_pack(row.coeffs) for row in table]
+            return lambda h: self._unpack(sum(c * row for c, row in zip(h.coeffs, packed)))
+        mod = field.modulus
 
-    The loops stay over an ExtField, for a constant or non-monic f, and past
-    the slot bound 2 n (p-1)^2 < 2^64.
-    """
-    field, n = f.field, f.degree
-    if (isinstance(field, PrimeField) and n >= 1 and f.is_monic
-            and 2 * n * (field.p - 1) ** 2 < 1 << 64):
-        return _Kronecker(f)
-    return None
-
-
-def _mulmod(f: FqPoly, kernel):
-    """Product mod f of two polynomials reduced mod f: the kernel's, or the
-    loops of __mul__ and __divmod__ where `_kronecker(f)` gave None."""
-    return kernel.mulmod if kernel else lambda a, b: a * b % f
-
-
-def _frobenius_map(f: FqPoly, xq: FqPoly, kernel):
-    """The q-power map h -> h^q mod f on h reduced mod f, given xq = x^q mod f.
-
-    Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i]
-    over the table T[i] = x^(i*q) mod f, 0 <= i < deg f: the rows of
-    Berlekamp's Q-matrix, built once from deg f - 2 products mod monic f.
-    With the packed kernel the sum is one multiply-add per coefficient over
-    the packed rows; each slot stays below n (p-1)^2.
-    """
-    field = f.field
-    mul = _mulmod(f, kernel)
-    table = [_poly(field, [field.one]), xq]
-    while len(table) < f.degree:
-        table.append(mul(table[-1], xq))
-    table = table[:f.degree]
-    if kernel:
-        packed = [kernel.pack(row.coeffs) for row in table]
-        return lambda h: kernel.unpack(sum(c * row for c, row in zip(h.coeffs, packed)))
-    return lambda h: _frobenius(h, table)
-
-
-def _frobenius(h: FqPoly, table: list[FqPoly]) -> FqPoly:
-    """h^q = sum h_i T[i] mod f from the Frobenius table, by the coefficient loops."""
-    field = h.field
-    out = [field.zero] * len(table)
-    for c, row in zip(h.coeffs, table):
-        if c:
-            for j, d in enumerate(row.coeffs):
-                out[j] += c * d
-    mod = field.modulus
-    return _poly(field, [c % mod for c in out])
+        def frobenius(h: FqPoly) -> FqPoly:
+            out = [field.zero] * n
+            for c, row in zip(h.coeffs, table):
+                if c:
+                    for j, d in enumerate(row.coeffs):
+                        out[j] += c * d
+            return _poly(field, [c % mod for c in out])
+        return frobenius
 
 
 class ExtField:
@@ -521,9 +498,10 @@ class ExtField:
         return s % self.modulus
 
     def pth_root(self, a: FqPoly) -> FqPoly:
-        """The unique p-th root: a^(p^(m-1)), by the loops, so no packed
-        kernel of the modulus is built per call."""
-        return _power(a, self.p ** (self.m - 1), self.modulus, _mulmod(self.modulus, None))
+        """The unique p-th root: a^(p^(m-1)), by the loops product, so no
+        packed _Modulus of the modulus is built per call."""
+        modulus = self.modulus
+        return _power(a, self.p ** (self.m - 1), lambda b, c: b * c % modulus, self.one)
 
     def __eq__(self, other):
         return isinstance(other, ExtField) and self.modulus == other.modulus
@@ -583,18 +561,19 @@ def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
     e ascending.
 
     h_e = x^(q^e) stays reduced modulo the undivided f, so one Frobenius map
-    serves every degree; h_1 = x^q is one pow_mod.  The degrees go in blocks,
-    of isqrt(deg f // 2) with the packed kernel and of 1 without: one gcd
-    with prod (h_e - x) over the block takes out every factor of a degree in
-    the block, and only a nontrivial gcd is split again, degree by degree.
+    serves every degree; h_1 = x^q is one power.  The degrees go in blocks,
+    of isqrt(deg f // 2) where products mod f are packed and of 1 where they
+    are not: one gcd with prod (h_e - x) over the block takes out every
+    factor of a degree in the block, and only a nontrivial gcd is split
+    again, degree by degree.
     """
     if f.degree < 2:
         return [(f, 1)] if f.degree == 1 else []
     whole, field = f, f.field
     x = FqPoly.x(field)
-    kernel = _kronecker(whole)
-    mul = _mulmod(whole, kernel)
-    size = math.isqrt(whole.degree // 2) if kernel else 1
+    mod = _Modulus(whole)
+    mul = mod.mulmod
+    size = math.isqrt(whole.degree // 2) if mod.packed else 1
     out = []
     e = 1
     while f.degree >= 2 * e:
@@ -602,10 +581,10 @@ def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
         diffs = []
         for d in block:
             if d == 1:
-                h = _power(x, field.q, whole, mul)
+                h = _power(x, field.q, mul, _poly(field, [field.one]))
             else:
                 if d == 2:
-                    frobenius = _frobenius_map(whole, h, kernel)
+                    frobenius = mod.frobenius(h)
                 h = frobenius(h)
             diffs.append(h - x)
         g = f.gcd(functools.reduce(mul, diffs))
@@ -639,7 +618,7 @@ def factor_degrees(g: FqPoly) -> tuple[tuple[int, int], ...]:
     splitting, so they are fully deterministic.  A linear g is ((1, 1),),
     with no split and no field inversion.  Over a degree-1 field
     F_p[x]/(x - a), which is F_p, each element is its constant term, and g
-    is split as that image over F_p, where the packed kernel runs.
+    is split as that image over F_p, where products can be packed.
     """
     if g.degree < 1:
         raise ValueError("factor counting requires degree >= 1")
@@ -673,7 +652,7 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
         return [f]
     p = f.p
     one = FqPoly(p, [1])
-    mul = _mulmod(f, _kronecker(f))
+    mul = _Modulus(f).mulmod
     while True:
         r = FqPoly(p, [rng.randrange(p) for _ in range(2 * e)])
         if r.degree < 1:
@@ -689,7 +668,7 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
         else:
             g = f.gcd(r)
             if not 0 < g.degree < n:
-                s = _power(r, (p**e - 1) // 2, f, mul)
+                s = _power(r, (p**e - 1) // 2, mul, one)  # deg r < 2e <= n
                 g = f.gcd(s - one)
         if 0 < g.degree < n:
             return _equal_degree(g, e, rng) + _equal_degree(f // g, e, rng)

@@ -135,6 +135,9 @@ REFUSED = {
     ("-hx",): NEED_P,
     ("x", "-p", "2", "--form", "json"): "unrecognized arguments: --form json",
     ("x", "-p", "2", "--phi", "x+1", "--check"): "unrecognized arguments: --check",
+    # an argument that is not printable is shown as ascii() writes it
+    ("x", "-p", "2", "--a\x1b[31m"): "unrecognized arguments: --a\\x1b[31m",
+    ("x", "\u202ey", "-p", "2"): "unrecognized arguments: \\u202ey",
 }
 
 INTEGER_FORMS = [  # argv, field, what int() makes of the last token

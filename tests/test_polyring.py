@@ -36,15 +36,22 @@ class TestIntPoly:
         assert (x + 1) * (x - 1) == x**2 - 1
         assert (x + 1) ** 2 == x**2 + 2 * x + 1
 
-    # x^0, 0^0, (0)^5, (2x)^3, (-2)^3 and (x^3)^7
+    # x^0, 0^0, (0)^5, (2x)^3, (-2)^3 and (x^3)^7; and past the monomial
+    # shortcut, (1 - 2x + 3x^3)^0 and (1 - 2x + 3x^3)^5
     @pytest.mark.parametrize("base, n", [
         ((0, 1), 0), ((), 0), ((), 5), ((0, 2), 3), ((-2,), 3), ((0, 0, 0, 1), 7),
+        ((1, -2, 0, 3), 0), ((1, -2, 0, 3), 5),
     ])
     def test_monomial_power_matches_repeated_product(self, base, n):
         expected = IntPoly.one()
         for _ in range(n):
             expected = expected * IntPoly(base)
         assert IntPoly(base) ** n == expected
+
+    @pytest.mark.parametrize("base", [(0, 1), (1, -2, 0, 3), ()])
+    def test_negative_exponent_refused(self, base):
+        with pytest.raises(ValueError, match="negative exponent"):
+            IntPoly(base) ** -1
 
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(TypeError):

@@ -21,8 +21,7 @@ from phinewton.residue_field import (
     FqPoly,
     _distinct_degree,
     _equal_degree,
-    _frobenius_map,
-    _kronecker,
+    _Modulus,
     _squarefree_parts,
     ext_field,
     factor_degrees,
@@ -86,6 +85,28 @@ class TestFpPoly:
         f = FqPoly(3, [1, 0, 1])
         x = FqPoly.x(3)
         assert x.pow_mod(9, f) == x.pow_mod(8, f) * x % f
+        # n = 0 for a base that is no monomial and for zero; a constant
+        # modulus leaves only 0
+        zero, constant = FqPoly(3), FqPoly(3, [2])
+        for base in (FqPoly(3, [2, 1, 0, 1, 1]), zero):
+            assert base.pow_mod(0, f) == FqPoly(3, [1])
+            assert base.pow_mod(0, constant) == base.pow_mod(4, constant) == zero
+        assert zero.pow_mod(3, f) == zero
+        with pytest.raises(ValueError, match="negative exponent"):
+            x.pow_mod(-1, f)
+        # FqPoly.__pow__ over F_3 and F_4, against repeated products
+        for field in (FqPoly(3).field, ext_field(FqPoly(2, [1, 1, 1]))):
+            one = FqPoly(field, [field.one])
+            zero = FqPoly(field)
+            base = FqPoly(field, [field.one, field.one, 0, field.one])  # 1 + y + y^3
+            assert base**0 == zero**0 == one
+            expected = one
+            for n in range(1, 6):
+                expected = expected * base
+                assert base**n == expected, (field, n)
+                assert zero**n == zero
+            with pytest.raises(ValueError, match="negative exponent"):
+                base**-1
 
     def test_derivative(self):
         assert FqPoly(3, [2, 1, 1, 1]).derivative() == FqPoly(3, [1, 2])
@@ -513,7 +534,7 @@ class TestFrobeniusTable:
             for degree in (1, 2, 3, 4, 5, 7):
                 for _ in range(6):
                     f = random_monic(rng, field, degree)
-                    frobenius = _frobenius_map(f, pow_mod(x, field.q, f), _kronecker(f))
+                    frobenius = _Modulus(f).frobenius(pow_mod(x, field.q, f))
                     # the table rows T[i] = x^(i*q), T[0] = 1 among them
                     for i in range(degree):
                         row = pow_mod(x, i, f)
@@ -526,9 +547,10 @@ class TestFrobeniusTable:
     def test_distinct_degree_matches_reference(self):
         rng = random.Random(42)
         # degree up to 9 over every small field; up to 60 over F_p, where the
-        # degrees go in blocks of up to 5
+        # degrees go in blocks of up to 5, but one at a time at 2^31 - 1,
+        # past the slot bound of packed products
         cases = [(field, 9, 12) for field in small_fields()]
-        cases += [(FqPoly(p).field, 60, 5) for p in (2, 3, 10007, 65521)]
+        cases += [(FqPoly(p).field, 60, 5) for p in (2, 3, 10007, 65521, 2**31 - 1)]
         for field, max_degree, count in cases:
             checked = 0
             while checked < count:
@@ -614,8 +636,9 @@ def slot_bound_primes(degree):
 
 
 class TestKronecker:
-    """The packed product kernel against schoolbook `*` and `%`, and
-    FqPoly.pow_mod against the oracles' square-and-multiply."""
+    """The packed products of _Modulus (Kronecker substitution) against
+    schoolbook `*` and `%`, and FqPoly.pow_mod against the oracles'
+    square-and-multiply."""
 
     BELOW, ABOVE = slot_bound_primes(8)
 
@@ -632,7 +655,8 @@ class TestKronecker:
         rng = random.Random(p)
         for degree in range(1, 65):
             f = FqPoly(p, [rng.randrange(p) for _ in range(degree)] + [1])
-            kernel = _kronecker(f)
+            kernel = _Modulus(f)
+            assert kernel.packed
             ops = self.operands(rng, p, degree)
             for a in ops:
                 for b in ops[3:]:
@@ -645,7 +669,8 @@ class TestKronecker:
         p = self.BELOW
         for _ in range(20):
             f = FqPoly(p, [rng.choice((1, p - 1, rng.randrange(p))) for _ in range(8)] + [1])
-            kernel = _kronecker(f)
+            kernel = _Modulus(f)
+            assert kernel.packed
             ops = self.operands(rng, p, 8)
             for a in ops:
                 for b in ops:
@@ -654,35 +679,37 @@ class TestKronecker:
     def test_kernel_is_built_only_within_the_slot_bound(self):
         assert 2 * 8 * (self.BELOW - 1) ** 2 < 1 << 64 <= 2 * 8 * (self.ABOVE - 1) ** 2
         for p in (2, 65521, self.BELOW):
-            assert _kronecker(FqPoly(p, [1] * 9)) is not None
-        assert _kronecker(FqPoly(self.ABOVE, [1] * 9)) is None
-        assert _kronecker(FqPoly(65521, [2, 1])) is not None
-        assert _kronecker(FqPoly(65521, [1, 1, 2])) is None  # not monic
-        assert _kronecker(FqPoly(65521, [3])) is None  # constant
-        assert _kronecker(FqPoly(ext_field(FqPoly(2, [1, 1, 1])), [0, 1])) is None
+            assert _Modulus(FqPoly(p, [1] * 9)).packed
+        assert not _Modulus(FqPoly(self.ABOVE, [1] * 9)).packed
+        assert _Modulus(FqPoly(65521, [2, 1])).packed
+        assert not _Modulus(FqPoly(65521, [1, 1, 2])).packed  # not monic
+        assert not _Modulus(FqPoly(65521, [3])).packed  # constant
+        assert not _Modulus(FqPoly(ext_field(FqPoly(2, [1, 1, 1])), [0, 1])).packed
 
     @pytest.mark.parametrize("p", [2, 10007])
     def test_one_kernel_per_modulus(self, p, monkeypatch):
-        """fp_factorize builds one kernel for each squarefree part it splits
-        by degree and one for each product Cantor-Zassenhaus splits."""
+        """fp_factorize builds one packed modulus for each squarefree part it
+        splits by degree and one for each product Cantor-Zassenhaus splits."""
         rng = random.Random(p)
         # two squarefree parts; four distinct-degree products of two factors
         f = irreducible_product(rng, p, [1, 1, 3, 3, 4, 4, 5, 5])
         f = f * irreducible_product(rng, p, [7]) ** 2
         assert f.degree == 40
         built, split = [], []
-        kronecker, equal_degree = residue_field._Kronecker, residue_field._equal_degree
+        modulus, equal_degree = residue_field._Modulus, residue_field._equal_degree
 
         def counted(g):
             built.append(g)
-            return kronecker(g)
+            mod = modulus(g)
+            assert mod.packed, g
+            return mod
 
         def recorded(g, e, draws):
             if g.degree > e:
                 split.append(g)
             return equal_degree(g, e, draws)
 
-        monkeypatch.setattr(residue_field, "_Kronecker", counted)
+        monkeypatch.setattr(residue_field, "_Modulus", counted)
         monkeypatch.setattr(residue_field, "_equal_degree", recorded)
         fact = fp_factorize(f)
         assert recompose_factorization(fact) == f
@@ -691,11 +718,15 @@ class TestKronecker:
         assert sorted(g.coeffs for g in built) == sorted(g.coeffs for g in parts + split)
 
     def test_no_kernel_over_extension_fields(self, monkeypatch):
-        def not_built(f):
-            raise AssertionError("a kernel was built over F_phi")
+        modulus = residue_field._Modulus
+
+        def not_packed(f):
+            mod = modulus(f)
+            assert not mod.packed, f"products mod {f} were packed over F_phi"
+            return mod
 
         fields = small_fields()[3:]  # their moduli are counted over F_p
-        monkeypatch.setattr(residue_field, "_Kronecker", not_built)
+        monkeypatch.setattr(residue_field, "_Modulus", not_packed)
         rng = random.Random(16)
         for field in fields:
             # g^k for squarefree g and k prime to p: no p-th root, whose power
@@ -709,16 +740,22 @@ class TestKronecker:
 
     def test_no_kernel_for_pth_roots_over_extension_fields(self, monkeypatch):
         """g^p has a p-th-power part, so the count takes p-th roots in F_phi,
-        which are powers mod phibar over F_p; none builds a kernel."""
+        which are powers mod phibar over F_p; none packs its products."""
         fields = small_fields()[3:]  # their moduli are counted over F_p
         built, roots = [], []
-        pth_root = residue_field.ExtField.pth_root
+        pth_root, modulus = residue_field.ExtField.pth_root, residue_field._Modulus
+
+        def recorded(f):
+            mod = modulus(f)
+            if mod.packed:
+                built.append(f)
+            return mod
 
         def counted_root(field, a):
             roots.append(a)
             return pth_root(field, a)
 
-        monkeypatch.setattr(residue_field, "_Kronecker", built.append)
+        monkeypatch.setattr(residue_field, "_Modulus", recorded)
         monkeypatch.setattr(residue_field.ExtField, "pth_root", counted_root)
         rng = random.Random(17)
         for field in fields:
@@ -735,9 +772,13 @@ class TestKronecker:
     def test_pow_mod_matches_reference(self, p, monkeypatch):
         p = {"below": self.BELOW, "above": self.ABOVE}.get(p, p)
         if p == self.ABOVE:
-            def not_built(f):
-                raise AssertionError("the kernel was built past the slot bound")
-            monkeypatch.setattr(residue_field, "_Kronecker", not_built)
+            modulus = residue_field._Modulus
+
+            def not_packed(f):
+                mod = modulus(f)
+                assert not mod.packed, "products were packed past the slot bound"
+                return mod
+            monkeypatch.setattr(residue_field, "_Modulus", not_packed)
         rng = random.Random(7 * p)
         degrees = (8,) if p in (self.BELOW, self.ABOVE) else (1, 2, 3, 5, 8, 13)
         for degree in degrees:
