@@ -13,17 +13,18 @@ The '*' between adjacent factors is optional, so inputs like
 "1 000" and "x^2 3" are parse errors, not products.  A single leading '-' is
 accepted so rendered polynomials always round-trip; doubled operators are
 rejected.  Parentheses nest at most MAX_NESTING deep, and no power or
-product may have degree above MAX_DEGREE.  No integer literal, power or
-product may have coefficients above MAX_COEFF_BITS bits: a power base^n is
-refused when n * (bits of base's largest coefficient + bits of its length)
-exceeds it, a product when the two operands' such sums do.  Nor may a power
-or product have a predicted size above _MAX_SIZE_BITS = 2^22 bits: its
-degree plus one, times a bound on its coefficients' bits taken from the L1
-norm, n * ceil(log2 ||base||_1) for base^n and the sum of the two operands'
-ceil(log2 ||.||_1) for a product.  So (x+1)^2000, 2001 * 2000 bits, parses,
-and (x+1)^4000, 4001 * 4000 bits, is refused: its expansion alone would take
+product may have degree above MAX_DEGREE.  The other two limits read one
+bound, taken from the L1 norm: no coefficient's absolute value exceeds
+2^bits, with bits = ceil(log2 v) for a literal v, n * ceil(log2 ||base||_1)
+for base^n and the sum of the two operands' ceil(log2 ||.||_1) for a
+product.  No integer literal, power or product may have bits above
+MAX_COEFF_BITS, so no coefficient's absolute value may exceed
+2^MAX_COEFF_BITS: 2^1000000 parses, 2^1048577 is refused.  Nor may a power
+or product have a predicted size, its degree plus one times bits, above
+_MAX_SIZE_BITS = 2^22.  So (x+1)^2000, 2001 * 2000 bits, parses, and
+(x+1)^4000, 4001 * 4000 bits, is refused: its expansion alone would take
 half a minute.  All limits are checked before any arithmetic, so
-2^1000000000 is refused at once; 2^9000 still parses.  Integers of any
+2^1000000000 is refused at once.  Integers of any
 number of digits parse and render (in chunks, below CPython's int/str
 conversion limit).
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 import re
 
 from .polyring import IntPoly
+from .residue_field import _term_str
 
 MAX_NESTING = 100
 MAX_DEGREE = 10_000
@@ -66,29 +68,10 @@ def _decimal(n: int) -> str:
     return _decimal(hi) + _decimal(lo).zfill(k)
 
 
-def _coeff_bits(poly: IntPoly) -> int:
-    """Bits of the largest coefficient plus bits of the length: a power
-    poly^n has coefficients of at most n times this many bits."""
-    if poly.is_zero:
-        return 0
-    return max(map(int.bit_length, poly.coeffs)) + len(poly.coeffs).bit_length()
-
-
 def _norm_bits(poly: IntPoly) -> int:
     """ceil(log2 ||poly||_1), 0 for zero: no coefficient of poly^n, nor of a
     product, exceeds the product of the factors' L1 norms."""
     return max(sum(map(abs, poly.coeffs)) - 1, 0).bit_length()
-
-
-def _power_size(base: IntPoly, n: int) -> int:
-    """Predicted bits of base^n: (degree + 1) * n * ceil(log2 ||base||_1)."""
-    return (base.degree * n + 1) * n * _norm_bits(base)
-
-
-def _product_size(a: IntPoly, b: IntPoly) -> int:
-    """Predicted bits of a * b: (degree + 1) times the operands' summed
-    ceil(log2 ||.||_1)."""
-    return (a.degree + b.degree + 1) * (_norm_bits(a) + _norm_bits(b))
 
 
 class ParseError(ValueError):
@@ -110,9 +93,11 @@ def _unexpected(tok: str, pos: int) -> ParseError:
     return ParseError(f"unexpected character '{_escaped(tok)}'", pos)
 
 
-def _check(start: int, degree: int, bits: int, size: int):
+def _check(start: int, degree: int, bits: int):
     """Refuse a literal, power or product at start whose degree, coefficient
-    bits or predicted size exceeds its limit."""
+    bound or predicted size exceeds its limit: `bits` is ceil(log2) of a bound
+    on the absolute value of every coefficient, and the size is
+    (degree + 1) * bits."""
     if degree > MAX_DEGREE:
         # a longer degree is not printed: its digits could fill the message
         shown = f"degree {degree}" if degree.bit_length() <= 64 else "degree"
@@ -120,7 +105,7 @@ def _check(start: int, degree: int, bits: int, size: int):
     if bits > MAX_COEFF_BITS:
         raise ParseError(
             f"coefficients could exceed the maximum of {MAX_COEFF_BITS} bits", start)
-    if size > _MAX_SIZE_BITS:
+    if (degree + 1) * bits > _MAX_SIZE_BITS:
         raise ParseError(f"the expansion could exceed {_MAX_SIZE_BITS} bits", start)
 
 
@@ -149,7 +134,7 @@ class _Parser:
         if "0" <= self.tok[:1] <= "9":
             raise ParseError("whitespace inside an integer", end)
         value = _parse_digits(digits)
-        _check(start, 0, value.bit_length(), 0)
+        _check(start, 0, max(value - 1, 0).bit_length())
         return value
 
     def parse_expr(self) -> IntPoly:
@@ -178,7 +163,7 @@ class _Parser:
             start = self.pos
             factor = self.parse_factor()
             _check(start, result.degree + factor.degree,
-                   _coeff_bits(result) + _coeff_bits(factor), _product_size(result, factor))
+                   _norm_bits(result) + _norm_bits(factor))
             result = result * factor
 
     def parse_factor(self) -> IntPoly:
@@ -188,7 +173,7 @@ class _Parser:
         self.advance()
         start = self.pos
         n = self.parse_uint()
-        _check(start, base.degree * n, n * _coeff_bits(base), _power_size(base, n))
+        _check(start, base.degree * n, n * _norm_bits(base))
         return base**n
 
     def parse_base(self) -> IntPoly:
@@ -236,12 +221,7 @@ def render_poly(poly: IntPoly) -> str:
         c = poly.coeffs[i]
         if c == 0:
             continue
-        mag = abs(c)
-        if i == 0:
-            body = _decimal(mag)
-        else:
-            xpow = "x" if i == 1 else f"x^{i}"
-            body = xpow if mag == 1 else f"{_decimal(mag)}{xpow}"
+        body = _term_str(_decimal(abs(c)), i, "x")
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -8,8 +9,8 @@ from phinewton.expr import (
     MAX_DEGREE,
     MAX_NESTING,
     ParseError,
-    _power_size,
-    _product_size,
+    _check,
+    _norm_bits,
     parse_poly,
     render_poly,
 )
@@ -206,35 +207,79 @@ class TestLimits:
         assert parse_poly("2^20000 x").coeffs == (0, 2**20000)
 
     def test_coefficient_limit_on_powers(self):
-        # 2 has 2 bits and length 1 (1 bit): 2^n is bounded by 3n bits
-        n = MAX_COEFF_BITS // 3
-        assert parse_poly(f"2^{n}").coeffs == (2**n,)
+        # ||2||_1 = 2: no coefficient of 2^n exceeds 2^n, a bound of n bits
+        assert MAX_COEFF_BITS == 1048576
+        assert parse_poly("2^1048576").coeffs == (2**1048576,)
         with pytest.raises(ParseError) as err:
-            parse_poly(f"2^{n + 1}")
+            parse_poly("2^1048577")
         assert err.value.position == 2
+        assert "coefficients could exceed" in str(err.value)
         with pytest.raises(ParseError):
             parse_poly("2^1000000000")
         with pytest.raises(ParseError):
             parse_poly("x + (x + 2^20000)^100")
 
     def test_coefficient_limit_on_products(self):
-        # 2^n has n + 1 bits and length 1: a product adds n + 2 per factor
-        n = MAX_COEFF_BITS // 3
+        # 2^n is bounded by n bits: a product adds the operands' bounds
+        n = MAX_COEFF_BITS // 2
         assert parse_poly(f"2^{n} * 2^{n}").coeffs == (2 ** (2 * n),)
-        src = f"2^{n} * 2^{n} * 2^{n}"
+        src = f"2^{n} * 2^{n} * 2"
         with pytest.raises(ParseError) as err:
             parse_poly(src)
-        assert err.value.position == src.rindex("2^")
+        assert err.value.position == src.rindex("2")
+        assert "coefficients could exceed" in str(err.value)
 
     def test_size_predicate(self):
-        # (x+1)^n has degree n and L1 norm 2^n: (n + 1) * n bits predicted;
-        # the predicate expands neither power
+        # the predicted size is (degree + 1) * bits; (x+1)^n has degree n and
+        # L1 norm 2^n: (n + 1) * n bits predicted, and the check expands
+        # neither power
         x1 = IntPoly([1, 1])
-        assert _power_size(x1, 2000) == 2001 * 2000 <= _MAX_SIZE_BITS
-        assert _power_size(x1, 4000) == 4001 * 4000 > _MAX_SIZE_BITS
-        assert _power_size(IntPoly.x(), MAX_DEGREE) == 0
-        assert _power_size(IntPoly([7]), 27001) == 3 * 27001
-        assert _product_size(IntPoly([0, 3]), IntPoly([1, 1, 1])) == 4 * (2 + 2)
+        cases = [  # degree, coefficient bound in bits, predicted size
+            (2000, 2000 * _norm_bits(x1), 2001 * 2000),
+            (4000, 4000 * _norm_bits(x1), 4001 * 4000),
+            (MAX_DEGREE, MAX_DEGREE * _norm_bits(IntPoly.x()), 0),
+            (0, 27001 * _norm_bits(IntPoly([7])), 3 * 27001),
+            (3, _norm_bits(IntPoly([0, 3])) + _norm_bits(IntPoly([1, 1, 1])), 4 * (2 + 2)),
+        ]
+        for degree, bits, size in cases:
+            assert (degree + 1) * bits == size
+            if size <= _MAX_SIZE_BITS:
+                _check(0, degree, bits)
+            else:
+                with pytest.raises(ParseError, match="the expansion could exceed"):
+                    _check(0, degree, bits)
+        assert 2001 * 2000 <= _MAX_SIZE_BITS < 4001 * 4000
+        assert parse_poly("7^27001").coeffs == (7**27001,)
+        assert parse_poly("3x * (x^2 + x + 1)") == IntPoly([0, 3, 3, 3])
+        # the largest coefficient bound at the largest degree that fits
+        _check(0, 3, MAX_COEFF_BITS)
+        with pytest.raises(ParseError, match="the expansion could exceed"):
+            _check(0, 4, MAX_COEFF_BITS)
+
+    def test_bound_never_exceeds_the_old_estimate(self):
+        def old_bits(poly):
+            # the earlier estimate: bits of the largest coefficient plus bits
+            # of the length; n times it for a power, summed for a product
+            if poly.is_zero:
+                return 0
+            return max(map(int.bit_length, poly.coeffs)) + len(poly.coeffs).bit_length()
+
+        def bounded(poly, bits):
+            return all(abs(c) <= 2**bits for c in poly.coeffs)
+
+        rng = random.Random(24)
+        for _ in range(400):
+            a, b = (IntPoly([rng.randint(-2**64, 2**64) for _ in range(rng.randint(1, 4))])
+                    for _ in range(2))
+            n = rng.randint(0, 8)
+            power = a**n
+            assert n * _norm_bits(a) <= n * old_bits(a)
+            assert bounded(power, n * _norm_bits(a))
+            for u, v in ((a, b), (power, b), (power, power)):
+                assert _norm_bits(u) + _norm_bits(v) <= old_bits(u) + old_bits(v)
+                assert bounded(u * v, _norm_bits(u) + _norm_bits(v))
+            v = abs(a.coeffs[0]) if a.coeffs else 0
+            assert max(v - 1, 0).bit_length() <= v.bit_length()
 
     def test_size_limit_on_powers(self):
         with pytest.raises(ParseError) as err:
@@ -256,6 +301,18 @@ class TestLimits:
         with pytest.raises(ParseError) as err:
             parse_poly("x + 1" + "0" * digits)
         assert err.value.position == 4
+
+    def test_literal_edge_matches_the_power_edge(self):
+        # a literal v is bounded by ceil(log2 v) bits, so 2^MAX_COEFF_BITS
+        # parses written out in decimal as it does as a power
+        text = render_poly(IntPoly([2**MAX_COEFF_BITS, 1]))
+        assert parse_poly(text) == parse_poly(f"x + 2^{MAX_COEFF_BITS}")
+        # 2^MAX_COEFF_BITS ends in 6: the same digits ending in 7 are one more
+        assert text.endswith("6")
+        with pytest.raises(ParseError) as err:
+            parse_poly(text[:-1] + "7")
+        assert err.value.position == 4
+        assert "coefficients could exceed" in str(err.value)
 
 
 class TestRender:

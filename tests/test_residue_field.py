@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -18,7 +19,9 @@ from phinewton import is_prime, residue_field
 from phinewton.expr import parse_poly
 from phinewton.polyring import IntPoly
 from phinewton.residue_field import (
+    ExtField,
     FqPoly,
+    PrimeField,
     _distinct_degree,
     _equal_degree,
     _Modulus,
@@ -117,6 +120,40 @@ class TestFpPoly:
     def test_str(self):
         assert str(FqPoly(2, [1, 1, 1])) == "x^2 + x + 1"
         assert str(FqPoly(5, [])) == "0"
+
+
+F4 = ext_field(FqPoly(2, [1, 1, 1]))
+
+GUARDS = {  # id: (call, exception type, message)
+    "prime-field-1": (lambda: PrimeField(1), ValueError, "modulus must be >= 2"),
+    "mixed-fields": (lambda: FqPoly(2, [1]) + FqPoly(3, [1]), ValueError, "mixed fields"),
+    "fq-divide-by-zero": (lambda: divmod(FqPoly(3, [1, 1]), FqPoly(3)),
+                          ZeroDivisionError, "division by the zero polynomial"),
+    "int-divide-by-zero": (lambda: divmod(IntPoly([1, 1]), IntPoly([])),
+                           ValueError, "division by the zero polynomial"),
+    "ext-over-ext": (lambda: ExtField(FqPoly(F4, [1, 1, 1])),
+                     ValueError, "modulus must be a polynomial over a prime field"),
+    "ext-not-monic": (lambda: ExtField(FqPoly(3, [1, 2])),
+                      ValueError, "modulus must be monic of degree >= 1"),
+    "ext-constant": (lambda: ExtField(FqPoly(3, [1])),
+                     ValueError, "modulus must be monic of degree >= 1"),
+    "ext-inverse-of-zero": (lambda: F4.inv(F4.zero), ZeroDivisionError, "inverse of zero"),
+    "factorize-over-ext": (lambda: fp_factorize(FqPoly(F4, [1, 1])),
+                           ValueError, "complete factorization needs a prime field"),
+    "intpoly-setattr": (lambda: setattr(IntPoly([1]), "coeffs", ()),
+                        AttributeError, "IntPoly is immutable"),
+    "fqpoly-setattr": (lambda: setattr(FqPoly(3, [1]), "coeffs", ()),
+                       AttributeError, "FqPoly is immutable"),
+    "primefield-setattr": (lambda: setattr(FqPoly(3).field, "p", 5),
+                           AttributeError, "PrimeField is immutable"),
+    "extfield-setattr": (lambda: setattr(F4, "m", 3), AttributeError, "ExtField is immutable"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS.keys())
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestFpGcd:

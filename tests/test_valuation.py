@@ -10,7 +10,14 @@ from oracles import height_at, slope
 from phinewton.criteria import analyze
 from phinewton.polygon import Side, ratio
 from phinewton.polyring import IntPoly
-from phinewton.valuation import INFINITY, _split, is_prime, valuation
+from phinewton.residue_field import FqPoly, fp_factorize
+from phinewton.valuation import (
+    _MR_DETERMINISTIC_BOUND,
+    INFINITY,
+    _split,
+    is_prime,
+    valuation,
+)
 
 
 def naive_valuation(p, x):
@@ -242,3 +249,33 @@ class TestPrimality:
         # Carmichael numbers fool Fermat tests; Miller-Rabin must reject them
         for n in (561, 1105, 1729, 2465, 41041, 825265):
             assert not is_prime(n)
+
+    # From 3,317,044,064,679,887,385,961,981 on, is_prime runs Miller-Rabin on
+    # the 25 prime bases below 100.
+    M89, M107, M127 = 2**89 - 1, 2**107 - 1, 2**127 - 1
+
+    def test_is_prime_above_the_deterministic_bound(self):
+        assert 2**82 > _MR_DETERMINISTIC_BOUND
+        for n in (self.M89, self.M107, self.M127):
+            assert is_prime(n)
+        assert not is_prime(self.M89 * self.M107)
+        # 167 is above every trial-division prime
+        assert 2**83 - 1 == 167 * 57912614113275649087721
+        assert not is_prime(2**83 - 1)
+
+    def test_is_prime_agrees_with_sympy_above_the_bound(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(89)
+        sample = [rng.randrange(2**82 + 1, 2**100, 2) for _ in range(200)]
+        primes = [n for n in sample if sympy.isprime(n)]
+        assert [n for n in sample if is_prime(n)] == primes
+        assert primes  # both outcomes are exercised
+
+    def test_full_mode_at_a_prime_above_the_bound(self):
+        f, p = IntPoly([5, 3, 0, 0, 1]), self.M89
+        report = analyze(f, p)
+        assert (report.verdict, report.factor_bound, report.min_factor_degree) == (
+            "BOUNDED", 2, 2)
+        factors = fp_factorize(FqPoly(p, f.coeffs)).factors
+        assert [(g.degree, k) for g, k in factors] == [(2, 1), (2, 1)]
+        assert factors[0][0] * factors[1][0] == FqPoly(p, f.coeffs)
