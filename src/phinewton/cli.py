@@ -46,6 +46,7 @@ from . import __version__
 from .criteria import INAPPLICABLE, AnalysisReport, _validate_input, analyze
 from .expr import _escaped, parse_poly, render_poly
 from .polygon import ratio
+from .polyring import phi_expand
 from .valuation import INFINITY
 
 
@@ -166,7 +167,11 @@ _MARGIN = 56
 
 
 def _svg_phi_block(pr, y_offset: int) -> tuple[list[str], int, int]:
-    finite = [(i, u) for i, u in pr.expansion.points() if u is not INFINITY]
+    # Full mode expands f only through the multiplicity; the drawing shows
+    # every point, so it expands f again in full.
+    exp = pr.expansion
+    exp = phi_expand(exp.f, exp.phi, exp.p) if exp.is_truncated else exp
+    finite = [(i, u) for i, u in exp.points() if u is not INFINITY]
     max_i = max(i for i, _ in finite)
     max_u = max(u for _, u in finite)
     width = _MARGIN * 2 + _SX * max(max_i, 1)

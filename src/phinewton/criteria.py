@@ -12,7 +12,11 @@ Two modes are supported for a monic f in Z[x] and a prime p:
   irreducible.
 * full: f mod p is factored completely, a polygon is built for every
   irreducible factor phibar_i, and the residual factor counts of all
-  principal sides are summed into a factor-count bound.
+  principal sides are summed into a factor-count bound.  Each phi is
+  expanded only through a_w, w the multiplicity of phibar_i that the
+  factorization gives: the principal part ends at (w, 0), and past it the
+  polygon is one flat side to (deg f // deg phi, 0).  The SVG renderer,
+  which draws every point, expands f again in full.
 
 `analyze` is the one entry point and `_validate_input` the one statement
 of the input policy: p prime, f monic of degree >= 1, phi (when given)
@@ -319,17 +323,17 @@ def analyze(
     """Run the single-phi criteria when phi is given, the full bound otherwise.
 
     Full mode analyzes the canonical lift of every irreducible factor of
-    f mod p.  Single-phi mode builds F_phi, which checks phibar once, and
-    reads the power gate off the one phi-expansion; a failed gate leaves no
-    phi report.
+    f mod p, expanded through its multiplicity.  Single-phi mode builds
+    F_phi, which checks phibar once, and reads the power gate off the one
+    phi-expansion; a failed gate leaves no phi report.
 
     Raises ValueError when the input breaks the policy of `_validate_input`.
     """
     _validate_input(f, p, phi)
     gate, phi_reports = None, []
     if phi is None:
-        phi_reports = [_analyze_phi(phi_expand(f, IntPoly(phibar.coeffs), p))
-                       for phibar, _ in fp_factorize(f.reduce_mod(p)).factors]
+        phi_reports = [_analyze_phi(phi_expand(f, IntPoly(phibar.coeffs), p, w))
+                       for phibar, w in fp_factorize(f.reduce_mod(p)).factors]
     else:
         try:
             ext_field(phi.reduce_mod(p))

@@ -7,7 +7,9 @@ degree order with no trailing zeros; arithmetic is exact throughout.
 phi_expand reads every integer coefficient of every a_i once, in one pass
 that yields both its valuation nu and its unit (c / p^nu) mod p.  The
 expansion keeps both, so the residual coefficients are read off it with no
-further big-integer division.
+further big-integer division.  Given `upto`, it stops after a_0 .. a_upto:
+full mode expands each phi only through its multiplicity w, since the
+principal polygon reads no point past (w, 0).
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ class PhiExpansion(NamedTuple):
     is its Gauss valuation u_i, INFINITY when a_i = 0.  `splits[i][j]` is
     (nu, unit) for the integer c = coeffs[i].coeffs[j]: nu = nu_p(c) and
     unit = (c / p^nu) mod p, or (INFINITY, 0) when c = 0; u_i is the least
-    nu over a_i.
+    nu over a_i.  A truncated expansion (`phi_expand(..., upto)`) keeps
+    a_0 .. a_upto only, with upto < `length`.
     """
 
     f: IntPoly
@@ -197,36 +200,55 @@ class PhiExpansion(NamedTuple):
 
     @property
     def length(self) -> int:
-        """Index of the leading expansion coefficient."""
-        return len(self.coeffs) - 1
+        """Index n = deg f // deg phi of the leading expansion coefficient,
+        also when the expansion is truncated before it."""
+        return self.f.degree // self.phi.degree
+
+    @property
+    def is_truncated(self) -> bool:
+        """The expansion stops before a_n, n = `length`."""
+        return len(self.coeffs) <= self.length
 
     @property
     def is_phibar_power(self) -> bool:
         """f mod p = phibar^n with n = `length`.  The expansion is unique, and
         so is its reduction in phibar, so this holds exactly when
         deg f = n * deg phi (the monic leading a_n is 1) and p divides a_i,
-        u_i > 0 or INFINITY, for every i < n."""
+        u_i > 0 or INFINITY, for every i < n.  A truncated expansion raises
+        ValueError rather than answer from a prefix."""
+        if self.is_truncated:
+            raise ValueError("a truncated expansion cannot decide f mod p = phibar^n")
         n = self.length
         return (self.f.degree == n * self.phi.degree
                 and all(u is INFINITY or u > 0 for u in self.valuations[:n]))
 
     def points(self) -> list[tuple[int, ExtInt]]:
-        """The valuation points (i, u_i) feeding the Newton polygon."""
-        return list(enumerate(self.valuations))
+        """The valuation points (i, u_i) feeding the Newton polygon.  A
+        truncated expansion ends with (n, 0), n = `length`: the monic a_n
+        has u_n = 0, every u_i >= 0, and it keeps a_w with u_w = 0, so the
+        hull is one flat side from (w, 0) to (n, 0) with or without the
+        points in between."""
+        points = list(enumerate(self.valuations))
+        if self.is_truncated:
+            points.append((self.length, 0))
+        return points
 
 
 _ZERO_SPLIT = (INFINITY, 0)
 
 
-def phi_expand(f: IntPoly, phi: IntPoly, p: int) -> PhiExpansion:
-    """Expand f in powers of phi by repeated Euclidean division."""
+def phi_expand(f: IntPoly, phi: IntPoly, p: int, upto: int | None = None) -> PhiExpansion:
+    """Expand f in powers of phi by repeated Euclidean division; given
+    `upto`, divide at most upto + 1 times and keep a_0 .. a_upto.  An `upto`
+    below the multiplicity w of phibar in f mod p (the least i with
+    u_i = 0) raises ValueError: the points past it would be missing."""
     if f.is_zero:
         raise ValueError("cannot expand the zero polynomial")
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
     coeffs = []
     rest = f
-    while not rest.is_zero:
+    while not rest.is_zero and (upto is None or len(coeffs) <= upto):
         rest, a = divmod(rest, phi)
         coeffs.append(a)
     ladder = [p]  # p^(2^i), shared by the coefficients of this expansion
@@ -236,5 +258,8 @@ def phi_expand(f: IntPoly, phi: IntPoly, p: int) -> PhiExpansion:
         nus = [nu for nu, _ in split if nu is not INFINITY]
         splits.append(split)
         valuations.append(min(nus) if nus else INFINITY)
-    return PhiExpansion(f, phi, tuple(coeffs), tuple(valuations), tuple(splits), p)
+    exp = PhiExpansion(f, phi, tuple(coeffs), tuple(valuations), tuple(splits), p)
+    if exp.is_truncated and 0 not in valuations:
+        raise ValueError(f"upto = {upto} is below the multiplicity of phibar in f mod p")
+    return exp
 

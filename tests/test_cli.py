@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -485,6 +486,34 @@ class TestPowerOnce:
             capsys, residue_field.factor_degrees, argv, "g")
         assert code == 2
         assert counted == []
+
+
+class TestExpandToMultiplicity:
+    """Full mode divides f by each phi w + 1 times, w the multiplicity of
+    phibar in f mod p, whatever deg f // deg phi is: a complete expansion
+    in a linear phi of these degree-30 inputs takes 31 divisions."""
+
+    @staticmethod
+    def _monic(rng, degree):
+        return IntPoly([rng.randrange(-2**19, 2**19) for _ in range(degree)] + [1])
+
+    @pytest.mark.parametrize("seed, squared, max_w", [(31, False, 1), (11, True, 2)])
+    def test_w_plus_one_divisions(self, capsys, seed, squared, max_w):
+        rng = random.Random(seed)
+        if squared:  # a^2 * b with deg a = 3
+            a = self._monic(rng, 3)
+            f = a * a * self._monic(rng, 24)
+        else:  # five simple factors mod 10007: two divisions each
+            f = self._monic(rng, 30)
+        report = analyze(f, 10007)
+        assert max(pr.multiplicity for pr in report.phi_reports) == max_w
+        assert min(pr.phi.degree for pr in report.phi_reports) == 1
+        code, divisors = profiled_calls(
+            capsys, IntPoly.__divmod__,
+            (render_poly(f), "-p", "10007", "--format", "json"), "other")
+        assert code == 0
+        assert Counter(divisors) == {repr(pr.phi): pr.multiplicity + 1
+                                     for pr in report.phi_reports}
 
 
 class TestPrimeOnce:

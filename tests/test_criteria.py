@@ -10,6 +10,8 @@ from phinewton.criteria import (
     GATE_PHIBAR_REDUCIBLE,
     INAPPLICABLE,
     IRREDUCIBLE,
+    AnalysisReport,
+    _analyze_phi,
     analyze,
 )
 from oracles import (
@@ -21,7 +23,7 @@ from oracles import (
     side_degree_bound,
     slope,
 )
-from phinewton.cli import render_text, report_to_dict
+from phinewton.cli import render_json, render_text, report_to_dict
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.valuation import INFINITY
@@ -341,6 +343,43 @@ class TestCrossModeAgreement:
         assert applicable > 0
 
 
+class TestExpandToMultiplicity:
+    """Full mode expands each phi only through its multiplicity w.  Its
+    report prints the same JSON and text as one built from the complete
+    expansions, polygon vertices included."""
+
+    @staticmethod
+    def _monic(rng, degree):
+        return IntPoly([rng.randint(-40, 40) for _ in range(degree)] + [1])
+
+    def _inputs(self, rng, p):
+        for _ in range(10):
+            yield self._monic(rng, rng.randint(2, 40))
+        for _ in range(6):
+            # a squared factor over Z: w >= 2 for every phibar dividing it
+            a = self._monic(rng, rng.randint(1, 8))
+            yield a * a * self._monic(rng, rng.randint(0, 40 - 2 * a.degree))
+        yield from (IntPoly([1, 1]) ** 5, (X**2 + 1) ** 3 * (X + p), PHI_QUAD**4 + p)
+
+    def test_same_report_as_complete_expansions(self):
+        rng = random.Random(139)
+        seen = Counter()
+        for p in (2, 3, 5, 10007):
+            for f in self._inputs(rng, p):
+                report = analyze(f, p)
+                complete = [_analyze_phi(phi_expand(f, pr.phi, p))
+                            for pr in report.phi_reports]
+                reference = AnalysisReport(report.input, p, f.degree, None, None,
+                                           complete)
+                assert render_json(report) == render_json(reference), (f, p)
+                assert render_text(report) == render_text(reference), (f, p)
+                for pr in report.phi_reports:
+                    seen[pr.expansion.is_truncated, pr.multiplicity >= 2] += 1
+        # truncated with w = 1 and with w >= 2, and complete expansions
+        assert min(seen[True, False], seen[True, True]) >= 20
+        assert seen[False, False] + seen[False, True] >= 20
+
+
 class TestPowerGate:
     """`PhiExpansion.is_phibar_power`, read off the phi-expansion, agrees
     with raising phibar to the n-th power over F_p."""
@@ -351,6 +390,13 @@ class TestPowerGate:
         5: (IntPoly([1, 1]), IntPoly([2, 0, 1])),
         7: (X, IntPoly([1, 0, 1])),
     }
+
+    def test_truncated_expansion_refused(self):
+        # f mod 2 = x^2 (x^3 + 1): through a_2 the prefix shows no power
+        exp = phi_expand(IntPoly([4, 2, 1, 0, 0, 1]), X, 2, upto=2)
+        assert exp.is_truncated
+        with pytest.raises(ValueError, match="truncated"):
+            exp.is_phibar_power
 
     def test_gate_matches_reference(self):
         rng = random.Random(131)

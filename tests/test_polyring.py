@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import is_power_of_phibar, recompose_expansion
+from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton.valuation import INFINITY
 
@@ -144,6 +145,8 @@ class TestPhiExpand:
             exp = phi_expand(f, phi, 2)
             assert recompose_expansion(exp) == f
             assert all(a.degree < phi.degree for a in exp.coeffs)
+            assert exp.length == f.degree // phi.degree == len(exp.coeffs) - 1
+            assert not exp.is_truncated
 
     def test_uniqueness(self):
         # any coefficient list with deg a_i < deg phi recomposes and re-expands
@@ -161,6 +164,37 @@ class TestPhiExpand:
                 f = f + a * phi**i
             exp = phi_expand(f, phi, 2)
             assert list(exp.coeffs) == coeffs
+
+    def test_truncated_expansion(self):
+        # f = x^5 + x^2 + 2x + 4: f mod 2 = x^2 (x^3 + 1), so w = 2 for phi = x
+        f, phi = IntPoly([4, 2, 1, 0, 0, 1]), IntPoly.x()
+        full = phi_expand(f, phi, 2)
+        exp = phi_expand(f, phi, 2, upto=2)
+        assert exp.coeffs == full.coeffs[:3]
+        assert exp.valuations == (2, 1, 0)
+        assert exp.splits == full.splits[:3]
+        assert exp.is_truncated and exp.length == full.length == 5
+        assert exp.points() == [(0, 2), (1, 1), (2, 0), (5, 0)]
+        assert build_polygon(exp.points()) == build_polygon(full.points())
+        for upto in (5, 9):
+            assert phi_expand(f, phi, 2, upto=upto) == full
+        with pytest.raises(ValueError, match="below the multiplicity"):
+            phi_expand(f, phi, 2, upto=1)
+
+    def test_truncated_length_is_the_full_length(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            phi = random_poly(rng, 3, bound=8, monic=True)
+            if phi.degree < 1:
+                continue
+            f = random_poly(rng, 30, bound=1000, monic=True)
+            full = phi_expand(f, phi, 3)
+            w = full.valuations.index(0)
+            exp = phi_expand(f, phi, 3, upto=w)
+            assert exp.length == full.length == f.degree // phi.degree
+            assert exp.coeffs == full.coeffs[:w + 1]
+            assert exp.points()[-1] == (full.length, 0)
+            assert exp.is_truncated == (w < full.length)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
