@@ -534,9 +534,16 @@ class TestPrimeOnce:
 
 def _policy_cases():
     """(f, p, phi, message) for inputs that break the one input policy."""
-    for p in (-3, 0, 1, 4, 2**61 + 1):
+    # 318665857834031151167461 passes Miller-Rabin to the 12 prime bases
+    # up to 37; base 41 refuses it
+    for p in (-3, 0, 1, 4, 2**61 + 1, 318665857834031151167461):
         for phi in (None, "x"):
             yield "x^2+2x+2", p, phi, f"{p} is not prime"
+    # no primality proof at or above the bound, for a prime or not
+    for p in (3317044064679887385961981, 2**89 - 1):
+        for phi in (None, "x"):
+            yield "x^2+2x+2", p, phi, (
+                f"{p} is too large: primality is proven only below 3317044064679887385961981")
     for f in ("2x^2+1", "7"):
         for phi in (None, "x"):
             yield f, 2, phi, "input polynomial must be monic of degree >= 1"
