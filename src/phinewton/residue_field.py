@@ -26,14 +26,17 @@ it draws from a fixed PRNG, and its result is sorted canonically.
 Arithmetic modulo a polynomial f, its products and its q-power
 (Frobenius) map, goes through one _Modulus(f), which decides once whether
 those products are packed into int multiplies or run through the
-coefficient loops.  The factorizer builds one per modulus and shares it
-among the power x^q, the Frobenius table and map, the block products, and
-Cantor-Zassenhaus (its powers, and the squarings of the p = 2 trace map);
-the public pow_mod builds its own.  ExtField.pth_root, a power mod phibar,
-keeps the loops product and builds none.  Every power, IntPoly's included,
-is the one square-and-multiply _power.  gcd, over every field, runs Euclid
-on plain coefficient lists, making each divisor monic with one inverse,
-and builds one FqPoly at the end.
+coefficient loops.  fp_factorize builds one per squarefree part, and both
+splits share it: the distinct-degree split takes the power x^q, the
+Frobenius table and map and the block products there, and Cantor-Zassenhaus
+forms its norms r r^p ... r^(p^(e-1)) through that map.  Each product that
+Cantor-Zassenhaus splits gets one of its own for its products (the powers
+of the norms, and the squarings of the p = 2 trace map); the public
+pow_mod builds its own.  ExtField.pth_root, a power mod phibar, keeps the
+loops product and builds none.  Every power, IntPoly's included, is the
+one left-to-right square-and-multiply _power.  gcd, over every field, runs
+Euclid on plain coefficient lists, making each divisor monic with one
+inverse, and builds one FqPoly at the end.
 
 The distinct-degree split applies the Frobenius map through a table
 T[i] = x^(i*q) mod f, built once per modulus f from one power and
@@ -336,20 +339,23 @@ def _gcd(a: list, b: list, field) -> list:
 
 
 def _power(base, n: int, mul, one):
-    """base^n by square-and-multiply, for the product mul with unit one.
+    """base^n by left-to-right square-and-multiply, for the product mul with
+    unit one.
 
-    base and one come already reduced for mul (mod f, say).  No squaring
-    follows the last bit of n.
+    base and one come already reduced for mul (mod f, say).  After the
+    leading bit of n, each further bit costs one square and, when it is set,
+    one product by base itself: bit_length(n) - 1 squares and popcount(n) - 1
+    products, and one is returned only for n = 0.
     """
     if n < 0:
         raise ValueError("negative exponent")
-    result = one
-    while n:
-        if n & 1:
+    if not n:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
             result = mul(result, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
     return result
 
 
@@ -379,7 +385,7 @@ class _Modulus:
     so the bound keeps every slot from carrying into the next.
     """
 
-    __slots__ = ("f", "field", "n", "packed", "rows", "_slots")
+    __slots__ = ("f", "field", "n", "packed", "rows", "_slots", "qmap")
 
     def __init__(self, f: FqPoly):
         field, n = f.field, f.degree
@@ -421,7 +427,8 @@ class _Modulus:
         return self._unpack(product)
 
     def frobenius(self, xq: FqPoly):
-        """The q-power map h -> h^q mod f on h reduced mod f, given xq = x^q mod f.
+        """The q-power map h -> h^q mod f on h reduced mod f, given xq = x^q mod f;
+        it is kept as self.qmap.
 
         Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i]
         over the table T[i] = x^(i*q) mod f, 0 <= i < deg f: the rows of
@@ -436,7 +443,8 @@ class _Modulus:
         table = table[:n]
         if self.packed:
             packed = [_pack(row.coeffs) for row in table]
-            return lambda h: self._unpack(sum(c * row for c, row in zip(h.coeffs, packed)))
+            self.qmap = lambda h: self._unpack(sum(c * r for c, r in zip(h.coeffs, packed)))
+            return self.qmap
         mod = field.modulus
 
         def frobenius(h: FqPoly) -> FqPoly:
@@ -446,6 +454,7 @@ class _Modulus:
                     for j, d in enumerate(row.coeffs):
                         out[j] += c * d
             return _poly(field, [c % mod for c in out])
+        self.qmap = frobenius
         return frobenius
 
 
@@ -556,22 +565,22 @@ def _squarefree_parts(f: FqPoly) -> list[tuple[FqPoly, int]]:
     return parts
 
 
-def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
+def _distinct_degree(f: FqPoly, mod: _Modulus | None = None) -> list[tuple[FqPoly, int]]:
     """Split monic squarefree f into (product of degree-e irreducibles, e),
-    e ascending.
+    e ascending, with mod = _Modulus(f) (built here if not given).
 
-    h_e = x^(q^e) stays reduced modulo the undivided f, so one Frobenius map
-    serves every degree; h_1 = x^q is one power.  The degrees go in blocks,
-    of isqrt(deg f // 2) where products mod f are packed and of 1 where they
-    are not: one gcd with prod (h_e - x) over the block takes out every
-    factor of a degree in the block, and only a nontrivial gcd is split
-    again, degree by degree.
+    h_e = x^(q^e) stays reduced modulo the undivided f, so one Frobenius map,
+    kept as mod.qmap, serves every degree; h_1 = x^q is one power.  The
+    degrees go in blocks, of isqrt(deg f // 2) where products mod f are
+    packed and of 1 where they are not: one gcd with prod (h_e - x) over the
+    block takes out every factor of a degree in the block, and only a
+    nontrivial gcd is split again, degree by degree.
     """
     if f.degree < 2:
         return [(f, 1)] if f.degree == 1 else []
     whole, field = f, f.field
     x = FqPoly.x(field)
-    mod = _Modulus(whole)
+    mod = mod or _Modulus(whole)
     mul = mod.mulmod
     size = math.isqrt(whole.degree // 2) if mod.packed else 1
     out = []
@@ -645,8 +654,15 @@ class FactorizationFp(NamedTuple):
         return sum(k for _, k in self.factors)
 
 
-def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
-    """Cantor-Zassenhaus split of a monic product of degree-e irreducibles."""
+def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list[FqPoly]:
+    """Cantor-Zassenhaus split of a monic product f of degree-e irreducibles,
+    for part the _Modulus of a multiple of f that _distinct_degree has split.
+
+    For odd p, s = r^((p^e - 1)/2) mod f is N(r)^((p-1)/2) for the norm
+    N(r) = r r^p ... r^(p^(e-1)), whose powers come from part's Frobenius
+    map (von zur Gathen & Shoup, 1992): e - 1 map applications, each reduced
+    mod f, take the place of about e log2 p products mod f.
+    """
     n = f.degree
     if n == e:
         return [f]
@@ -666,12 +682,13 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random) -> list[FqPoly]:
                 t = t + s
             g = f.gcd(t)
         else:
-            g = f.gcd(r)
-            if not 0 < g.degree < n:
-                s = _power(r, (p**e - 1) // 2, mul, one)  # deg r < 2e <= n
-                g = f.gcd(s - one)
+            t = norm = r  # deg r < 2e <= n, so r is reduced mod f and mod part
+            for _ in range(e - 1):
+                t = part.qmap(t)
+                norm = mul(norm, t % f)
+            g = f.gcd(_power(norm, (p - 1) // 2, mul, one) - one)
         if 0 < g.degree < n:
-            return _equal_degree(g, e, rng) + _equal_degree(f // g, e, rng)
+            return _equal_degree(g, e, rng, part) + _equal_degree(f // g, e, rng, part)
 
 
 def fp_factorize(f: FqPoly) -> FactorizationFp:
@@ -692,8 +709,9 @@ def fp_factorize(f: FqPoly) -> FactorizationFp:
     rng = random.Random(0)
     factors = []
     for part, mult in _squarefree_parts(f.monic()):
-        for prod, e in _distinct_degree(part):
-            for irr in _equal_degree(prod, e, rng):
+        mod = _Modulus(part)
+        for prod, e in _distinct_degree(part, mod):
+            for irr in _equal_degree(prod, e, rng, mod):
                 factors.append((irr, mult))
                 if irr not in _fields:
                     _fields[irr] = ExtField._proven(irr)

@@ -254,11 +254,12 @@ class TestFpFactorize:
         fs = list(_equal_degree_inputs())
         assert {f.p for f in fs} == {2, 3, 5, 7}
         for f in fs:
-            products = [(prod, e) for part, _ in _squarefree_parts(f.monic())
-                        for prod, e in _distinct_degree(part) if prod.degree > e]
+            products = [(prod, e, mod) for part, _ in _squarefree_parts(f.monic())
+                        for mod in [_Modulus(part)]
+                        for prod, e in _distinct_degree(part, mod) if prod.degree > e]
             assert products, f  # the split runs
-            for prod, e in products:
-                splits = [sorted(_equal_degree(prod, e, random.Random(s)),
+            for prod, e, mod in products:
+                splits = [sorted(_equal_degree(prod, e, random.Random(s), mod),
                                  key=lambda g: g.coeffs)
                           for s in (0, 1, 12345)]
                 assert splits[0] == splits[1] == splits[2], (f, prod)
@@ -621,6 +622,108 @@ class TestFrobeniusTable:
             assert [e for _, e in out] == sorted(set(degrees)), degrees
 
 
+class _CountingRandom(random.Random):
+    """random.Random that counts its randrange calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
+
+
+class TestCantorZassenhausNorm:
+    """For odd p, Cantor-Zassenhaus raises the norm N(r) = r r^p ...
+    r^(p^(e-1)), formed through the Frobenius map of the squarefree part,
+    to (p-1)/2 in place of raising r to (p^e-1)/2."""
+
+    @pytest.mark.parametrize("p", [3, 5, 10007, 65521])
+    def test_norm_power_is_the_half_power(self, p, monkeypatch):
+        power, powers = residue_field._power, []
+
+        def recorded(base, n, mul, one):
+            result = power(base, n, mul, one)
+            powers.append((n, mul.__self__.f, result))
+            return result
+
+        monkeypatch.setattr(residue_field, "_power", recorded)
+        rng = random.Random(p)
+        # (degree e, number of degree-e irreducibles): F_3 has 3 quadratics
+        for e, k in [(2, 3), (3, 4), (4, 2), (5, 3), (6, 2), (7, 4)]:
+            # the part has one more factor, so the norm is reduced mod f
+            part = irreducible_product(rng, p, [e] * k + [e + 1])
+            mod = _Modulus(part)
+            (f, d), _ = _distinct_degree(part, mod)
+            assert d == e and f.degree == k * e
+            powers.clear()  # drop x^q
+            factors = _equal_degree(f, e, random.Random(e), mod)
+            assert math.prod(factors[1:], start=factors[0]) == f
+            assert len(factors) == k and powers
+            replay = random.Random(e)  # the same draws, in the same order
+            for n, g, s in powers:
+                r = FqPoly(p, [replay.randrange(p) for _ in range(2 * e)])
+                while r.degree < 1:
+                    r = FqPoly(p, [replay.randrange(p) for _ in range(2 * e)])
+                assert n == (p - 1) // 2
+                assert g.degree % e == 0 and not (f % g)
+                assert s == pow_mod(r, (p**e - 1) // 2, g), (f, g, r)
+
+    def test_products_per_draw(self, monkeypatch):
+        """A draw on two degree-7 factors at p = 40009 costs e - 1 products
+        for the norm and one power to (p-1)/2, not e log2 p products."""
+        p, e = 40009, 7
+        f = irreducible_product(random.Random(7), p, [e, e])
+        mod = _Modulus(f)
+        assert _distinct_degree(f, mod) == [(f, e)]
+        calls = []
+        mulmod = _Modulus.mulmod
+
+        def counted(self, a, b):
+            calls.append(self.f)
+            return mulmod(self, a, b)
+
+        monkeypatch.setattr(_Modulus, "mulmod", counted)
+        draws = _CountingRandom(0)
+        assert len(_equal_degree(f, e, draws, mod)) == 2
+        assert draws.calls and draws.calls % (2 * e) == 0
+        assert set(calls) == {f}
+        bound = e - 1 + 2 * ((p - 1) // 2).bit_length()
+        assert len(calls) <= draws.calls // (2 * e) * bound, len(calls)
+
+
+class TestPower:
+    """_power is left-to-right: bit_length(n) - 1 squares and popcount(n) - 1
+    products, each by the base itself."""
+
+    def test_products_by_the_base(self):
+        f = FqPoly(65521, [7, 0, 3, 1, 0, 1])
+        bases = [(IntPoly([3, -1, 2]), IntPoly.__mul__, IntPoly.one()),
+                 (FqPoly(5, [1, 2, 3]), FqPoly.__mul__, FqPoly(5, [1])),
+                 (FqPoly(65521, [9, 1, 4]), _Modulus(f).mulmod, FqPoly(65521, [1]))]
+        for base, product, one in bases:
+            for n in range(71):
+                squares = by_base = 0
+
+                def mul(a, b):
+                    nonlocal squares, by_base
+                    if a is b:
+                        squares += 1
+                    else:
+                        assert b is base
+                        by_base += 1
+                    return product(a, b)
+
+                result = residue_field._power(base, n, mul, one)
+                expected = one
+                for _ in range(n):
+                    expected = product(expected, base)
+                assert result == expected, (base, n)
+                assert squares == max(n.bit_length() - 1, 0), (base, n)
+                assert by_base == max(bin(n).count("1") - 1, 0), (base, n)
+
+
 class TestProvenFields:
     def test_reducible_modulus_still_rejected_after_factoring(self):
         square = FqPoly(2, [1, 0, 1])  # (x+1)^2
@@ -741,10 +844,10 @@ class TestKronecker:
             assert mod.packed, g
             return mod
 
-        def recorded(g, e, draws):
+        def recorded(g, e, draws, part):
             if g.degree > e:
                 split.append(g)
-            return equal_degree(g, e, draws)
+            return equal_degree(g, e, draws, part)
 
         monkeypatch.setattr(residue_field, "_Modulus", counted)
         monkeypatch.setattr(residue_field, "_equal_degree", recorded)
