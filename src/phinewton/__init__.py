@@ -15,7 +15,6 @@ from .residue_field import (
     FqPoly,
     PrimeField,
     factor_degrees,
-    ext_field,
     fp_factorize,
 )
 from .polygon import (
@@ -46,7 +45,6 @@ __all__ = [
     "FqPoly",
     "PrimeField",
     "factor_degrees",
-    "ext_field",
     "fp_factorize",
     "NewtonPolygon",
     "Side",

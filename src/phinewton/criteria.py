@@ -23,11 +23,12 @@ of the input policy: p prime, f monic of degree >= 1, phi (when given)
 monic of degree >= 1.  Single-phi mode first passes a gate: phibar is
 irreducible and f mod p = phibar^n, read off the phi-expansion
 (`PhiExpansion.is_phibar_power`) before any polygon is built.  Both modes
-send each phi-expansion through `_analyze_phi`, which gives one list of
-factor groups (q, a) per phi: at most a factors over Z_p, whose degrees are
-multiples of q and sum to q * a.  `analyze` then builds one `AnalysisReport`
-from these facts, and nothing changes it: its constructor reads the bounds
-and the verdict, and its `notes` word the facts.
+send each phi-expansion and its field F_phi through `_analyze_phi`, which
+gives one list of factor groups (q, a) per phi: at most a factors over Z_p,
+whose degrees are multiples of q and sum to q * a.  `analyze` then builds
+one `AnalysisReport` from these facts, and nothing changes it: its
+constructor reads the bounds and the verdict, and its `notes` word the
+facts.
 
 Verdicts are one-directional: the tool certifies IRREDUCIBLE or a BOUNDED
 factor count, never reducibility.
@@ -42,7 +43,7 @@ from .expr import render_poly
 from .polygon import NewtonPolygon, Side, build_polygon, ratio
 from .polyring import IntPoly, PhiExpansion, phi_expand
 from .residual import residual_polynomial
-from .residue_field import FqPoly, ext_field
+from .residue_field import ExtField, FqPoly
 # The traced benchmark run hooks these two names where criteria looks them up;
 # ext_count_irreducible_factors is the one factor_degrees call per side.
 from .residue_field import factor_degrees as ext_count_irreducible_factors
@@ -226,9 +227,10 @@ class AnalysisReport:
         return notes
 
 
-def _analyze_phi(exp: PhiExpansion) -> PhiReport:
+def _analyze_phi(exp: PhiExpansion, field: ExtField) -> PhiReport:
     """From the phi-expansion of f, split off the exact power phi^w dividing
-    f and build N_phi(f) with the residual and groups of each principal side."""
+    f and build N_phi(f) with the residual over field = F_phi and the groups
+    of each principal side."""
     w = 0
     while w < len(exp.valuations) and exp.valuations[w] is INFINITY:
         w += 1
@@ -240,7 +242,7 @@ def _analyze_phi(exp: PhiExpansion) -> PhiReport:
     polygon = build_polygon(exp.points())
     sides = []
     for side in polygon.principal_part().sides:
-        g = residual_polynomial(exp, side)
+        g = residual_polynomial(exp, side, field)
         q = side.e * exp.phi.degree
         groups = tuple((q * d, a) for d, a in ext_count_irreducible_factors(g))
         sides.append(SideAnalysis(side, g, groups))
@@ -323,26 +325,29 @@ def analyze(
     """Run the single-phi criteria when phi is given, the full bound otherwise.
 
     Full mode analyzes the canonical lift of every irreducible factor of
-    f mod p, expanded through its multiplicity.  Single-phi mode builds
-    F_phi, which checks phibar once, and reads the power gate off the one
-    phi-expansion; a failed gate leaves no phi report.
+    f mod p, expanded through its multiplicity, over the field that the
+    factorization proved.  Single-phi mode builds F_phi, which checks phibar
+    once, and reads the power gate off the one phi-expansion; a failed gate
+    leaves no phi report.  Each field is built once per call, and none is
+    cached.
 
     Raises ValueError when the input breaks the policy of `_validate_input`.
     """
     _validate_input(f, p, phi)
     gate, phi_reports = None, []
     if phi is None:
-        phi_reports = [_analyze_phi(phi_expand(f, IntPoly(phibar.coeffs), p, w))
-                       for phibar, w in fp_factorize(f.reduce_mod(p)).factors]
+        fact = fp_factorize(f.reduce_mod(p))
+        phi_reports = [_analyze_phi(phi_expand(f, IntPoly(phibar.coeffs), p, w), field)
+                       for (phibar, w), field in zip(fact.factors, fact.fields)]
     else:
         try:
-            ext_field(phi.reduce_mod(p))
+            field = ExtField(phi.reduce_mod(p))
         except ValueError:
             gate = GATE_PHIBAR_REDUCIBLE
         else:
             exp = phi_expand(f, phi, p)
             if exp.is_phibar_power:
-                phi_reports = [_analyze_phi(exp)]
+                phi_reports = [_analyze_phi(exp, field)]
             else:
                 gate = GATE_NOT_PHIBAR_POWER
     return AnalysisReport(render_poly(f) if input_str is None else input_str,

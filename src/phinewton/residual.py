@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .polygon import Side
 from .polyring import PhiExpansion
-from .residue_field import ExtField, FqPoly, _poly, ext_field
+from .residue_field import ExtField, FqPoly, _poly
 from .valuation import INFINITY
 
 
@@ -46,16 +46,15 @@ def _coefficient(exp: PhiExpansion, side: Side, i: int, field: ExtField) -> FqPo
     return field.elem(units)
 
 
-def residual_polynomial(exp: PhiExpansion, side: Side) -> FqPoly:
-    """Assemble f_S(y) = t_0 y^d + ... + t_d over F_phi from the side's
-    lattice points.
+def residual_polynomial(exp: PhiExpansion, side: Side, field: ExtField) -> FqPoly:
+    """Assemble f_S(y) = t_0 y^d + ... + t_d over field = F_phi, the field of
+    phibar = phi mod p, from the side's lattice points.
 
     Defined for sides of non-positive slope; on a slope-zero side with phi = x
     this reproduces the plain reduction of f modulo p.
     """
     if side.end[1] > side.start[1]:
         raise ValueError("residual polynomials are attached to sides of slope <= 0")
-    field = ext_field(exp.phi.reduce_mod(exp.p))
     ts = [_coefficient(exp, side, j * side.e, field) for j in range(side.degree + 1)]
     if ts[0].is_zero or ts[-1].is_zero:
         raise RuntimeError("side endpoints must carry nonzero residual coefficients")

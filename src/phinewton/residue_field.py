@@ -49,9 +49,10 @@ degree; a part of degree below 2e is one irreducible and needs no gcd.
 Where they run through the loops, a block product costs more than the gcds
 it saves, so each degree keeps its own.
 
-ext_field shares one ExtField per modulus.  A modulus it has not seen is
-checked in full, its factor degrees included; the factors of fp_factorize,
-which are irreducible by construction, enter that cache without a test.
+No field is cached: fields are built per request and passed to the code
+that uses them.  ExtField(phibar) checks phibar in full, its factor degrees
+included; the factors of fp_factorize, which are irreducible by
+construction, get their fields from FactorizationFp.fields without a test.
 """
 
 from __future__ import annotations
@@ -105,9 +106,6 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-_prime_field = functools.lru_cache(maxsize=None)(PrimeField)
-
-
 class FqPoly:
     """Dense polynomial over a PrimeField or an ExtField.
 
@@ -120,7 +118,7 @@ class FqPoly:
 
     def __init__(self, field, coeffs=()):
         if isinstance(field, int):
-            field = _prime_field(field)
+            field = PrimeField(field)
         cs = [field.elem(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -495,9 +493,9 @@ class ExtField:
     def elem(self, value) -> FqPoly:
         """The reduced element for an int, an F_p coefficient list or an FqPoly."""
         if isinstance(value, int):
-            value = FqPoly(self.p, (value,))
+            value = FqPoly(self.modulus.field, (value,))
         elif not isinstance(value, FqPoly):
-            value = FqPoly(self.p, value)
+            value = FqPoly(self.modulus.field, value)
         return value % self.modulus
 
     def inv(self, a: FqPoly) -> FqPoly:
@@ -520,23 +518,6 @@ class ExtField:
 
     def __repr__(self):
         return f"ExtField(F_{self.p}[x]/({self.modulus}))"
-
-
-# modulus -> its ExtField, shared by ext_field and the factors of fp_factorize
-_fields: dict[FqPoly, ExtField] = {}
-
-
-def ext_field(modulus: FqPoly) -> ExtField:
-    """Shared-instance constructor for F_p[x]/(modulus).
-
-    A modulus seen for the first time gets every check of ExtField, its
-    factor degrees included, unless fp_factorize has already proven it
-    irreducible.
-    """
-    field = _fields.get(modulus)
-    if field is None:
-        field = _fields[modulus] = ExtField(modulus)
-    return field
 
 
 def _squarefree_parts(f: FqPoly) -> list[tuple[FqPoly, int]]:
@@ -635,7 +616,7 @@ def factor_degrees(g: FqPoly) -> tuple[tuple[int, int], ...]:
         return ((1, 1),)
     field = g.field
     if isinstance(field, ExtField) and field.m == 1:
-        g = _poly(_prime_field(field.p), [c.coeffs[0] if c else 0 for c in g.coeffs])
+        g = _poly(field.modulus.field, [c.coeffs[0] if c else 0 for c in g.coeffs])
     return tuple((e, mult * (prod.degree // e))
                  for part, mult in _squarefree_parts(g.monic())
                  for prod, e in _distinct_degree(part))
@@ -653,6 +634,17 @@ class FactorizationFp(NamedTuple):
         """Number of irreducible factors counted with multiplicity."""
         return sum(k for _, k in self.factors)
 
+    @property
+    def fields(self) -> tuple:
+        """F_p[x]/(g) for each factor g, in order, built anew on each access
+        and without a test: each factor is irreducible by construction."""
+        return tuple(ExtField._proven(g) for g, _ in self.factors)
+
+
+# A product of degree-e irreducibles splits with probability about 1/2 per
+# draw, so 64 draws that all fail mean f is not such a product.
+_MAX_DRAWS = 64
+
 
 def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list[FqPoly]:
     """Cantor-Zassenhaus split of a monic product f of degree-e irreducibles,
@@ -661,16 +653,17 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list
     For odd p, s = r^((p^e - 1)/2) mod f is N(r)^((p-1)/2) for the norm
     N(r) = r r^p ... r^(p^(e-1)), whose powers come from part's Frobenius
     map (von zur Gathen & Shoup, 1992): e - 1 map applications, each reduced
-    mod f, take the place of about e log2 p products mod f.
+    mod f, take the place of about e log2 p products mod f.  Raises
+    RuntimeError when _MAX_DRAWS draws in a row fail to split f.
     """
     n = f.degree
     if n == e:
         return [f]
-    p = f.p
-    one = FqPoly(p, [1])
+    field, p = f.field, f.p
+    one = _poly(field, [1])
     mul = _Modulus(f).mulmod
-    while True:
-        r = FqPoly(p, [rng.randrange(p) for _ in range(2 * e)])
+    for _ in range(_MAX_DRAWS):
+        r = _poly(field, [rng.randrange(p) for _ in range(2 * e)])
         if r.degree < 1:
             continue
         if p == 2:
@@ -689,6 +682,8 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list
             g = f.gcd(_power(norm, (p - 1) // 2, mul, one) - one)
         if 0 < g.degree < n:
             return _equal_degree(g, e, rng, part) + _equal_degree(f // g, e, rng, part)
+    raise RuntimeError(f"no split of degree {n} into degree-{e} factors "
+                       f"in {_MAX_DRAWS} draws")
 
 
 def fp_factorize(f: FqPoly) -> FactorizationFp:
@@ -699,8 +694,8 @@ def fp_factorize(f: FqPoly) -> FactorizationFp:
     tuple), which no other draw would change.
 
     Each factor is irreducible by construction: the distinct-degree split and
-    Cantor-Zassenhaus stop only at degree e.  So its field enters the
-    ext_field cache without a second test.
+    Cantor-Zassenhaus stop only at degree e.  So the result's `fields` are
+    built without a second test.
     """
     if not isinstance(f.field, PrimeField):
         raise ValueError("complete factorization needs a prime field")
@@ -713,7 +708,5 @@ def fp_factorize(f: FqPoly) -> FactorizationFp:
         for prod, e in _distinct_degree(part, mod):
             for irr in _equal_degree(prod, e, rng, mod):
                 factors.append((irr, mult))
-                if irr not in _fields:
-                    _fields[irr] = ExtField._proven(irr)
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return FactorizationFp(tuple(factors), f.lead, f.p)

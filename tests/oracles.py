@@ -43,7 +43,7 @@ from fractions import Fraction
 from phinewton.polygon import NewtonPolygon, Side, build_polygon
 from phinewton.polyring import IntPoly, PhiExpansion, phi_expand
 from phinewton.residual import _coefficient, residual_polynomial
-from phinewton.residue_field import ExtField, FactorizationFp, FqPoly, _poly, ext_field
+from phinewton.residue_field import ExtField, FactorizationFp, FqPoly, _poly
 from phinewton.valuation import INFINITY, ExtInt, valuation
 
 
@@ -131,7 +131,7 @@ def residual_coefficient(exp: PhiExpansion, side: Side, i: int) -> FqPoly:
     F_phi, read off the expansion's kept units."""
     if not 0 <= i <= side.length:
         raise ValueError(f"index {i} outside side of length {side.length}")
-    return _coefficient(exp, side, i, ext_field(exp.phi.reduce_mod(exp.p)))
+    return _coefficient(exp, side, i, ExtField(exp.phi.reduce_mod(exp.p)))
 
 
 def divided_residual_coefficient(exp: PhiExpansion, side: Side, i: int,
@@ -160,7 +160,7 @@ def divided_residual_coefficient(exp: PhiExpansion, side: Side, i: int,
 
 def divided_residual_polynomial(exp: PhiExpansion, side: Side) -> FqPoly:
     """f_S(y) = t_0 y^d + ... + t_d from the dividing residual coefficients."""
-    field = ext_field(exp.phi.reduce_mod(exp.p))
+    field = ExtField(exp.phi.reduce_mod(exp.p))
     ts = [divided_residual_coefficient(exp, side, j * side.e, field)
           for j in range(side.degree + 1)]
     return _poly(field, ts[::-1])
@@ -554,8 +554,9 @@ def gen_factor_witness(p: int, k: int, seed: int) -> FactorWitness:
         )[0]
         exp = phi_expand(f, phi, p)
         polygon = build_polygon(exp.points())
+        field = ExtField(phi.reduce_mod(p))
         side_data = tuple(
-            residual_polynomial(exp, side)
+            residual_polynomial(exp, side, field)
             for side in polygon.principal_part().sides
         )
         factors.append(f)

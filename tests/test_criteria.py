@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,8 @@ from oracles import (
 from phinewton.cli import render_json, render_text, report_to_dict
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
+from phinewton import criteria, residue_field
+from phinewton.residue_field import ExtField, PrimeField, fp_factorize
 from phinewton.valuation import INFINITY
 
 
@@ -367,7 +370,8 @@ class TestExpandToMultiplicity:
         for p in (2, 3, 5, 10007):
             for f in self._inputs(rng, p):
                 report = analyze(f, p)
-                complete = [_analyze_phi(phi_expand(f, pr.phi, p))
+                complete = [_analyze_phi(phi_expand(f, pr.phi, p),
+                                         ExtField(pr.phi.reduce_mod(p)))
                             for pr in report.phi_reports]
                 reference = AnalysisReport(report.input, p, f.degree, None, None,
                                            complete)
@@ -478,3 +482,79 @@ class TestReportIsImmutable:
         with pytest.raises(AttributeError):
             mutate(r.phi_reports)
         assert (report_to_dict(r), render_text(r)) == before
+
+
+class TestFieldsPerRequest:
+    """Fields are request state: `analyze` builds and proves each field it
+    needs once and passes it on, and no field outlives the reports."""
+
+    PRIMES = (2, 3, 10007, 40009, 65521)
+
+    @staticmethod
+    def _requests(p, count, seed):
+        """count (f, phi) pairs at p: full mode on random monic f, and single
+        phi on f = phi^n + p(...) for phi the lift of an irreducible mod p."""
+        rng = random.Random(seed)
+        for i in range(count):
+            degree = rng.randint(4, 16)
+            f = IntPoly([rng.randrange(-2**19, 2**19) for _ in range(degree)] + [1])
+            if i % 2 == 0:
+                yield f, None
+                continue
+            phibar = fp_factorize(f.reduce_mod(p)).factors[-1][0]
+            phi = IntPoly(phibar.coeffs)
+            f, = gen_power_family(p, phi, 1, rng.randrange(2**30),
+                                  max_n=max(1, 12 // phi.degree))
+            yield f, phi
+
+    @staticmethod
+    def _fields_alive():
+        return [o for o in gc.get_objects() if isinstance(o, (ExtField, PrimeField))]
+
+    def test_no_field_outlives_its_reports(self):
+        gc.collect()
+        kept = self._fields_alive()  # held by other tests; alive, so ids stay theirs
+        known = {id(o) for o in kept}
+        reports = [analyze(f, p, phi) for seed, p in enumerate(self.PRIMES)
+                   for f, phi in self._requests(p, 60, seed)]
+        assert len(reports) == 300
+        assert any(r.mode == "single-phi" and r.phi_reports for r in reports)
+        del reports
+        gc.collect()
+        left = [o for o in self._fields_alive() if id(o) not in known]
+        assert left == [], f"{len(left)} fields outlived their reports"
+
+    def test_each_field_built_once_per_call(self, monkeypatch):
+        built, tested = [], []
+        fill, degrees = ExtField._fill, residue_field.factor_degrees
+
+        def counted_fill(field, modulus):
+            built.append(field)
+            fill(field, modulus)
+
+        def counted_degrees(g):
+            tested.append(g)
+            return degrees(g)
+
+        monkeypatch.setattr(ExtField, "_fill", counted_fill)
+        monkeypatch.setattr(residue_field, "factor_degrees", counted_degrees)
+        monkeypatch.setattr(criteria, "ext_count_irreducible_factors", counted_degrees)
+        seen = Counter()
+        for seed, p in enumerate(self.PRIMES):
+            for f, phi in self._requests(p, 8, 100 + seed):
+                for _ in range(2):  # the same request again builds its fields again
+                    built.clear()
+                    tested.clear()
+                    report = analyze(f, p, phi)
+                    phibars = [pr.phi.reduce_mod(p) for pr in report.phi_reports]
+                    if phi is None:
+                        assert [field.modulus for field in built] == phibars, (f, p)
+                        assert all(isinstance(g.field, ExtField) for g in tested), (f, p)
+                    else:
+                        assert [field.modulus for field in built] == [phi.reduce_mod(p)]
+                        assert [g for g in tested if isinstance(g.field, PrimeField)] \
+                            == [phi.reduce_mod(p)], (f, p, phi)
+                    for field, pr in zip(built, report.phi_reports):
+                        assert all(side.residual.field is field for side in pr.sides)
+                        seen[report.mode] += len(pr.sides)
+        assert seen["full"] and seen["single-phi"]

@@ -19,7 +19,7 @@ from oracles import (
 )
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
-from phinewton.residue_field import FqPoly, ext_field
+from phinewton.residue_field import ExtField, FqPoly
 from phinewton.valuation import INFINITY, valuation
 
 
@@ -89,12 +89,12 @@ class TestExhaustiveFpFactor:
 
 class TestExhaustiveExtCount:
     def test_bounds(self):
-        field = ext_field(FqPoly(5, [2, 0, 1]))  # F_25 too big
+        field = ExtField(FqPoly(5, [2, 0, 1]))  # F_25 too big
         with pytest.raises(ValueError):
             exhaustive_ext_factor_degrees(FqPoly(field, [1, 1]))
 
     def test_linear(self):
-        field = ext_field(FqPoly(2, [1, 1, 1]))
+        field = ExtField(FqPoly(2, [1, 1, 1]))
         assert exhaustive_ext_factor_degrees(FqPoly(field, [gen(field), field.one])) == [1]
 
 

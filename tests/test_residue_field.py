@@ -26,7 +26,6 @@ from phinewton.residue_field import (
     _equal_degree,
     _Modulus,
     _squarefree_parts,
-    ext_field,
     factor_degrees,
     fp_factorize,
 )
@@ -98,7 +97,7 @@ class TestFpPoly:
         with pytest.raises(ValueError, match="negative exponent"):
             x.pow_mod(-1, f)
         # FqPoly.__pow__ over F_3 and F_4, against repeated products
-        for field in (FqPoly(3).field, ext_field(FqPoly(2, [1, 1, 1]))):
+        for field in (FqPoly(3).field, ExtField(FqPoly(2, [1, 1, 1]))):
             one = FqPoly(field, [field.one])
             zero = FqPoly(field)
             base = FqPoly(field, [field.one, field.one, 0, field.one])  # 1 + y + y^3
@@ -122,7 +121,7 @@ class TestFpPoly:
         assert str(FqPoly(5, [])) == "0"
 
 
-F4 = ext_field(FqPoly(2, [1, 1, 1]))
+F4 = ExtField(FqPoly(2, [1, 1, 1]))
 
 GUARDS = {  # id: (call, exception type, message)
     "prime-field-1": (lambda: PrimeField(1), ValueError, "modulus must be >= 2"),
@@ -162,7 +161,7 @@ class TestFpGcd:
 
     @pytest.mark.parametrize("field", [
         FqPoly(2).field, FqPoly(3).field, FqPoly(65521).field,
-        ext_field(FqPoly(2, [1, 1, 1])), ext_field(FqPoly(3, [1, 0, 1])),
+        ExtField(FqPoly(2, [1, 1, 1])), ExtField(FqPoly(3, [1, 0, 1])),
     ], ids=["2", "3", "65521", "F_4", "F_9"])
     def test_matches_plain_gcd(self, field):
         rng = random.Random(field.q)
@@ -301,7 +300,7 @@ def _equal_degree_inputs():
 
 class TestExtField:
     def test_f4_multiplication_table(self):
-        field = ext_field(FqPoly(2, [1, 1, 1]))
+        field = ExtField(FqPoly(2, [1, 1, 1]))
         b, mod = gen(field), field.modulus
         assert b * b % mod == b + field.one  # x^2 = x + 1 mod x^2+x+1
         assert b * (b + field.one) % mod == field.one
@@ -309,15 +308,14 @@ class TestExtField:
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):
-            ext_field(FqPoly(2, [1, 0, 1]))
+            ExtField(FqPoly(2, [1, 0, 1]))
 
-    def test_accepts_exactly_the_irreducible_moduli(self, monkeypatch):
-        monkeypatch.setattr(residue_field, "_fields", {})  # every modulus unseen
+    def test_accepts_exactly_the_irreducible_moduli(self):
         for p in (2, 3):
             for d in range(1, 5):
                 for f in enumerate_monic_fp(p, d):
                     try:
-                        ext_field(f)
+                        ExtField(f)
                         accepted = True
                     except ValueError:
                         accepted = False
@@ -331,7 +329,7 @@ class TestExtField:
             FqPoly(3, [1, 0, 1]),
             FqPoly(5, [2, 0, 1]),
         ):
-            field = ext_field(modulus)
+            field = ExtField(modulus)
             for _ in range(20):
                 a = field.elem([rng.randrange(field.p) for _ in range(field.m)])
                 assert a.pow_mod(field.q, field.modulus) == a
@@ -339,7 +337,7 @@ class TestExtField:
 
     def test_inverse_random(self):
         rng = random.Random(14)
-        field = ext_field(FqPoly(3, [2, 2, 1]))
+        field = ExtField(FqPoly(3, [2, 2, 1]))
         for _ in range(50):
             a = field.elem([rng.randrange(3) for _ in range(2)])
             if a.is_zero:
@@ -349,19 +347,19 @@ class TestExtField:
 
 class TestExtIrreducible:
     def test_y2_plus_y_plus_1_over_f2(self):
-        field = ext_field(FqPoly.x(2))  # F_2 presented as F_2[x]/(x)
+        field = ExtField(FqPoly.x(2))  # F_2 presented as F_2[x]/(x)
         g = FqPoly(field, [1, 1, 1])
         assert rabin_is_irreducible(g)
         assert factor_degrees(g) == ((2, 1),)
 
     def test_y2_plus_1_over_f2(self):
-        field = ext_field(FqPoly.x(2))
+        field = ExtField(FqPoly.x(2))
         g = FqPoly(field, [1, 0, 1])  # (y+1)^2
         assert not rabin_is_irreducible(g)
         assert factor_degrees(g) == ((1, 2),)
 
     def test_y2_minus_generator_over_f4(self):
-        field = ext_field(FqPoly(2, [1, 1, 1]))
+        field = ExtField(FqPoly(2, [1, 1, 1]))
         b = gen(field)
         g = FqPoly(field, [-b, field.zero, field.one])
         expected = exhaustive_ext_factor_degrees(g)
@@ -372,7 +370,7 @@ class TestExtIrreducible:
     def test_agrees_with_exhaustive_count_small(self):
         rng = random.Random(21)
         for modulus in (FqPoly(2, [1, 1, 1]), FqPoly(3, [1, 0, 1])):
-            field = ext_field(modulus)
+            field = ExtField(modulus)
             for _ in range(60):
                 deg = rng.randint(1, 4)
                 coeffs = [
@@ -386,7 +384,7 @@ class TestExtIrreducible:
                 assert rabin_is_irreducible(g) == (len(expected) == 1)
 
     def test_two_distinct_linear_factors_over_f9(self):
-        field = ext_field(FqPoly(3, [1, 0, 1]))  # F_9
+        field = ExtField(FqPoly(3, [1, 0, 1]))  # F_9
         b = gen(field)
         g = FqPoly(field, [b, field.one]) * FqPoly(field, [b + field.one, field.one])
         assert factor_degrees(g) == ((1, 2),)
@@ -394,13 +392,13 @@ class TestExtIrreducible:
     def test_pth_power_over_extension(self):
         # (y + b)^2 has zero derivative over F_4; the Frobenius-inverse root
         # extraction must still count both factors
-        field = ext_field(FqPoly(2, [1, 1, 1]))
+        field = ExtField(FqPoly(2, [1, 1, 1]))
         g = FqPoly(field, [gen(field), field.one]) ** 2
         assert g.derivative().is_zero
         assert factor_degrees(g) == ((1, 2),)
 
     def test_degree_zero(self):
-        field = ext_field(FqPoly.x(2))
+        field = ExtField(FqPoly.x(2))
         # a constant is not irreducible, as over F_p
         assert not rabin_is_irreducible(FqPoly(field, [1]))
         with pytest.raises(ValueError):
@@ -430,7 +428,7 @@ class TestFactorDegrees:
         rng = random.Random(48)
         for modulus in (FqPoly(2, [1, 1, 1]), FqPoly(2, [1, 1, 0, 1]),
                         FqPoly(3, [1, 0, 1])):  # F_4, F_8, F_9
-            field = ext_field(modulus)
+            field = ExtField(modulus)
             for k in range(1, field.p + 2):
                 for _ in range(4):
                     a = random_monic(rng, field, rng.randint(1, 6 // (k + 1)))
@@ -442,8 +440,8 @@ class TestFactorDegrees:
 
 class TestLinearCount:
     def test_linear_counts_one_without_splitting(self, monkeypatch):
-        f9 = ext_field(FqPoly(3, [1, 0, 1]))
-        f16 = ext_field(FqPoly(2, [1, 1, 0, 0, 1]))
+        f9 = ExtField(FqPoly(3, [1, 0, 1]))
+        f16 = ExtField(FqPoly(2, [1, 1, 0, 0, 1]))
         linear = [FqPoly(65521, [5, 3]), FqPoly(65521, [0, 1]), FqPoly(2, [1, 1]),
                   FqPoly(f9, [gen(f9), 2]), FqPoly(f16, [0, gen(f16)])]
 
@@ -464,7 +462,7 @@ class TestFieldTypesAgree:
     def test_counts_and_verdicts(self):
         rng = random.Random(31)
         for p in (2, 3, 5):
-            field = ext_field(FqPoly.x(p))
+            field = ExtField(FqPoly.x(p))
             for _ in range(40):
                 f = random_fp(rng, p, 8, monic=True)
                 degrees = factor_degrees(f)
@@ -492,7 +490,7 @@ class TestDegreeOneFieldCount:
         rng = random.Random(p)
         for _ in range(30):
             a = rng.randrange(p)
-            field = ext_field(FqPoly(p, [-a, 1]))
+            field = ExtField(FqPoly(p, [-a, 1]))
             degree = rng.randint(1, 12)
             # each element is reduced mod x - a from an F_p polynomial
             coeffs = [[rng.randrange(p) for _ in range(3)] for _ in range(degree)]
@@ -512,8 +510,8 @@ class TestDegreeOneFieldCount:
 
         monkeypatch.setattr(residue_field, "_distinct_degree", recording)
         f2 = FqPoly(2).field
-        line = ext_field(FqPoly(2, [1, 1]))
-        f4 = ext_field(FqPoly(2, [1, 1, 1]))
+        line = ExtField(FqPoly(2, [1, 1]))
+        f4 = ExtField(FqPoly(2, [1, 1, 1]))
         g = FqPoly(line, [1, 1, 1])  # y^2 + y + 1, irreducible over F_2
         assert factor_degrees(g) == ((2, 1),)
         assert seen and all(field == f2 for field in seen)
@@ -529,9 +527,9 @@ def small_fields():
         FqPoly(2).field,
         FqPoly(3).field,
         FqPoly(65521).field,
-        ext_field(FqPoly(2, [1, 1, 1])),
-        ext_field(FqPoly(2, [1, 1, 0, 1])),
-        ext_field(FqPoly(3, [1, 0, 1])),
+        ExtField(FqPoly(2, [1, 1, 1])),
+        ExtField(FqPoly(2, [1, 1, 0, 1])),
+        ExtField(FqPoly(3, [1, 0, 1])),
     ]
 
 
@@ -692,6 +690,18 @@ class TestCantorZassenhausNorm:
         bound = e - 1 + 2 * ((p - 1) // 2).bit_length()
         assert len(calls) <= draws.calls // (2 * e) * bound, len(calls)
 
+    @pytest.mark.parametrize("f", [
+        FqPoly(2, [1, 1]) * FqPoly(2, [1, 1, 1]),  # (x+1)(x^2+x+1)
+        FqPoly(5, [2, 0, 1]) * FqPoly(5, [1, 1]),  # (x^2+2)(x+1)
+    ])
+    def test_draws_are_bounded(self, f):
+        """A product that is not all of degree e raises once 64 draws in a
+        row split off no degree-e factor: here the quadratic, alone or with
+        x + 1."""
+        with pytest.raises(RuntimeError, match="^no split of degree [23] into "
+                           "degree-1 factors in 64 draws$"):
+            _equal_degree(f, 1, random.Random(0), _Modulus(f))
+
 
 class TestPower:
     """_power is left-to-right: bit_length(n) - 1 squares and popcount(n) - 1
@@ -729,26 +739,27 @@ class TestProvenFields:
         square = FqPoly(2, [1, 0, 1])  # (x+1)^2
         assert fp_factorize(square).factors == ((FqPoly(2, [1, 1]), 2),)
         with pytest.raises(ValueError):
-            ext_field(square)
+            ExtField(square)
 
-    def test_factor_fields_are_cached_without_rabin(self, monkeypatch):
+    def test_factor_fields_are_built_without_rabin(self, monkeypatch):
         f = random_monic(random.Random(43), FqPoly(10007).field, 24)
-        factors = [g for g, _ in fp_factorize(f).factors]
+        fact = fp_factorize(f)
+        factors = [g for g, _ in fact.factors]
 
         def no_test(g):
             raise AssertionError("a proven factor was tested again")
 
         monkeypatch.setattr(residue_field, "factor_degrees", no_test)
-        for g in factors:
-            assert ext_field(g).modulus == g
-            assert ext_field(g) is ext_field(g)
+        fields = fact.fields
+        assert [field.modulus for field in fields] == factors
+        assert all(type(field) is ExtField for field in fields)
         monkeypatch.undo()
         for g in factors:
             assert rabin_is_irreducible(g), g
 
     def test_unseen_modulus_runs_rabin(self, monkeypatch):
-        # the factors of f enter the cache as proven; f itself is still
-        # tested, by its factor degrees
+        # the factors of f are proven, but f itself is still tested, by its
+        # factor degrees
         f = FqPoly(65521, [5, 1]) * FqPoly(65521, [7, 1])
         fp_factorize(f)
         calls = []
@@ -760,7 +771,7 @@ class TestProvenFields:
 
         monkeypatch.setattr(residue_field, "factor_degrees", counted)
         with pytest.raises(ValueError):
-            ext_field(f)
+            ExtField(f)
         assert calls == [f]
 
 
@@ -824,7 +835,7 @@ class TestKronecker:
         assert _Modulus(FqPoly(65521, [2, 1])).packed
         assert not _Modulus(FqPoly(65521, [1, 1, 2])).packed  # not monic
         assert not _Modulus(FqPoly(65521, [3])).packed  # constant
-        assert not _Modulus(FqPoly(ext_field(FqPoly(2, [1, 1, 1])), [0, 1])).packed
+        assert not _Modulus(FqPoly(ExtField(FqPoly(2, [1, 1, 1])), [0, 1])).packed
 
     @pytest.mark.parametrize("p", [2, 10007])
     def test_one_kernel_per_modulus(self, p, monkeypatch):
