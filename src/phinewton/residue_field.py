@@ -23,25 +23,26 @@ polynomial of degree >= 1 is irreducible iff it has one factor.  Complete
 factorization adds Cantor-Zassenhaus equal-degree splitting over F_p only;
 it draws from a fixed PRNG, and its result is sorted canonically.
 
-Arithmetic modulo a polynomial f, its products and its q-power
-(Frobenius) map, goes through one _Modulus(f), which decides once whether
-those products are packed into int multiplies or run through the
-coefficient loops.  fp_factorize builds one per squarefree part, and both
-splits share it: the distinct-degree split takes the power x^q, the
-Frobenius table and map and the block products there, and Cantor-Zassenhaus
-forms its norms r r^p ... r^(p^(e-1)) through that map.  Each product that
-Cantor-Zassenhaus splits gets one of its own for its products (the powers
-of the norms, and the squarings of the p = 2 trace map); the public
+Arithmetic modulo a polynomial f goes through one _Modulus(f), which
+decides once whether its products are packed into int multiplies or run
+through the coefficient loops, and which owns x^q mod f (`xq`) and the
+q-power (Frobenius) map (`qmap`), each computed on first use.  The map
+applies the table T[i] = x^(i*q) mod f, built from xq and deg f - 2
+products: h^q = sum h_i T[i], because every coefficient h_i of h is fixed
+by Frobenius.  fp_factorize builds one _Modulus per squarefree part, and
+both splits share it: the distinct-degree split reads xq and qmap and takes
+its block products there, and Cantor-Zassenhaus forms its norms
+r r^p ... r^(p^(e-1)) through the same qmap.  Each product that
+Cantor-Zassenhaus splits gets a _Modulus of its own for its products (the
+powers of the norms, and the squarings of the p = 2 trace map); the public
 pow_mod builds its own.  ExtField.pth_root, a power mod phibar, keeps the
 loops product and builds none.  Every power, IntPoly's included, is the
 one left-to-right square-and-multiply _power.  gcd, over every field, runs
 Euclid on plain coefficient lists, making each divisor monic with one
-inverse, and builds one FqPoly at the end.
+inverse, and builds one FqPoly at the end; ExtField.inv runs Euclid on
+(phibar, a) and keeps only a's cofactor.
 
-The distinct-degree split applies the Frobenius map through a table
-T[i] = x^(i*q) mod f, built once per modulus f from one power and
-deg f - 2 products: h^q = sum h_i T[i], because every coefficient h_i of h
-is fixed by Frobenius.  Where the products are packed, it takes one gcd
+Where the products are packed, the distinct-degree split takes one gcd
 per block of l = isqrt(deg f // 2) consecutive degrees e: the gcd of the
 rest of f with prod (h_e - x) over the block holds every factor whose degree
 lies in the block, and only a nontrivial block gcd is split again, degree by
@@ -241,22 +242,6 @@ class FqPoly:
         field = self.field
         return _poly(field, _gcd(list(self.coeffs), list(other.coeffs), field))
 
-    def xgcd(self, other: "FqPoly"):
-        """Extended gcd: returns monic (g, s, t) with s*self + t*other = g."""
-        field = self.field
-        r0, r1 = self, other
-        s0, s1 = _poly(field, [field.one]), _poly(field, [])
-        t0, t1 = s1, s0
-        while r1:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if not r0:
-            return r0, s0, t0
-        inv = field.inv(r0.lead)
-        return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
     def derivative(self) -> "FqPoly":
         field = self.field
         mod = field.modulus
@@ -362,8 +347,10 @@ def _pack(coeffs) -> int:
 
 
 class _Modulus:
-    """Arithmetic modulo a polynomial f: products of reduced polynomials, and
-    the q-power (Frobenius) map.
+    """Arithmetic modulo a polynomial f: products of reduced polynomials,
+    x^q mod f (`xq`) and the q-power (Frobenius) map (`qmap`).  It owns
+    both: each is computed on first use and kept, so no caller has to build
+    them, or know whether another caller has.
 
     The constructor alone decides whether the products are `packed`: they
     are exactly when f is monic of degree n >= 1 over a PrimeField and
@@ -382,8 +369,6 @@ class _Modulus:
     mod p.  A slot of the folded sum is at most n (p-1)^2 + (n-1) (p-1)^2,
     so the bound keeps every slot from carrying into the next.
     """
-
-    __slots__ = ("f", "field", "n", "packed", "rows", "_slots", "qmap")
 
     def __init__(self, f: FqPoly):
         field, n = f.field, f.degree
@@ -424,36 +409,41 @@ class _Modulus:
                     product += c * row
         return self._unpack(product)
 
-    def frobenius(self, xq: FqPoly):
-        """The q-power map h -> h^q mod f on h reduced mod f, given xq = x^q mod f;
-        it is kept as self.qmap.
+    @functools.cached_property
+    def xq(self) -> FqPoly:
+        """x^q mod f, by one power of x mod f."""
+        field = self.field
+        return _power(FqPoly.x(field) % self.f, field.q, self.mulmod,
+                      _poly(field, [field.one]))
+
+    @functools.cached_property
+    def qmap(self):
+        """The q-power map h -> h^q mod f on h reduced mod f.
 
         Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i]
         over the table T[i] = x^(i*q) mod f, 0 <= i < deg f: the rows of
-        Berlekamp's Q-matrix, built once from deg f - 2 products.  Packed, the
-        sum is one multiply-add per coefficient over the packed rows; each
-        slot stays below n (p-1)^2.
+        Berlekamp's Q-matrix, built once from self.xq and deg f - 2 products.
+        Packed, the sum is one multiply-add per coefficient over the packed
+        rows; each slot stays below n (p-1)^2.
         """
-        field, n = self.field, self.n
+        field, n, xq = self.field, self.n, self.xq
         table = [_poly(field, [field.one]), xq]
         while len(table) < n:
             table.append(self.mulmod(table[-1], xq))
         table = table[:n]
         if self.packed:
             packed = [_pack(row.coeffs) for row in table]
-            self.qmap = lambda h: self._unpack(sum(c * r for c, r in zip(h.coeffs, packed)))
-            return self.qmap
+            return lambda h: self._unpack(sum(c * r for c, r in zip(h.coeffs, packed)))
         mod = field.modulus
 
-        def frobenius(h: FqPoly) -> FqPoly:
+        def qmap(h: FqPoly) -> FqPoly:
             out = [field.zero] * n
             for c, row in zip(h.coeffs, table):
                 if c:
                     for j, d in enumerate(row.coeffs):
                         out[j] += c * d
             return _poly(field, [c % mod for c in out])
-        self.qmap = frobenius
-        return frobenius
+        return qmap
 
 
 class ExtField:
@@ -499,10 +489,16 @@ class ExtField:
         return value % self.modulus
 
     def inv(self, a: FqPoly) -> FqPoly:
+        """1/a for a reduced a, by Euclid on (phibar, a) keeping only a's
+        cofactor t: t a = r mod phibar for each remainder r, and the last
+        nonzero r is a constant c, so 1/a = t / c, of degree < deg phibar."""
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        _, s, _ = a.xgcd(self.modulus)
-        return s % self.modulus
+        r0, r1, t0, t1 = self.modulus, a, self.zero, self.one
+        while r1:
+            q, r = divmod(r0, r1)
+            r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+        return t0.scale(self.modulus.field.inv(r0.lead))
 
     def pth_root(self, a: FqPoly) -> FqPoly:
         """The unique p-th root: a^(p^(m-1)), by the loops product, so no
@@ -550,34 +546,28 @@ def _distinct_degree(f: FqPoly, mod: _Modulus | None = None) -> list[tuple[FqPol
     """Split monic squarefree f into (product of degree-e irreducibles, e),
     e ascending, with mod = _Modulus(f) (built here if not given).
 
-    h_e = x^(q^e) stays reduced modulo the undivided f, so one Frobenius map,
-    kept as mod.qmap, serves every degree; h_1 = x^q is one power.  The
-    degrees go in blocks, of isqrt(deg f // 2) where products mod f are
-    packed and of 1 where they are not: one gcd with prod (h_e - x) over the
-    block takes out every factor of a degree in the block, and only a
-    nontrivial gcd is split again, degree by degree.
+    h_e = x^(q^e) stays reduced modulo the undivided f, so mod's own x^q
+    (mod.xq) is h_1 and mod's q-power map (mod.qmap) takes each h_e to the
+    next; mod builds both on first use.  The degrees go in blocks, of
+    isqrt(deg f // 2) where products mod f are packed and of 1 where they
+    are not: one gcd with prod (h_e - x) over the block takes out every
+    factor of a degree in the block, and only a nontrivial gcd is split
+    again, degree by degree.
     """
     if f.degree < 2:
         return [(f, 1)] if f.degree == 1 else []
-    whole, field = f, f.field
-    x = FqPoly.x(field)
-    mod = mod or _Modulus(whole)
-    mul = mod.mulmod
-    size = math.isqrt(whole.degree // 2) if mod.packed else 1
+    x = FqPoly.x(f.field)
+    mod = mod or _Modulus(f)
+    size = math.isqrt(f.degree // 2) if mod.packed else 1
     out = []
     e = 1
     while f.degree >= 2 * e:
         block = range(e, min(e + size, f.degree // 2 + 1))
         diffs = []
         for d in block:
-            if d == 1:
-                h = _power(x, field.q, mul, _poly(field, [field.one]))
-            else:
-                if d == 2:
-                    frobenius = mod.frobenius(h)
-                h = frobenius(h)
+            h = mod.xq if d == 1 else mod.qmap(h)
             diffs.append(h - x)
-        g = f.gcd(functools.reduce(mul, diffs))
+        g = f.gcd(functools.reduce(mod.mulmod, diffs))
         if g.degree > 0:
             f = f // g
             # every factor of g has its degree in the block and none below d
@@ -648,13 +638,14 @@ _MAX_DRAWS = 64
 
 def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list[FqPoly]:
     """Cantor-Zassenhaus split of a monic product f of degree-e irreducibles,
-    for part the _Modulus of a multiple of f that _distinct_degree has split.
+    for part the _Modulus of any multiple of f.
 
     For odd p, s = r^((p^e - 1)/2) mod f is N(r)^((p-1)/2) for the norm
-    N(r) = r r^p ... r^(p^(e-1)), whose powers come from part's Frobenius
-    map (von zur Gathen & Shoup, 1992): e - 1 map applications, each reduced
-    mod f, take the place of about e log2 p products mod f.  Raises
-    RuntimeError when _MAX_DRAWS draws in a row fail to split f.
+    N(r) = r r^p ... r^(p^(e-1)), whose powers come from part.qmap, the
+    q-power map that part builds on first use (von zur Gathen & Shoup,
+    1992): e - 1 map applications, each reduced mod f, take the place of
+    about e log2 p products mod f.  Raises RuntimeError when _MAX_DRAWS
+    draws in a row fail to split f.
     """
     n = f.degree
     if n == e:

@@ -35,11 +35,6 @@ INFINITY = _Infinity()
 ExtInt = Union[int, _Infinity]
 
 
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97,
-)
-
 # Miller-Rabin with the 13 primes up to 41 as bases is a proof of primality
 # below this bound (Sorenson & Webster, Math. Comp. 86, 2017).
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
@@ -65,22 +60,20 @@ def _miller_rabin(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     """Proven primality for n below 3,317,044,064,679,887,385,961,981.
 
-    Trial division by the primes below 100, then Miller-Rabin on the 13
-    prime bases up to 41, which no composite below the bound passes.  At
-    or above the bound raises ValueError: fixed bases prove nothing there,
-    and composites built to pass every base below 100 exist (Arnault,
-    Math. Comp. 64, 1995).
+    Trial division by the 13 primes up to 41, then Miller-Rabin to those
+    13 bases, which no composite below the bound passes.  At or above the
+    bound raises ValueError: fixed bases prove nothing there, and
+    composites built to pass every base below 100 exist (Arnault, Math.
+    Comp. 64, 1995).
     """
     if n >= _MR_DETERMINISTIC_BOUND:
         raise ValueError(
             f"{n} is too large: primality is proven only below {_MR_DETERMINISTIC_BOUND}")
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if n == q:
-            return True
+    for q in _MR_BASES:
         if n % q == 0:
-            return False
+            return n == q
     return all(_miller_rabin(n, b) for b in _MR_BASES)
 
 
@@ -172,13 +165,14 @@ def _split(x: int, p: int, ladder: list[int]) -> tuple[int, int]:
     """(nu_p(x), (x / p^nu) mod p) for nonzero x: the valuation and the unit
     mod p, in one pass over x.
 
-    Nearly every call has valuation 0-3.  Peeling those factors one at a
-    time, unrolled, costs no more per call than a plain loop.  Past them, a
+    Nearly every call has valuation 0 or 1, and one remainder test each
+    settles those without touching the `ladder`; without them, a large p
+    would square the ladder up to p^32 for its first call.  Past them, a
     run of 2s is read from the lowest set bit (the unit mod 2 is 1), and a
     run of odd p goes to `_descend`: one division by p^32, then, for a
     longer run, one division of linear cost by the largest power of p that
-    the size of x allows, a short ascent of the shared `ladder` of
-    p^(2^i), and the top-down descent only when neither settles it.
+    the size of x allows, a short ascent of the shared ladder of p^(2^i),
+    and the top-down descent only when neither settles it.
     """
     r = x % p
     if r:
@@ -188,18 +182,10 @@ def _split(x: int, p: int, ladder: list[int]) -> tuple[int, int]:
     if r:
         return 1, r
     x //= p
-    r = x % p
-    if r:
-        return 2, r
-    x //= p
-    r = x % p
-    if r:
-        return 3, r
-    x //= p
     if p == 2:
-        return 3 + (x & -x).bit_length(), 1  # 4 + index of the lowest set bit
+        return 1 + (x & -x).bit_length(), 1  # 2 + index of the lowest set bit
     v, unit = _descend(x, p, ladder)
-    return 4 + v, unit
+    return 2 + v, unit
 
 
 def valuation(x: int, p: int) -> ExtInt:
