@@ -31,9 +31,10 @@ conversion limit).
 
 from __future__ import annotations
 
+import operator
 import re
 
-from .polyring import IntPoly
+from .polyring import IntPoly, _intpoly
 from .residue_field import _term_str
 
 MAX_NESTING = 100
@@ -138,7 +139,8 @@ class _Parser:
         return value
 
     def parse_expr(self) -> IntPoly:
-        """Add the terms' coefficients into one list, subtracting after a '-'."""
+        """Add the terms' coefficients into one list, subtracting after a '-';
+        a term c*x^k is added into its one slot."""
         op = self.tok
         if op == "-":
             self.advance()
@@ -146,11 +148,15 @@ class _Parser:
         while True:
             coeffs = self.parse_term().coeffs
             acc.extend([0] * (len(coeffs) - len(acc)))
-            for i, c in enumerate(coeffs):
-                acc[i] += -c if op == "-" else c
+            add = operator.sub if op == "-" else operator.add
+            if any(coeffs[:-1]):
+                acc[:len(coeffs)] = map(add, acc, coeffs)
+            elif coeffs:
+                k = len(coeffs) - 1
+                acc[k] = add(acc[k], coeffs[k])
             op = self.tok
             if op != "+" and op != "-":
-                return IntPoly(acc)
+                return _intpoly(acc)
             self.advance()
 
     def parse_term(self) -> IntPoly:

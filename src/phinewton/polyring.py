@@ -25,6 +25,10 @@ class IntPoly:
 
     The zero polynomial is the empty coefficient list and reports degree -1,
     which stands in for "minus infinity" in the degree guards used here.
+    The constructor checks that every coefficient is an int; arithmetic
+    builds its results through _intpoly, with no check.  A product with a
+    monomial c*x^k, and a power of one, is a shift and a scale, with no
+    schoolbook loop.
     """
 
     __slots__ = ("coeffs",)
@@ -51,11 +55,11 @@ class IntPoly:
 
     @classmethod
     def x(cls) -> "IntPoly":
-        return cls((0, 1))
+        return _intpoly([0, 1])
 
     @classmethod
     def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
+        return _intpoly([c])
 
     @property
     def degree(self) -> int:
@@ -94,12 +98,12 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _intpoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
+        return _intpoly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "IntPoly":
         other = self._coerce(other)
@@ -114,14 +118,21 @@ class IntPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        if len(a) > len(b):
+            a, b = b, a
+        for mono, g in ((b, a), (a, b)):
+            if not any(mono[:-1]):  # mono = c*x^k: g shifted by k, scaled by c
+                c = mono[-1]
+                return _intpoly([0] * (len(mono) - 1) + [c * v for v in g])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b):
+                    out[i + j] += c * d
+        return _intpoly(out)
 
     __rmul__ = __mul__
 
@@ -130,7 +141,7 @@ class IntPoly:
             raise ValueError("negative exponent")
         cs = self.coeffs
         if cs and not any(cs[:-1]):  # (c*x^k)^n = c^n * x^(k*n)
-            return IntPoly((0,) * ((len(cs) - 1) * n) + (cs[-1] ** n,))
+            return _intpoly([0] * ((len(cs) - 1) * n) + [cs[-1] ** n])
         return _power(self, n, IntPoly.__mul__, IntPoly.one())
 
     def __divmod__(self, other: "IntPoly"):
@@ -153,7 +164,7 @@ class IntPoly:
                 quo[k] = c
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
-        return IntPoly(quo), IntPoly(rem[:d])
+        return _intpoly(quo), _intpoly(rem[:d])
 
     def __floordiv__(self, other: "IntPoly") -> "IntPoly":
         return divmod(self, other)[0]
@@ -178,6 +189,16 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
+
+
+def _intpoly(cs: list) -> IntPoly:
+    """IntPoly from a list of ints, which it consumes, trailing zeros
+    stripped; no type check."""
+    while cs and not cs[-1]:
+        cs.pop()
+    f = object.__new__(IntPoly)
+    object.__setattr__(f, "coeffs", tuple(cs))
+    return f
 
 
 class PhiExpansion(NamedTuple):

@@ -27,20 +27,24 @@ Arithmetic modulo a polynomial f goes through one _Modulus(f), which
 decides once whether its products are packed into int multiplies or run
 through the coefficient loops, and which owns x^q mod f (`xq`) and the
 q-power (Frobenius) map (`qmap`), each computed on first use.  The map
-applies the table T[i] = x^(i*q) mod f, built from xq and deg f - 2
-products: h^q = sum h_i T[i], because every coefficient h_i of h is fixed
-by Frobenius.  fp_factorize builds one _Modulus per squarefree part, and
-both splits share it: the distinct-degree split reads xq and qmap and takes
-its block products there, and Cantor-Zassenhaus forms its norms
-r r^p ... r^(p^(e-1)) through the same qmap.  Each product that
-Cantor-Zassenhaus splits gets a _Modulus of its own for its products (the
-powers of the norms, and the squarings of the p = 2 trace map); the public
-pow_mod builds its own.  ExtField.pth_root, a power mod phibar, keeps the
-loops product and builds none.  Every power, IntPoly's included, is the
-one left-to-right square-and-multiply _power.  gcd, over every field, runs
-Euclid on plain coefficient lists, making each divisor monic with one
-inverse, and builds one FqPoly at the end; ExtField.inv runs Euclid on
-(phibar, a) and keeps only a's cofactor.
+applies the table T[i] = x^(i*q) mod f: h^q = sum h_i T[i], because every
+coefficient h_i of h is fixed by Frobenius.  Packed, the table comes from
+the linear map T[i] = sum_j T[i-1]_j x^j x^q mod f, one multiply-add sum
+per row; otherwise from xq and deg f - 2 products.  fp_factorize builds one
+_Modulus per squarefree part, and both splits share it: the distinct-degree
+split reads xq and qmap and takes its block products there, and
+Cantor-Zassenhaus forms its norms N = r r^p ... r^(p^(e-1)) through the
+same qmap.  On two factors f1 f2 of degree e, N is a constant c_i mod each
+f_i, so N^2 = (c1 + c2) N - c1 c2 mod f, and gcd(f, N - c1) splits f at a
+root of that quadratic with no power at all (Berlekamp, 1970).  Each
+product that Cantor-Zassenhaus splits gets a _Modulus of its own for its
+products (the norms, their powers and squares, and the squarings of the
+p = 2 trace map); the public pow_mod builds its own.  ExtField.pth_root, a
+power mod phibar, keeps the loops product and builds none.  Every power,
+IntPoly's included, is the one left-to-right square-and-multiply _power.
+gcd, over every field, runs Euclid on plain coefficient lists, making each
+divisor monic with one inverse, and builds one FqPoly at the end;
+ExtField.inv runs Euclid on (phibar, a) and keeps only a's cofactor.
 
 Where the products are packed, the distinct-degree split takes one gcd
 per block of l = isqrt(deg f // 2) consecutive degrees e: the gcd of the
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import struct
 from itertools import zip_longest
@@ -346,11 +351,17 @@ def _pack(coeffs) -> int:
     return int.from_bytes(struct.pack(f"<{len(coeffs)}Q", *coeffs), "little")
 
 
+def _unpack(slots: struct.Struct, p: int, packed: int) -> list:
+    """The coefficients in the slots of packed, each reduced mod p."""
+    return [c % p for c in slots.unpack(packed.to_bytes(slots.size, "little"))]
+
+
 class _Modulus:
     """Arithmetic modulo a polynomial f: products of reduced polynomials,
     x^q mod f (`xq`) and the q-power (Frobenius) map (`qmap`).  It owns
     both: each is computed on first use and kept, so no caller has to build
-    them, or know whether another caller has.
+    them, or know whether another caller has.  The map refers to its table
+    and not to the _Modulus, which is freed, with no cycle, once dropped.
 
     The constructor alone decides whether the products are `packed`: they
     are exactly when f is monic of degree n >= 1 over a PrimeField and
@@ -365,9 +376,11 @@ class _Modulus:
     coefficient of a product at once (Kronecker substitution).  Each high
     coefficient c_i, i >= n, is reduced mod p and folded back in as one
     multiply-add c_i * R[i] over the packed rows R[i] = x^i mod f,
-    n <= i <= 2n - 2.  The result is unpacked once and each slot reduced
-    mod p.  A slot of the folded sum is at most n (p-1)^2 + (n-1) (p-1)^2,
-    so the bound keeps every slot from carrying into the next.
+    n <= i <= 2n - 2, each x times the last (_x_multiples, which also gives
+    the rows of the Frobenius table's linear map).  The result is unpacked
+    once and each slot reduced mod p.  A slot of the folded sum is at most
+    n (p-1)^2 + (n-1) (p-1)^2, so the bound keeps every slot from carrying
+    into the next.
     """
 
     def __init__(self, f: FqPoly):
@@ -376,21 +389,20 @@ class _Modulus:
         self.packed = (isinstance(field, PrimeField) and n >= 1 and f.is_monic
                        and 2 * n * (field.p - 1) ** 2 < 1 << 64)
         if self.packed:
-            p = field.p
-            low = [-c % p for c in f.coeffs[:n]]  # x^n mod f
-            rows = [low]
-            for _ in range(n - 2):
-                top, shifted = rows[-1][-1], [0, *rows[-1][:-1]]
-                rows.append([(a + top * b) % p for a, b in zip(shifted, low)]
-                            if top else shifted)
-            self.rows = [_pack(row) for row in rows]
+            self.low = [-c % field.p for c in f.coeffs[:n]]  # x^n mod f
+            self.rows = self._x_multiples(self.low, n - 2)
             self._slots = struct.Struct(f"<{n}Q")
 
-    def _unpack(self, packed: int) -> FqPoly:
-        """The polynomial whose i-th coefficient is slot i of packed, mod p."""
-        p = self.field.p
-        slots = self._slots.unpack(packed.to_bytes(8 * self.n, "little"))
-        return _poly(self.field, [c % p for c in slots])
+    def _x_multiples(self, row: list, count: int) -> list[int]:
+        """The packed x^i * row mod f, 0 <= i <= count, for a coefficient
+        list row of length n: each is x times the last, its top coefficient
+        folded back in as a multiple of x^n mod f."""
+        p, low, rows = self.field.p, self.low, [row]
+        for _ in range(count):
+            top, shifted = rows[-1][-1], [0, *rows[-1][:-1]]
+            rows.append([(a + top * b) % p for a, b in zip(shifted, low)]
+                        if top else shifted)
+        return [_pack(r) for r in rows]
 
     def mulmod(self, a: FqPoly, b: FqPoly) -> FqPoly:
         """a * b mod f for a and b reduced mod f."""
@@ -407,7 +419,7 @@ class _Modulus:
                 c %= p
                 if c:
                     product += c * row
-        return self._unpack(product)
+        return _poly(self.field, _unpack(self._slots, self.field.p, product))
 
     @functools.cached_property
     def xq(self) -> FqPoly:
@@ -422,18 +434,28 @@ class _Modulus:
 
         Every coefficient c of h lies in F_q, so c^q = c and h^q = sum c_i T[i]
         over the table T[i] = x^(i*q) mod f, 0 <= i < deg f: the rows of
-        Berlekamp's Q-matrix, built once from self.xq and deg f - 2 products.
-        Packed, the sum is one multiply-add per coefficient over the packed
-        rows; each slot stays below n (p-1)^2.
+        Berlekamp's Q-matrix.  Unpacked, the table comes from self.xq and
+        deg f - 2 products.  Packed, it comes from the linear map
+        T[i] = sum_j T[i-1]_j W[j] over the packed rows W[j] = x^j * x^q mod f,
+        one multiply-add sum per row, and the map is one multiply-add sum per
+        coefficient over the packed table; each slot stays below n (p-1)^2.
+        The map holds no reference to self, so no cycle keeps self alive.
         """
         field, n, xq = self.field, self.n, self.xq
+        if self.packed:
+            p, slots = field.p, self._slots
+            row = list(xq.coeffs) + [0] * (n - len(xq.coeffs))
+            shifts = self._x_multiples(row, n - 1)
+            table = [1, shifts[0]][:n]  # T[0] = 1 and T[1] = x^q, packed
+            for _ in range(n - 2):
+                row = _unpack(slots, p, sum(map(operator.mul, row, shifts)))
+                table.append(_pack(row))
+            return lambda h: _poly(
+                field, _unpack(slots, p, sum(map(operator.mul, h.coeffs, table))))
         table = [_poly(field, [field.one]), xq]
         while len(table) < n:
             table.append(self.mulmod(table[-1], xq))
         table = table[:n]
-        if self.packed:
-            packed = [_pack(row.coeffs) for row in table]
-            return lambda h: self._unpack(sum(c * r for c, r in zip(h.coeffs, packed)))
         mod = field.modulus
 
         def qmap(h: FqPoly) -> FqPoly:
@@ -644,8 +666,11 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list
     N(r) = r r^p ... r^(p^(e-1)), whose powers come from part.qmap, the
     q-power map that part builds on first use (von zur Gathen & Shoup,
     1992): e - 1 map applications, each reduced mod f, take the place of
-    about e log2 p products mod f.  Raises RuntimeError when _MAX_DRAWS
-    draws in a row fail to split f.
+    about e log2 p products mod f.  On deg f = 2e, two factors, the draw
+    takes no power: one square of N gives its quadratic, and
+    _quadratic_split splits f at a root.  A product of three or more
+    factors takes the power, and its pieces end in that case.  Raises
+    RuntimeError when _MAX_DRAWS draws in a row fail to split f.
     """
     n = f.degree
     if n == e:
@@ -670,11 +695,54 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list
             for _ in range(e - 1):
                 t = part.qmap(t)
                 norm = mul(norm, t % f)
-            g = f.gcd(_power(norm, (p - 1) // 2, mul, one) - one)
+            if n == 2 * e:
+                g = _quadratic_split(f, norm, mul(norm, norm))
+            else:
+                g = f.gcd(_power(norm, (p - 1) // 2, mul, one) - one)
         if 0 < g.degree < n:
             return _equal_degree(g, e, rng, part) + _equal_degree(f // g, e, rng, part)
     raise RuntimeError(f"no split of degree {n} into degree-{e} factors "
                        f"in {_MAX_DRAWS} draws")
+
+
+def _quadratic_split(f: FqPoly, norm: FqPoly, square: FqPoly) -> FqPoly:
+    """gcd(f, N - c1) for f = f1 f2, the norm N = norm mod f and square =
+    N^2 mod f, with c1 a root of N's quadratic; f itself when there is none.
+
+    N is c_i mod f_i, so (N - c1)(N - c2) = 0 mod f: N^2 = s N - t with
+    s = c1 + c2 and t = c1 c2, read off the top (degree d = deg N) and the
+    constant coefficients, and c1 = (s + sqrt(s^2 - 4t)) / 2.  A constant N
+    (c1 = c2) or a discriminant that is zero or no square refuses the draw.
+    """
+    p, cs, d = f.p, norm.coeffs, norm.degree
+    if d < 1:
+        return f
+    sq = square.coeffs + (0,) * (d + 1 - len(square.coeffs))
+    s = sq[d] * pow(cs[d], -1, p) % p
+    root = _sqrt_mod(s * s - 4 * (s * cs[0] - sq[0]), p)
+    if not root:
+        return f
+    c1 = (s + root) * ((p + 1) // 2)
+    return f.gcd(_poly(f.field, [(cs[0] - c1) % p, *cs[1:]]))
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p, None when a is no square:
+    a^((p+1)/4) for p = 3 mod 4, else Tonelli-Shanks."""
+    a %= p
+    if pow(a, (p - 1) // 2, p) > 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s, q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:  # t has order 2^i, 0 < i < s
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, root = i, b * b % p, t * b * b % p, root * b % p
+    return root
 
 
 def fp_factorize(f: FqPoly) -> FactorizationFp:

@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phinewton.expr import (
     _MAX_SIZE_BITS,
@@ -345,3 +347,88 @@ class TestRender:
         for src in ("x^2+2x+2", "(x+1)^3", " 7x - 4 ", "-x^2 + 3"):
             once = render_poly(parse_poly(src))
             assert render_poly(parse_poly(once)) == once
+
+
+def schoolbook(a, b):
+    """The product of two coefficient lists, term by term."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def schoolbook_power(a, n):
+    out = [1]
+    for _ in range(n):
+        out = schoolbook(out, a)
+    return out
+
+
+class TestMonomials:
+    """A product with c*x^k, a power of c*x^k and a sum with a c*x^k term
+    take shortcuts; each must equal the term-by-term result."""
+
+    MONOMIALS = [[0] * k + [c] for c in (0, 1, -1, 7, -3**40) for k in (0, 1, 5)]
+    DENSE = [[1], [-2, 0, 5], [3, 1, 0, 0, -4], [0, 0, 2, 1]]
+
+    def test_products_and_powers(self):
+        for m in self.MONOMIALS:
+            for g in self.MONOMIALS + self.DENSE:
+                expected = IntPoly(schoolbook(m, g))
+                assert IntPoly(m) * IntPoly(g) == expected, (m, g)
+                assert IntPoly(g) * IntPoly(m) == expected, (m, g)
+            for n in range(5):
+                assert IntPoly(m) ** n == IntPoly(schoolbook_power(m, n)), (m, n)
+
+    @pytest.mark.parametrize("src, coeffs", [
+        ("0*x^3", []),
+        ("-5*x^7", [0] * 7 + [-5]),
+        ("x - 3*x^0", [-3, 1]),
+        ("2 - 2*x^0 + x^2", [0, 0, 1]),
+        ("0*x^10000*x^10000", []),
+        ("x^10000 - x^10000", []),
+        ("(x-x)^0", [1]),
+        ("0^0", [1]),
+        ("(x-x)^3", []),
+        ("-x^2*(x+1) - 4x^0*(x+1)", [-4, -4, -1, -1]),
+    ])
+    def test_parse(self, src, coeffs):
+        f = parse_poly(src)
+        assert f == IntPoly(coeffs)
+        assert type(f.coeffs) is tuple and (not f.coeffs or f.coeffs[-1])
+
+
+def add(a, b, sign):
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return out
+
+
+def expression_trees():
+    """(source, coefficient list) pairs of random expressions, the list built
+    by term-by-term products and powers."""
+    leaves = st.one_of(
+        st.integers(0, 30).map(lambda c: (str(c), [c] if c else [])),
+        st.just(("x", [0, 1])),
+    )
+
+    def extend(inner):
+        power = st.tuples(inner, st.integers(0, 3)).map(
+            lambda t: (f"({t[0][0]})^{t[1]}", schoolbook_power(t[0][1], t[1])))
+        product = st.tuples(inner, inner).map(
+            lambda t: (f"({t[0][0]})*({t[1][0]})", schoolbook(t[0][1], t[1][1])))
+        total = st.tuples(inner, inner, st.sampled_from("+-")).map(
+            lambda t: (f"{t[0][0]} {t[2]} ({t[1][0]})",
+                       add(t[0][1], t[1][1], -1 if t[2] == "-" else 1)))
+        return st.one_of(power, product, total)
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(tree=expression_trees())
+def test_parse_matches_term_by_term_reference(tree):
+    src, coeffs = tree
+    assert parse_poly(src) == IntPoly(coeffs), src

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import re
+import weakref
 
 import pytest
 
@@ -587,6 +589,45 @@ class TestFrobeniusTable:
                                            for _ in range(degree)])
                         assert mod.qmap(h) == pow_mod(h, field.q, f), (f, h)
 
+    @pytest.mark.parametrize("p", [3, 10007, 65521, 2**31 - 1])
+    def test_table_rows(self, p):
+        """Row i of the table is qmap(x^i) = x^(i*q) mod f.  Packed, the
+        table comes from its own linear map, so every row of degree 1-40 is
+        checked against x^q multiplied in by schoolbook products, and the
+        last against pow_mod; past the slot bound (2^31 - 1) the rows are
+        products mod f, as before."""
+        rng = random.Random(p)
+        field = FqPoly(p).field
+        x = FqPoly.x(field)
+        for degree in range(1, 41 if p < 2**31 - 1 else 13):
+            f = random_monic(rng, field, degree)
+            mod = _Modulus(f)
+            assert mod.packed == (2 * degree * (p - 1) ** 2 < 1 << 64)
+            xq = pow_mod(x, p, f)
+            row = FqPoly(p, [1])
+            for i in range(degree):
+                assert mod.qmap(pow_mod(x, i, f)) == row, (f, i)
+                row = row * xq % f
+            assert mod.qmap(pow_mod(x, degree - 1, f)) == pow_mod(x, (degree - 1) * p, f)
+
+    @pytest.mark.parametrize("p", [10007, 2**31 - 1])
+    def test_map_keeps_no_cycle(self, p):
+        """A _Modulus whose map was read is freed as soon as it is dropped,
+        with the cyclic collector off: its map holds no reference to it."""
+        f = FqPoly(p, [1, 2, 3, 1])  # x^3 + 3x^2 + 2x + 1
+        mod = _Modulus(f)
+        assert mod.packed == (p == 10007)
+        assert mod.qmap(FqPoly.x(f.field)) == pow_mod(FqPoly.x(f.field), p, f)
+        ref = weakref.ref(mod)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del mod
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_distinct_degree_matches_reference(self):
         rng = random.Random(42)
         # degree up to 9 over every small field; up to 60 over F_p, where the
@@ -640,21 +681,28 @@ class _CountingRandom(random.Random):
 
 
 class TestCantorZassenhausNorm:
-    """For odd p, Cantor-Zassenhaus raises the norm N(r) = r r^p ...
-    r^(p^(e-1)), formed through the Frobenius map of the squarefree part,
-    to (p-1)/2 in place of raising r to (p^e-1)/2."""
+    """For odd p, Cantor-Zassenhaus forms the norm N(r) = r r^p ...
+    r^(p^(e-1)) through the Frobenius map of the squarefree part.  It raises
+    N to (p-1)/2 in place of raising r to (p^e-1)/2 on three or more
+    factors, and splits two factors at a root of N's quadratic."""
 
     # 2^31 - 1 is past the slot bound: its products and map run unpacked
     @pytest.mark.parametrize("p", [3, 5, 10007, 65521, 2**31 - 1])
     def test_norm_power_is_the_half_power(self, p, monkeypatch):
-        power, powers = residue_field._power, []
+        power, quadratic = residue_field._power, residue_field._quadratic_split
+        draws = []
 
-        def recorded(base, n, mul, one):
+        def recorded_power(base, n, mul, one):
             result = power(base, n, mul, one)
-            powers.append((n, mul.__self__.f, result))
+            draws.append((n, mul.__self__.f, result))
             return result
 
-        monkeypatch.setattr(residue_field, "_power", recorded)
+        def recorded_split(f, norm, square):
+            draws.append((None, f, norm))
+            return quadratic(f, norm, square)
+
+        monkeypatch.setattr(residue_field, "_power", recorded_power)
+        monkeypatch.setattr(residue_field, "_quadratic_split", recorded_split)
         rng = random.Random(p)
         # (degree e, number of degree-e irreducibles): F_3 has 3 quadratics
         for e, k in [(2, 3), (3, 4), (4, 2), (5, 3), (6, 2), (7, 4)]:
@@ -663,22 +711,90 @@ class TestCantorZassenhausNorm:
             mod = _Modulus(part)
             (f, d), _ = _distinct_degree(part, mod)
             assert d == e and f.degree == k * e
-            powers.clear()  # drop x^q
+            draws.clear()  # drop x^q
             factors = _equal_degree(f, e, random.Random(e), mod)
             assert math.prod(factors[1:], start=factors[0]) == f
-            assert len(factors) == k and powers
+            assert len(factors) == k
+            # a power for each draw on more than two factors, none on two
+            assert all((n is None) == (g.degree == 2 * e) for n, g, _ in draws)
+            assert any(n is None for n, _, _ in draws)
+            assert (k == 2) == all(n is None for n, _, _ in draws)
             replay = random.Random(e)  # the same draws, in the same order
-            for n, g, s in powers:
+            for n, g, s in draws:
                 r = FqPoly(p, [replay.randrange(p) for _ in range(2 * e)])
                 while r.degree < 1:
                     r = FqPoly(p, [replay.randrange(p) for _ in range(2 * e)])
-                assert n == (p - 1) // 2
                 assert g.degree % e == 0 and not (f % g)
-                assert s == pow_mod(r, (p**e - 1) // 2, g), (f, g, r)
+                if n is None:  # s is the norm itself
+                    assert s == pow_mod(r, (p**e - 1) // (p - 1), g), (f, g, r)
+                else:
+                    assert n == (p - 1) // 2
+                    assert s == pow_mod(r, (p**e - 1) // 2, g), (f, g, r)
+
+    @pytest.mark.parametrize("p", [3, 5, 10007, 40009, 65521])
+    def test_two_factors_split_in_one_draw(self, p, monkeypatch):
+        """Two irreducibles of degree e split into the pair, and the first
+        draw splits them unless its norm is one constant c1 = c2 mod both."""
+        quadratic, norms = residue_field._quadratic_split, []
+
+        def recorded(f, norm, square):
+            norms.append(norm)
+            return quadratic(f, norm, square)
+
+        monkeypatch.setattr(residue_field, "_quadratic_split", recorded)
+        rng = random.Random(p)
+        for e in range(1, 8):
+            f1 = irreducible_product(rng, p, [e])
+            f2 = irreducible_product(rng, p, [e])
+            while f2 == f1:
+                f2 = irreducible_product(rng, p, [e])
+            f = f1 * f2
+            norms.clear()
+            factors = _equal_degree(f, e, random.Random(e), _Modulus(f))
+            assert sorted(factors, key=lambda g: g.coeffs) == sorted(
+                [f1, f2], key=lambda g: g.coeffs), (p, e)
+            assert norms and all(n.degree < 1 for n in norms[:-1]), (p, e)
+            assert norms[-1].degree >= 1, (p, e)
+
+    @pytest.mark.parametrize("p", [3, 5, 10007, 65521])
+    def test_irreducible_as_two_factors_is_refused(self, p):
+        """An irreducible of degree 2e passed in as a product of two degree-e
+        irreducibles has no root to split at: 64 draws, then RuntimeError."""
+        rng = random.Random(p)
+        for e in (1, 2, 3, 5):
+            f = irreducible_product(rng, p, [2 * e])
+            draws = _CountingRandom(0)
+            with pytest.raises(RuntimeError, match=f"^no split of degree {2 * e} "
+                               f"into degree-{e} factors in 64 draws$"):
+                _equal_degree(f, e, draws, _Modulus(f))
+            assert draws.calls == 64 * 2 * e
+
+    def test_sqrt_mod_agrees_with_brute_force(self):
+        """Every residue mod small primes, both branches (p = 3 mod 4 and
+        Tonelli-Shanks); a non-residue is refused with None."""
+        sqrt_mod = residue_field._sqrt_mod
+        for p in (3, 5, 7, 13, 17, 41, 97):
+            squares = {x * x % p for x in range(p)}
+            for a in range(-p, 2 * p):
+                root = sqrt_mod(a, p)
+                if a % p in squares:
+                    assert root is not None and root * root % p == a % p, (a, p)
+                else:
+                    assert root is None, (a, p)
+        rng = random.Random(40009)
+        # p - 1 = 2^3 * 5001 and 2^4 * 4095: Tonelli-Shanks runs its loop
+        for p in (40009, 65521):
+            for _ in range(2000):
+                a = rng.randrange(p) ** 2 % p
+                root = sqrt_mod(a, p)
+                assert root is not None and root * root % p == a, (a, p)
+                b = rng.randrange(1, p)
+                if pow(b, (p - 1) // 2, p) == p - 1:
+                    assert sqrt_mod(b, p) is None, (b, p)
 
     def test_products_per_draw(self, monkeypatch):
         """A draw on two degree-7 factors at p = 40009 costs e - 1 products
-        for the norm and one power to (p-1)/2, not e log2 p products."""
+        for the norm and one square, and takes no power at all."""
         p, e = 40009, 7
         f = irreducible_product(random.Random(7), p, [e, e])
         mod = _Modulus(f)
@@ -695,8 +811,7 @@ class TestCantorZassenhausNorm:
         assert len(_equal_degree(f, e, draws, mod)) == 2
         assert draws.calls and draws.calls % (2 * e) == 0
         assert set(calls) == {f}
-        bound = e - 1 + 2 * ((p - 1) // 2).bit_length()
-        assert len(calls) <= draws.calls // (2 * e) * bound, len(calls)
+        assert len(calls) <= draws.calls // (2 * e) * e, len(calls)
 
     def test_split_on_a_fresh_modulus(self):
         """The q-power map comes from the _Modulus itself, so a split needs
