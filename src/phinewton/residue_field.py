@@ -33,15 +33,16 @@ the linear map T[i] = sum_j T[i-1]_j x^j x^q mod f, one multiply-add sum
 per row; otherwise from xq and deg f - 2 products.  fp_factorize builds one
 _Modulus per squarefree part, and both splits share it: the distinct-degree
 split reads xq and qmap and takes its block products there, and
-Cantor-Zassenhaus forms its norms N = r r^p ... r^(p^(e-1)) through the
-same qmap.  On two factors f1 f2 of degree e, N is a constant c_i mod each
-f_i, so N^2 = (c1 + c2) N - c1 c2 mod f, and gcd(f, N - c1) splits f at a
-root of that quadratic with no power at all (Berlekamp, 1970).  Each
+Cantor-Zassenhaus sums its traces T = r + r^p + ... + r^(p^(e-1)) through
+the same qmap, for every p.  Modulo each factor f_i of degree e, T is the
+constant c_i = Tr(r mod f_i) in F_p: at p = 2, gcd(f, T) splits f; on two
+factors f1 f2, T^2 = (c1 + c2) T - c1 c2 mod f, and gcd(f, T - c1) splits f
+at a root of that quadratic with no power at all (Berlekamp, 1970).  Each
 product that Cantor-Zassenhaus splits gets a _Modulus of its own for its
-products (the norms, their powers and squares, and the squarings of the
-p = 2 trace map); the public pow_mod builds its own.  ExtField.pth_root, a
-power mod phibar, keeps the loops product and builds none.  Every power,
-IntPoly's included, is the one left-to-right square-and-multiply _power.
+products (the square of T on two factors, and T^((p-1)/2) on more); the
+public pow_mod builds its own.  ExtField.pth_root, a power mod phibar, keeps
+the loops product and builds none.  Every power, IntPoly's included, is the
+one left-to-right square-and-multiply _power.
 gcd, over every field, runs Euclid on plain coefficient lists, making each
 divisor monic with one inverse, and builds one FqPoly at the end;
 ExtField.inv runs Euclid on (phibar, a) and keeps only a's cofactor.
@@ -662,14 +663,15 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list
     """Cantor-Zassenhaus split of a monic product f of degree-e irreducibles,
     for part the _Modulus of any multiple of f.
 
-    For odd p, s = r^((p^e - 1)/2) mod f is N(r)^((p-1)/2) for the norm
-    N(r) = r r^p ... r^(p^(e-1)), whose powers come from part.qmap, the
-    q-power map that part builds on first use (von zur Gathen & Shoup,
-    1992): e - 1 map applications, each reduced mod f, take the place of
-    about e log2 p products mod f.  On deg f = 2e, two factors, the draw
-    takes no power: one square of N gives its quadratic, and
-    _quadratic_split splits f at a root.  A product of three or more
-    factors takes the power, and its pieces end in that case.  Raises
+    Each draw r gives the trace T = r + r^p + ... + r^(p^(e-1)), a sum of
+    e - 1 applications of part.qmap, the q-power map that part builds on
+    first use (von zur Gathen & Shoup, 1992), reduced mod f once.  Modulo
+    each factor f_i, T is the constant c_i = Tr(r mod f_i) in F_p, so the
+    draw needs no product mod f to form it.  At p = 2, gcd(f, T) splits the
+    factors with c_i = 0 from those with c_i = 1.  For odd p, two factors
+    (deg f = 2e) split at a root of T's quadratic with one square and no
+    power (_quadratic_split), and three or more by gcd(f, T^((p-1)/2) - 1),
+    which holds the factors whose c_i is a nonzero square.  Raises
     RuntimeError when _MAX_DRAWS draws in a row fail to split f.
     """
     n = f.degree
@@ -679,42 +681,34 @@ def _equal_degree(f: FqPoly, e: int, rng: random.Random, part: _Modulus) -> list
     one = _poly(field, [1])
     mul = _Modulus(f).mulmod
     for _ in range(_MAX_DRAWS):
-        r = _poly(field, [rng.randrange(p) for _ in range(2 * e)])
-        if r.degree < 1:
-            continue
+        # deg r < 2e <= n, so r is reduced mod f and mod part
+        t = trace = _poly(field, [rng.randrange(p) for _ in range(2 * e)])
+        for _ in range(e - 1):
+            t = part.qmap(t)
+            trace = trace + t
+        trace = trace % f
         if p == 2:
-            # trace map r + r^2 + ... + r^(2^(e-1)) mod f
-            t = r % f
-            s = t
-            for _ in range(e - 1):
-                s = mul(s, s)
-                t = t + s
-            g = f.gcd(t)
+            g = f.gcd(trace)
+        elif n == 2 * e:
+            g = _quadratic_split(f, trace, mul(trace, trace))
         else:
-            t = norm = r  # deg r < 2e <= n, so r is reduced mod f and mod part
-            for _ in range(e - 1):
-                t = part.qmap(t)
-                norm = mul(norm, t % f)
-            if n == 2 * e:
-                g = _quadratic_split(f, norm, mul(norm, norm))
-            else:
-                g = f.gcd(_power(norm, (p - 1) // 2, mul, one) - one)
+            g = f.gcd(_power(trace, (p - 1) // 2, mul, one) - one)
         if 0 < g.degree < n:
             return _equal_degree(g, e, rng, part) + _equal_degree(f // g, e, rng, part)
     raise RuntimeError(f"no split of degree {n} into degree-{e} factors "
                        f"in {_MAX_DRAWS} draws")
 
 
-def _quadratic_split(f: FqPoly, norm: FqPoly, square: FqPoly) -> FqPoly:
-    """gcd(f, N - c1) for f = f1 f2, the norm N = norm mod f and square =
-    N^2 mod f, with c1 a root of N's quadratic; f itself when there is none.
+def _quadratic_split(f: FqPoly, trace: FqPoly, square: FqPoly) -> FqPoly:
+    """gcd(f, T - c1) for f = f1 f2, the trace T = trace mod f and square =
+    T^2 mod f, with c1 a root of T's quadratic; f itself when there is none.
 
-    N is c_i mod f_i, so (N - c1)(N - c2) = 0 mod f: N^2 = s N - t with
-    s = c1 + c2 and t = c1 c2, read off the top (degree d = deg N) and the
-    constant coefficients, and c1 = (s + sqrt(s^2 - 4t)) / 2.  A constant N
+    T is c_i mod f_i, so (T - c1)(T - c2) = 0 mod f: T^2 = s T - t with
+    s = c1 + c2 and t = c1 c2, read off the top (degree d = deg T) and the
+    constant coefficients, and c1 = (s + sqrt(s^2 - 4t)) / 2.  A constant T
     (c1 = c2) or a discriminant that is zero or no square refuses the draw.
     """
-    p, cs, d = f.p, norm.coeffs, norm.degree
+    p, cs, d = f.p, trace.coeffs, trace.degree
     if d < 1:
         return f
     sq = square.coeffs + (0,) * (d + 1 - len(square.coeffs))
@@ -727,13 +721,12 @@ def _quadratic_split(f: FqPoly, norm: FqPoly, square: FqPoly) -> FqPoly:
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod the odd prime p, None when a is no square:
-    a^((p+1)/4) for p = 3 mod 4, else Tonelli-Shanks."""
+    """A square root of a mod the odd prime p, None when a is no square, by
+    Tonelli-Shanks.  For p = 3 mod 4 (s = 1) the loop never runs and the
+    root is a^((p+1)/4)."""
     a %= p
     if pow(a, (p - 1) // 2, p) > 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s, q odd
     q = (p - 1) >> s
     z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)

@@ -680,66 +680,83 @@ class _CountingRandom(random.Random):
         return super().randrange(*args)
 
 
-class TestCantorZassenhausNorm:
-    """For odd p, Cantor-Zassenhaus forms the norm N(r) = r r^p ...
-    r^(p^(e-1)) through the Frobenius map of the squarefree part.  It raises
-    N to (p-1)/2 in place of raising r to (p^e-1)/2 on three or more
-    factors, and splits two factors at a root of N's quadratic."""
+class TestCantorZassenhausTrace:
+    """Cantor-Zassenhaus forms the trace T(r) = r + r^p + ... + r^(p^(e-1))
+    through the Frobenius map of the squarefree part, for every p.  At
+    p = 2 it splits by gcd(f, T); for odd p it raises T to (p-1)/2 on three
+    or more factors, and splits two factors at a root of T's quadratic."""
 
     # 2^31 - 1 is past the slot bound: its products and map run unpacked
-    @pytest.mark.parametrize("p", [3, 5, 10007, 65521, 2**31 - 1])
-    def test_norm_power_is_the_half_power(self, p, monkeypatch):
+    @pytest.mark.parametrize("p", [2, 3, 5, 10007, 65521, 2**31 - 1])
+    def test_draws_are_traces(self, p, monkeypatch):
         power, quadratic = residue_field._power, residue_field._quadratic_split
-        draws = []
+        gcd, draws, gcds = FqPoly.gcd, [], []
 
         def recorded_power(base, n, mul, one):
-            result = power(base, n, mul, one)
-            draws.append((n, mul.__self__.f, result))
-            return result
+            draws.append((n, mul.__self__.f, base))
+            return power(base, n, mul, one)
 
-        def recorded_split(f, norm, square):
-            draws.append((None, f, norm))
-            return quadratic(f, norm, square)
+        def recorded_split(f, trace, square):
+            draws.append((None, f, trace))
+            return quadratic(f, trace, square)
+
+        def recorded_gcd(f, g):
+            gcds.append((None, f, g))
+            return gcd(f, g)
 
         monkeypatch.setattr(residue_field, "_power", recorded_power)
         monkeypatch.setattr(residue_field, "_quadratic_split", recorded_split)
+        monkeypatch.setattr(FqPoly, "gcd", recorded_gcd)
         rng = random.Random(p)
-        # (degree e, number of degree-e irreducibles): F_3 has 3 quadratics
-        for e, k in [(2, 3), (3, 4), (4, 2), (5, 3), (6, 2), (7, 4)]:
-            # the part has one more factor, so the norm is reduced mod f
+        # (degree e, number of degree-e irreducibles): F_3 has 3 quadratics,
+        # F_2 one quadratic, two cubics and three quartics
+        shapes = ([(1, 2), (3, 2), (4, 3), (5, 3), (6, 2), (7, 4)] if p == 2 else
+                  [(2, 3), (3, 4), (4, 2), (5, 3), (6, 2), (7, 4)])
+        for e, k in shapes:
+            # the part has one more factor, so the trace is reduced mod f
             part = irreducible_product(rng, p, [e] * k + [e + 1])
             mod = _Modulus(part)
             (f, d), _ = _distinct_degree(part, mod)
             assert d == e and f.degree == k * e
             draws.clear()  # drop x^q
-            factors = _equal_degree(f, e, random.Random(e), mod)
+            gcds.clear()  # drop the distinct-degree split's gcds
+            values = _CountingRandom(e)
+            factors = _equal_degree(f, e, values, mod)
             assert math.prod(factors[1:], start=factors[0]) == f
             assert len(factors) == k
-            # a power for each draw on more than two factors, none on two
-            assert all((n is None) == (g.degree == 2 * e) for n, g, _ in draws)
-            assert any(n is None for n, _, _ in draws)
-            assert (k == 2) == all(n is None for n, _, _ in draws)
+            if p == 2:  # no power and no quadratic: each draw is gcd(f, T)
+                assert not draws
+            else:
+                # a power for each draw on more than two factors, none on two
+                assert all((n is None) == (g.degree == 2 * e) for n, g, _ in draws)
+                assert all(n in (None, (p - 1) // 2) for n, _, _ in draws)
+                assert any(n is None for n, _, _ in draws)
+                assert (k == 2) == all(n is None for n, _, _ in draws)
+            traces = gcds if p == 2 else draws
+            assert values.calls == 2 * e * len(traces)  # no redraw
             replay = random.Random(e)  # the same draws, in the same order
-            for n, g, s in draws:
+            for _, g, t in traces:
                 r = FqPoly(p, [replay.randrange(p) for _ in range(2 * e)])
-                while r.degree < 1:
-                    r = FqPoly(p, [replay.randrange(p) for _ in range(2 * e)])
                 assert g.degree % e == 0 and not (f % g)
-                if n is None:  # s is the norm itself
-                    assert s == pow_mod(r, (p**e - 1) // (p - 1), g), (f, g, r)
-                else:
-                    assert n == (p - 1) // 2
-                    assert s == pow_mod(r, (p**e - 1) // 2, g), (f, g, r)
+                trace = sum((pow_mod(r, p**j, g) for j in range(e)), FqPoly(p))
+                assert t == trace, (f, g, r)
+
+
+class TestCantorZassenhausNorm:
+    """The rest of Cantor-Zassenhaus: two-factor splits at a root of the
+    trace's quadratic and the square roots they take, the products per draw,
+    and the bound on failed draws.  The class keeps the name it had when
+    draws formed a norm, so that its test ids stay stable."""
 
     @pytest.mark.parametrize("p", [3, 5, 10007, 40009, 65521])
     def test_two_factors_split_in_one_draw(self, p, monkeypatch):
         """Two irreducibles of degree e split into the pair, and the first
-        draw splits them unless its norm is one constant c1 = c2 mod both."""
-        quadratic, norms = residue_field._quadratic_split, []
+        draw splits them unless its trace is one constant c1 = c2 mod both."""
+        quadratic, traces = residue_field._quadratic_split, []
 
-        def recorded(f, norm, square):
-            norms.append(norm)
-            return quadratic(f, norm, square)
+        def recorded(f, trace, square):
+            traces.append(trace)
+            return quadratic(f, trace, square)
 
         monkeypatch.setattr(residue_field, "_quadratic_split", recorded)
         rng = random.Random(p)
@@ -749,12 +766,12 @@ class TestCantorZassenhausNorm:
             while f2 == f1:
                 f2 = irreducible_product(rng, p, [e])
             f = f1 * f2
-            norms.clear()
+            traces.clear()
             factors = _equal_degree(f, e, random.Random(e), _Modulus(f))
             assert sorted(factors, key=lambda g: g.coeffs) == sorted(
                 [f1, f2], key=lambda g: g.coeffs), (p, e)
-            assert norms and all(n.degree < 1 for n in norms[:-1]), (p, e)
-            assert norms[-1].degree >= 1, (p, e)
+            assert traces and all(t.degree < 1 for t in traces[:-1]), (p, e)
+            assert traces[-1].degree >= 1, (p, e)
 
     @pytest.mark.parametrize("p", [3, 5, 10007, 65521])
     def test_irreducible_as_two_factors_is_refused(self, p):
@@ -770,8 +787,8 @@ class TestCantorZassenhausNorm:
             assert draws.calls == 64 * 2 * e
 
     def test_sqrt_mod_agrees_with_brute_force(self):
-        """Every residue mod small primes, both branches (p = 3 mod 4 and
-        Tonelli-Shanks); a non-residue is refused with None."""
+        """Every residue mod small primes, p = 3 and p = 1 mod 4 alike, through
+        Tonelli-Shanks; a non-residue is refused with None."""
         sqrt_mod = residue_field._sqrt_mod
         for p in (3, 5, 7, 13, 17, 41, 97):
             squares = {x * x % p for x in range(p)}
@@ -782,8 +799,9 @@ class TestCantorZassenhausNorm:
                 else:
                     assert root is None, (a, p)
         rng = random.Random(40009)
-        # p - 1 = 2^3 * 5001 and 2^4 * 4095: Tonelli-Shanks runs its loop
-        for p in (40009, 65521):
+        # p - 1 = 2^3 * 5001 and 2^4 * 4095: Tonelli-Shanks runs its loop;
+        # p - 1 = 2 * 5003: s = 1, and the root is a^((p+1)/4) with no loop
+        for p in (40009, 65521, 10007):
             for _ in range(2000):
                 a = rng.randrange(p) ** 2 % p
                 root = sqrt_mod(a, p)
@@ -793,12 +811,9 @@ class TestCantorZassenhausNorm:
                     assert sqrt_mod(b, p) is None, (b, p)
 
     def test_products_per_draw(self, monkeypatch):
-        """A draw on two degree-7 factors at p = 40009 costs e - 1 products
-        for the norm and one square, and takes no power at all."""
-        p, e = 40009, 7
-        f = irreducible_product(random.Random(7), p, [e, e])
-        mod = _Modulus(f)
-        assert _distinct_degree(f, mod) == [(f, e)]
+        """A draw on two degree-7 factors costs one product mod f at
+        p = 40009, the square of the trace, and takes no power at all; at
+        p = 2 it costs none."""
         calls = []
         mulmod = _Modulus.mulmod
 
@@ -806,12 +821,19 @@ class TestCantorZassenhausNorm:
             calls.append(self.f)
             return mulmod(self, a, b)
 
-        monkeypatch.setattr(_Modulus, "mulmod", counted)
-        draws = _CountingRandom(0)
-        assert len(_equal_degree(f, e, draws, mod)) == 2
-        assert draws.calls and draws.calls % (2 * e) == 0
-        assert set(calls) == {f}
-        assert len(calls) <= draws.calls // (2 * e) * e, len(calls)
+        e = 7
+        for p, per_draw in ((40009, 1), (2, 0)):
+            f = irreducible_product(random.Random(7), p, [e, e])
+            mod = _Modulus(f)
+            assert _distinct_degree(f, mod) == [(f, e)]
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(_Modulus, "mulmod", counted)
+                draws = _CountingRandom(0)
+                assert len(_equal_degree(f, e, draws, mod)) == 2
+            assert draws.calls and draws.calls % (2 * e) == 0
+            assert set(calls) <= {f}
+            assert len(calls) == draws.calls // (2 * e) * per_draw, (p, len(calls))
 
     def test_split_on_a_fresh_modulus(self):
         """The q-power map comes from the _Modulus itself, so a split needs
