@@ -26,8 +26,8 @@ irreducible and f mod p = phibar^n, read off the phi-expansion
 send each phi-expansion and its field F_phi through `_analyze_phi`, which
 gives one list of factor groups (q, a) per phi: at most a factors over Z_p,
 whose degrees are multiples of q and sum to q * a.  `analyze` then builds
-one `AnalysisReport` from these facts, and nothing changes it: its
-constructor reads the bounds and the verdict, and its `notes` word the
+one `AnalysisReport` from these facts, a namedtuple that nothing changes:
+its __new__ reads the bounds and the verdict, and its `notes` word the
 facts.
 
 Verdicts are one-directional: the tool certifies IRREDUCIBLE or a BOUNDED
@@ -37,6 +37,7 @@ factor count, never reducibility.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import NamedTuple
 
 from .expr import render_poly
@@ -131,16 +132,16 @@ class PhiReport(NamedTuple):
                 and self.sides[0].side.end == (self.multiplicity, 0))
 
 
-class AnalysisReport:
+class AnalysisReport(namedtuple("AnalysisReport", "input prime degree phi gate phi_reports "
+                                                  "factor_bound min_factor_degree verdict")):
     """Everything the criteria certify about one input polynomial, built
     once from the facts that `analyze` found; phi_reports is kept as a tuple,
     so no field can change."""
 
-    __slots__ = ("input", "prime", "degree", "phi", "gate", "phi_reports",
-                 "factor_bound", "min_factor_degree", "verdict")
+    __slots__ = ()
 
-    def __init__(self, input: str, prime: int, degree: int, phi: IntPoly | None,
-                 gate: str | None, phi_reports):
+    def __new__(cls, input: str, prime: int, degree: int, phi: IntPoly | None,
+                gate: str | None, phi_reports):
         """Read the certificate off the groups (q, a) of every phi:
         factor_bound = sum(a), min_factor_degree = min(q), and IRREDUCIBLE
         iff the sum is 1.  A failed gate gives deg f, no degree and
@@ -173,13 +174,8 @@ class AnalysisReport:
             verdict = INAPPLICABLE
         else:
             verdict = IRREDUCIBLE if factor_bound == 1 else BOUNDED
-        values = (input, prime, degree, phi, gate, tuple(phi_reports), factor_bound,
-                  min_factor_degree, verdict)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("AnalysisReport is immutable")
+        return tuple.__new__(cls, (input, prime, degree, phi, gate, tuple(phi_reports),
+                                   factor_bound, min_factor_degree, verdict))
 
     @property
     def mode(self) -> str:

@@ -1,8 +1,9 @@
 """Dense univariate polynomials over Z: Euclidean division by monic divisors,
 phi-expansion, and Gauss valuations of the expansion coefficients.
 
-Coefficients are arbitrary-precision Python integers, stored in ascending
-degree order with no trailing zeros; arithmetic is exact throughout.
+IntPoly is a namedtuple of one field, `coeffs`: arbitrary-precision Python
+integers in ascending degree order with no trailing zeros.  Arithmetic is
+exact throughout.
 
 phi_expand reads every integer coefficient of every a_i once, in one pass
 that yields both its valuation nu and its unit (c / p^nu) mod p.  The
@@ -14,13 +15,14 @@ principal polygon reads no point past (w, 0).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import NamedTuple
 
 from .residue_field import FqPoly, _power
 from .valuation import INFINITY, ExtInt, _split
 
 
-class IntPoly:
+class IntPoly(namedtuple("IntPoly", "coeffs")):
     """Dense polynomial over Z.
 
     The zero polynomial is the empty coefficient list and reports degree -1,
@@ -31,19 +33,14 @@ class IntPoly:
     schoolbook loop.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         cs = list(coeffs)
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("IntPoly is immutable")
+        return _intpoly(cs)
 
     @classmethod
     def zero(cls) -> "IntPoly":
@@ -73,11 +70,7 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def lead(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __getitem__(self, i: int) -> int:
+    def __getitem__(self, i: int) -> int:  # a_i, not the tuple's own item i
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     @staticmethod
@@ -110,9 +103,6 @@ class IntPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "IntPoly":
-        return self._coerce(other) - self
 
     def __mul__(self, other) -> "IntPoly":
         other = self._coerce(other)
@@ -166,12 +156,6 @@ class IntPoly:
                     rem[k + j] -= c * b
         return _intpoly(quo), _intpoly(rem[:d])
 
-    def __floordiv__(self, other: "IntPoly") -> "IntPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "IntPoly") -> "IntPoly":
-        return divmod(self, other)[1]
-
     def reduce_mod(self, p: int) -> FqPoly:
         """Image in F_p[x]."""
         return FqPoly(p, self.coeffs)
@@ -181,10 +165,12 @@ class IntPoly:
             other = IntPoly((other,))
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    def __ne__(self, other):  # tuple's own __ne__ would skip the int case
+        return not self == other
 
-    def __bool__(self):
+    __hash__ = tuple.__hash__
+
+    def __bool__(self):  # a tuple of one is always true
         return bool(self.coeffs)
 
     def __repr__(self):
@@ -196,9 +182,7 @@ def _intpoly(cs: list) -> IntPoly:
     stripped; no type check."""
     while cs and not cs[-1]:
         cs.pop()
-    f = object.__new__(IntPoly)
-    object.__setattr__(f, "coeffs", tuple(cs))
-    return f
+    return tuple.__new__(IntPoly, (tuple(cs),))
 
 
 class PhiExpansion(NamedTuple):

@@ -1,8 +1,10 @@
 """Dense polynomials over F_p and its simple extensions F_p[x]/(phibar).
 
-One immutable class, FqPoly, serves every finite field.  Its field is
-either a PrimeField (built from a prime p) or an ExtField F_p[x]/(phibar)
-for a monic irreducible phibar.  Both field types offer the same small
+One class, FqPoly, serves every finite field.  Its field is either a
+PrimeField (built from a prime p) or an ExtField F_p[x]/(phibar) for a
+monic irreducible phibar.  All three are namedtuples, and so immutable,
+equal and hashed as tuples; each __new__ checks its arguments as a
+constructor would.  Both field types offer the same small
 interface: p, m, q = p^m, a `modulus` that reduces an element with `%`,
 `zero`, `one`, `elem(value)`, `inv(a)` and `pth_root(a)`.
 
@@ -68,6 +70,7 @@ import math
 import operator
 import random
 import struct
+from collections import namedtuple
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -79,20 +82,15 @@ def _term_str(coeff: str, power: int, var: str) -> str:
     return xpow if coeff == "1" else f"{coeff}{xpow}"
 
 
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p m q modulus zero one")):
     """F_p with elements the ints 0..p-1."""
 
-    __slots__ = ("p", "m", "q", "modulus", "zero", "one")
+    __slots__ = ()
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if p < 2:
             raise ValueError("modulus must be >= 2")
-        for name, value in (("p", p), ("m", 1), ("q", p), ("modulus", p),
-                            ("zero", 0), ("one", 1)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PrimeField is immutable")
+        return tuple.__new__(cls, (p, 1, p, p, 0, 1))
 
     def elem(self, value: int) -> int:
         return value % self.p
@@ -103,17 +101,11 @@ class PrimeField:
     def pth_root(self, a: int) -> int:
         return a
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(self.p)
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 
 
-class FqPoly:
+class FqPoly(namedtuple("FqPoly", "field coeffs")):
     """Dense polynomial over a PrimeField or an ExtField.
 
     `FqPoly(p, coeffs)` builds a polynomial over F_p; `FqPoly(field, coeffs)`
@@ -121,19 +113,12 @@ class FqPoly:
     lists or FqPolys over F_p.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, field, coeffs=()):
+    def __new__(cls, field, coeffs=()):
         if isinstance(field, int):
             field = PrimeField(field)
-        cs = [field.elem(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("FqPoly is immutable")
+        return _poly(field, [field.elem(c) for c in coeffs])
 
     @classmethod
     def x(cls, field) -> "FqPoly":
@@ -152,7 +137,7 @@ class FqPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self):
+    def __bool__(self):  # a tuple of two is always true
         return bool(self.coeffs)
 
     @property
@@ -196,6 +181,11 @@ class FqPoly:
                     out[i + j] += c * d
         mod = field.modulus
         return _poly(field, [c % mod for c in out])
+
+    def __rmul__(self, other):
+        # Returning NotImplemented would let `2 * f` repeat the tuple.
+        raise TypeError(f"unsupported operand type(s) for *: "
+                        f"'{type(other).__name__}' and 'FqPoly'")
 
     def scale(self, c) -> "FqPoly":
         """Multiply by the field element c."""
@@ -260,16 +250,6 @@ class FqPoly:
         one = _poly(self.field, [self.field.one])
         return _power(self % modulus, n, _Modulus(modulus).mulmod, one % modulus)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     def __repr__(self):
         return f"FqPoly({self.field!r}, {[str(c) for c in self.coeffs]})"
 
@@ -292,10 +272,7 @@ def _poly(field, cs: list) -> FqPoly:
     """FqPoly from already reduced coefficients, trailing zeros stripped."""
     while cs and not cs[-1]:
         cs.pop()
-    f = object.__new__(FqPoly)
-    object.__setattr__(f, "field", field)
-    object.__setattr__(f, "coeffs", tuple(cs))
-    return f
+    return tuple.__new__(FqPoly, (field, tuple(cs)))
 
 
 def _gcd(a: list, b: list, field) -> list:
@@ -469,39 +446,29 @@ class _Modulus:
         return qmap
 
 
-class ExtField:
+class ExtField(namedtuple("ExtField", "p m q modulus zero one")):
     """The extension field F_p[x]/(phibar) for a monic irreducible phibar.
 
     Elements are FqPolys over F_p reduced modulo phibar.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "zero", "one")
+    __slots__ = ()
 
-    def __init__(self, modulus: FqPoly):
+    def __new__(cls, modulus: FqPoly):
         if not isinstance(modulus.field, PrimeField):
             raise ValueError("modulus must be a polynomial over a prime field")
         if not modulus.is_monic or modulus.degree < 1:
             raise ValueError("modulus must be monic of degree >= 1")
         if factor_degrees(modulus) != ((modulus.degree, 1),):
             raise ValueError(f"modulus {modulus} is reducible over F_{modulus.p}")
-        self._fill(modulus)
+        return cls._proven(modulus)
 
     @classmethod
     def _proven(cls, modulus: FqPoly) -> "ExtField":
         """The field of a modulus already proven monic irreducible; no test."""
-        field = object.__new__(cls)
-        field._fill(modulus)
-        return field
-
-    def _fill(self, modulus: FqPoly):
         p, m = modulus.p, modulus.degree
-        for name, value in (("p", p), ("m", m), ("q", p**m), ("modulus", modulus),
-                            ("zero", _poly(modulus.field, [])),
-                            ("one", _poly(modulus.field, [1]))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ExtField is immutable")
+        return tuple.__new__(cls, (p, m, p**m, modulus, _poly(modulus.field, []),
+                                   _poly(modulus.field, [1])))
 
     def elem(self, value) -> FqPoly:
         """The reduced element for an int, an F_p coefficient list or an FqPoly."""
@@ -528,12 +495,6 @@ class ExtField:
         packed _Modulus of the modulus is built per call."""
         modulus = self.modulus
         return _power(a, self.p ** (self.m - 1), lambda b, c: b * c % modulus, self.one)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtField) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(self.modulus)
 
     def __repr__(self):
         return f"ExtField(F_{self.p}[x]/({self.modulus}))"

@@ -526,17 +526,17 @@ class TestFieldsPerRequest:
 
     def test_each_field_built_once_per_call(self, monkeypatch):
         built, tested = [], []
-        fill, degrees = ExtField._fill, residue_field.factor_degrees
+        proven, degrees = ExtField._proven, residue_field.factor_degrees
 
-        def counted_fill(field, modulus):
-            built.append(field)
-            fill(field, modulus)
+        def counted_proven(modulus):
+            built.append(proven(modulus))
+            return built[-1]
 
         def counted_degrees(g):
             tested.append(g)
             return degrees(g)
 
-        monkeypatch.setattr(ExtField, "_fill", counted_fill)
+        monkeypatch.setattr(ExtField, "_proven", counted_proven)
         monkeypatch.setattr(residue_field, "factor_degrees", counted_degrees)
         monkeypatch.setattr(criteria, "ext_count_irreducible_factors", counted_degrees)
         seen = Counter()

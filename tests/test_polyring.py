@@ -62,6 +62,15 @@ class TestIntPoly:
         assert hash(IntPoly([1, 2])) == hash(IntPoly((1, 2)))
         assert IntPoly([5]) == 5
 
+    def test_ne_agrees_with_eq(self):
+        assert not IntPoly([3]) != 3
+        assert IntPoly([3]) != IntPoly([4])
+        assert IntPoly([3]) != 4
+
+    def test_getitem_is_a_coefficient(self):
+        f = IntPoly([7, 8])
+        assert (f[0], f[1], f[2], f[-1]) == (7, 8, 0, 0)
+
 
 class TestDivmod:
     def test_phi_equals_x_reads_off_coefficients(self):
