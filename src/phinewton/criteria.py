@@ -177,6 +177,9 @@ class AnalysisReport(namedtuple("AnalysisReport", "input prime degree phi gate p
         return tuple.__new__(cls, (input, prime, degree, phi, gate, tuple(phi_reports),
                                    factor_bound, min_factor_degree, verdict))
 
+    def __getnewargs__(self):  # a copy is rebuilt from the facts by __new__
+        return self[:6]
+
     @property
     def mode(self) -> str:
         return MODE_FULL if self.phi is None else MODE_SINGLE_PHI

@@ -3,7 +3,8 @@ phi-expansion, and Gauss valuations of the expansion coefficients.
 
 IntPoly is a namedtuple of one field, `coeffs`: arbitrary-precision Python
 integers in ascending degree order with no trailing zeros.  Arithmetic is
-exact throughout.
+exact throughout; products and divisions run on residue_field's _product
+and _divide, the kernels of FqPoly's too.
 
 phi_expand reads every integer coefficient of every a_i once, in one pass
 that yields both its valuation nu and its unit (c / p^nu) mod p.  The
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .residue_field import FqPoly, _power
+from .residue_field import FqPoly, _divide, _power, _product
 from .valuation import INFINITY, ExtInt, _split
 
 
@@ -117,12 +118,7 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
             if not any(mono[:-1]):  # mono = c*x^k: g shifted by k, scaled by c
                 c = mono[-1]
                 return _intpoly([0] * (len(mono) - 1) + [c * v for v in g])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return _intpoly(out)
+        return _intpoly(_product(a, b, 0))
 
     __rmul__ = __mul__
 
@@ -143,18 +139,8 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
         if not other.is_monic:
             raise ValueError("divisor must be monic for division over Z")
         rem = list(self.coeffs)
-        d = other.degree
-        dq = len(rem) - 1 - d
-        if dq < 0:
-            return IntPoly(), self
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + d]
-            if c:
-                quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return _intpoly(quo), _intpoly(rem[:d])
+        quo = _divide(rem, other.coeffs[:-1], 0)
+        return _intpoly(quo), _intpoly(rem[:other.degree])
 
     def reduce_mod(self, p: int) -> FqPoly:
         """Image in F_p[x]."""

@@ -44,9 +44,11 @@ product that Cantor-Zassenhaus splits gets a _Modulus of its own for its
 products (the square of T on two factors, and T^((p-1)/2) on more); the
 public pow_mod builds its own.  ExtField.pth_root, a power mod phibar, keeps
 the loops product and builds none.  Every power, IntPoly's included, is the
-one left-to-right square-and-multiply _power.
-gcd, over every field, runs Euclid on plain coefficient lists, making each
-divisor monic with one inverse, and builds one FqPoly at the end;
+one left-to-right square-and-multiply _power, every schoolbook product
+the one _product, and every long division, over Z, F_p and F_phi alike,
+the one _divide.  gcd is Euclid on `%`: a division by a divisor that is
+not monic scales only its quotient terms by the inverse of the leading
+coefficient, and the last nonzero remainder is made monic once;
 ExtField.inv runs Euclid on (phibar, a) and keeps only a's cofactor.
 
 Where the products are packed, the distinct-degree split takes one gcd
@@ -91,6 +93,9 @@ class PrimeField(namedtuple("PrimeField", "p m q modulus zero one")):
         if p < 2:
             raise ValueError("modulus must be >= 2")
         return tuple.__new__(cls, (p, 1, p, p, 0, 1))
+
+    def __getnewargs__(self):  # a copy is rebuilt through __new__
+        return (self.p,)
 
     def elem(self, value: int) -> int:
         return value % self.p
@@ -174,13 +179,8 @@ class FqPoly(namedtuple("FqPoly", "field coeffs")):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _poly(field, [])
-        out = [field.zero] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
         mod = field.modulus
-        return _poly(field, [c % mod for c in out])
+        return _poly(field, [c % mod for c in _product(a, b, field.zero)])
 
     def __rmul__(self, other):
         # Returning NotImplemented would let `2 * f` repeat the tuple.
@@ -199,27 +199,14 @@ class FqPoly(namedtuple("FqPoly", "field coeffs")):
         self._check(other)
         if not other.coeffs:
             raise ZeroDivisionError("division by the zero polynomial")
-        field = self.field
-        rem = list(self.coeffs)
-        bs = other.coeffs
-        db = len(bs) - 1
-        dq = len(rem) - len(bs)
-        if dq < 0:
+        field, bs = self.field, other.coeffs
+        if len(self.coeffs) < len(bs):
             return _poly(field, []), self
         mod = field.modulus
         inv = None if bs[-1] == field.one else field.inv(bs[-1])
-        low = bs[:-1]
-        quo = [field.zero] * (dq + 1)
-        # rem stays unreduced; each entry is reduced once, when it is read
-        for k in range(dq, -1, -1):
-            c = rem[k + db] % mod
-            if inv is not None:
-                c = c * inv % mod
-            if c:
-                quo[k] = c
-                for j, b in enumerate(low):
-                    rem[k + j] -= c * b
-        return _poly(field, quo), _poly(field, [c % mod for c in rem[:db]])
+        rem = list(self.coeffs)
+        quo = _divide(rem, bs[:-1], field.zero, mod, inv)
+        return _poly(field, quo), _poly(field, [c % mod for c in rem[:len(bs) - 1]])
 
     def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]
@@ -233,10 +220,15 @@ class FqPoly(namedtuple("FqPoly", "field coeffs")):
         return self.scale(self.field.inv(self.lead))
 
     def gcd(self, other: "FqPoly") -> "FqPoly":
-        """The monic gcd, by Euclid on plain coefficient lists."""
+        """The monic gcd, by Euclid on `%`: each step divides by the last
+        remainder as it stands, scaling only the quotient terms by the
+        inverse of its leading coefficient, and the last nonzero remainder
+        is made monic once."""
         self._check(other)
-        field = self.field
-        return _poly(field, _gcd(list(self.coeffs), list(other.coeffs), field))
+        a, b = self, other
+        while b:
+            a, b = b, a % b
+        return a.monic()
 
     def derivative(self) -> "FqPoly":
         field = self.field
@@ -275,33 +267,41 @@ def _poly(field, cs: list) -> FqPoly:
     return tuple.__new__(FqPoly, (field, tuple(cs)))
 
 
-def _gcd(a: list, b: list, field) -> list:
-    """Monic gcd over any field of reduced coefficient lists, which it
-    consumes.
+def _product(a, b, zero) -> list:
+    """The schoolbook product of the nonempty coefficient sequences a and b,
+    unreduced, with zero the ring's zero."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
 
-    The divisor is kept monic, so a quotient term is just the dividend's top
-    coefficient reduced by the field's modulus.  The dividend is reduced in
-    place and left unreduced; its remainder is read off in one pass that
-    reduces it and makes it the next monic divisor, with one inverse.
+
+def _divide(rem: list, low, zero, mod=None, inv=None) -> list:
+    """Long division of the coefficient list rem by a divisor whose
+    coefficients below the leading one are low: returns the quotient and
+    leaves the remainder in rem[:len(low)], unreduced.
+
+    Over Z (mod None) the divisor is monic and each quotient term is the
+    top coefficient itself.  Over a field, the top coefficient is reduced
+    by mod, once, when it is read, and, for a divisor that is not monic,
+    scaled by inv, the inverse of its leading coefficient.  A rem shorter
+    than the divisor gives the empty quotient and stays as it is.
     """
-    mod = field.modulus
-    if not b:
-        a, b = b, a
-    r = b
-    while True:
-        top = len(r) - 1
-        while top >= 0 and not r[top] % mod:
-            top -= 1
-        if top < 0:
-            return a
-        inv = field.inv(r[top] % mod)
-        b = [c * inv % mod for c in r[:top + 1]]
-        low = b[:-1]
-        for k in range(len(a) - 1 - top, -1, -1):
-            c = a[k + top] % mod
-            if c:
-                a[k:k + top] = [u - c * v for u, v in zip(a[k:k + top], low)]
-        a, r = b, a[:top]
+    db = len(low)
+    quo = [zero] * (len(rem) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + db]
+        if mod is not None:
+            c %= mod
+            if inv is not None:
+                c = c * inv % mod
+        if c:
+            quo[k] = c
+            for j, b in enumerate(low):
+                rem[k + j] -= c * b
+    return quo
 
 
 def _power(base, n: int, mul, one):
@@ -462,6 +462,9 @@ class ExtField(namedtuple("ExtField", "p m q modulus zero one")):
         if factor_degrees(modulus) != ((modulus.degree, 1),):
             raise ValueError(f"modulus {modulus} is reducible over F_{modulus.p}")
         return cls._proven(modulus)
+
+    def __getnewargs__(self):  # a copy is rebuilt, and checked, by __new__
+        return (self.modulus,)
 
     @classmethod
     def _proven(cls, modulus: FqPoly) -> "ExtField":

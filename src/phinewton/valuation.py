@@ -28,6 +28,9 @@ class _Infinity:
     def __repr__(self):
         return "INFINITY"
 
+    def __reduce__(self):  # copies and unpickles to the one INFINITY
+        return "INFINITY"
+
 
 INFINITY = _Infinity()
 

@@ -9,10 +9,12 @@ single-side check tests the paper's inequality point by point instead of
 reading it off the polygon, the power test raises phibar to the n-th power
 over F_p instead of reading the phi-expansion, and Rabin's irreducibility
 test checks the package's factor degrees.  pow_mod here is square-and-multiply
-on FqPoly's schoolbook `*` and `%`, and plain_gcd is Euclid on its `divmod`,
-so Rabin's test and the plain distinct-degree split (one gcd per degree) run
-neither the package's packed product kernel, which FqPoly.pow_mod uses over
-F_p, nor its gcd, which runs on plain coefficient lists over F_p.  The
+on FqPoly's schoolbook `*` and `%`, and plain_gcd is Euclid with a long
+division of its own on plain coefficient lists, each divisor made monic
+first, so Rabin's test and the plain distinct-degree split (one gcd per
+degree) run neither the package's packed product kernel, which
+FqPoly.pow_mod uses over F_p, nor its gcd, which is Euclid on FqPoly's `%`
+with non-monic divisors.  The
 residual oracle divides each expansion coefficient by p^u, where the package
 reads the valuation and unit that the phi-expansion kept.  gauss_valuation
 and residual_coefficient are test-only helpers: the Gauss valuation of an
@@ -65,10 +67,29 @@ def gauss_valuation(a: IntPoly, p: int) -> ExtInt:
 
 
 def plain_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
-    """Monic gcd by Euclid on FqPoly's `divmod`."""
-    while b:
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
+    """Monic gcd by Euclid on plain coefficient lists, with a long division
+    of its own: each divisor is made monic first, and each step subtracts a
+    multiple of it from the top, every coefficient reduced at once.  Only the
+    field's `inv` and `%` on elements are used, never FqPoly's `%`."""
+    field = a.field
+    mod = field.modulus
+
+    def monic(cs):
+        inv = field.inv(cs[-1])
+        return [c * inv % mod for c in cs]
+
+    r0, r1 = list(a.coeffs), list(b.coeffs)
+    while r1:
+        r1 = monic(r1)
+        while len(r0) >= len(r1):
+            shift = len(r0) - len(r1)
+            top = r0.pop()  # cancelled by top * x^shift * r1
+            for j, c in enumerate(r1[:-1]):
+                r0[shift + j] = (r0[shift + j] - top * c) % mod
+            while r0 and not r0[-1]:
+                r0.pop()
+        r0, r1 = r1, r0
+    return FqPoly(field, monic(r0) if r0 else [])
 
 
 def pow_mod(a: FqPoly, n: int, f: FqPoly) -> FqPoly:

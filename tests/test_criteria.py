@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,7 +30,7 @@ from phinewton.cli import render_json, render_text, report_to_dict
 from phinewton.polygon import build_polygon
 from phinewton.polyring import IntPoly, phi_expand
 from phinewton import criteria, residue_field
-from phinewton.residue_field import ExtField, PrimeField, fp_factorize
+from phinewton.residue_field import ExtField, FqPoly, PrimeField, fp_factorize
 from phinewton.valuation import INFINITY
 
 
@@ -482,6 +484,42 @@ class TestReportIsImmutable:
         with pytest.raises(AttributeError):
             mutate(r.phi_reports)
         assert (report_to_dict(r), render_text(r)) == before
+
+
+F4 = ExtField(FqPoly(2, [1, 1, 1]))
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda v: pickle.loads(pickle.dumps(v))}
+
+
+class TestCopyAndPickle:
+    """Every value copies and pickles to an equal value: the fields and
+    reports are rebuilt through their constructors, and INFINITY comes
+    back as itself, so `is INFINITY` tests hold in a copied expansion."""
+
+    VALUES = {
+        "infinity": lambda: INFINITY,  # equal only to itself
+        "prime-field": lambda: PrimeField(7),
+        "ext-field": lambda: F4,
+        "fp-poly": lambda: FqPoly(7, [3, 0, 5, 1]),
+        "f4-poly": lambda: FqPoly(F4, [[1], [0, 1], 1]),
+        "int-poly": lambda: IntPoly([-5, 0, 2**70, 1]),
+        "full-report": lambda: analyze(degree12_input(), 2),
+        "single-phi-report": lambda: analyze(degree12_input(), 2, phi=PHI_QUAD),
+        "failed-gate-report": lambda: analyze(IntPoly([1, 0, 0, 0, 1]), 2,
+                                              phi=IntPoly([1, 0, 1])),
+    }
+
+    @pytest.mark.parametrize("how", ROUND_TRIPS)
+    @pytest.mark.parametrize("name", VALUES)
+    def test_round_trip(self, name, how):
+        value = self.VALUES[name]()
+        back = ROUND_TRIPS[how](value)
+        assert type(back) is type(value) and back == value
+        if isinstance(value, AnalysisReport):
+            assert back.notes == value.notes and back.verdict == value.verdict
+            for pr, pr_back in zip(value.phi_reports, back.phi_reports):
+                for u, u_back in zip(pr.expansion.valuations, pr_back.expansion.valuations):
+                    assert (u_back is INFINITY) == (u is INFINITY)
 
 
 class TestFieldsPerRequest:

@@ -97,13 +97,16 @@ class TestDivmod:
             divmod(IntPoly([1, 1]), IntPoly())
 
     def test_multiply_back_random(self):
+        # each dividend also against the degree-0 divisor 1, and the zero
+        # dividend and one shorter than the divisor as dividends too
         rng = random.Random(5)
         for _ in range(300):
             den = random_poly(rng, 6, monic=True)
-            num = random_poly(rng, 12)
-            q, r = divmod(num, den)
-            assert q * den + r == num
-            assert r.degree < den.degree
+            for num in (random_poly(rng, 12), random_poly(rng, den.degree - 1), IntPoly()):
+                for d in (den, IntPoly.one()):
+                    q, r = divmod(num, d)
+                    assert q * d + r == num
+                    assert r.degree < d.degree
 
 
 class TestPhiExpand:

@@ -66,14 +66,21 @@ class TestFpPoly:
         assert q * g + r == f
 
     def test_divmod_random_multiply_back(self):
+        # divisors of degree 0 to 4, not monic unless their unit is 1;
+        # dividends of degree up to 8, shorter than the divisor, and zero
         rng = random.Random(1)
-        for p in (2, 3, 5, 7):
+        for field in (*(PrimeField(p) for p in (2, 3, 5, 7)), F4, F9):
+            def poly(degree):  # the zero polynomial for degree -1
+                if degree < 0:
+                    return FqPoly(field)
+                return random_monic(rng, field, degree).scale(random_unit(rng, field))
+
             for _ in range(100):
-                f = random_fp(rng, p, 8)
-                g = random_fp(rng, p, 4)
-                q, r = divmod(f, g)
-                assert q * g + r == f
-                assert r.degree < g.degree
+                g = poly(rng.randint(0, 4))
+                for f in (poly(rng.randint(0, 8)), poly(rng.randint(-1, g.degree - 1))):
+                    q, r = divmod(f, g)
+                    assert q * g + r == f
+                    assert r.degree < g.degree
 
     def test_gcd(self):
         rng = random.Random(2)
@@ -123,6 +130,7 @@ class TestFpPoly:
 
 
 F4 = ExtField(FqPoly(2, [1, 1, 1]))
+F9 = ExtField(FqPoly(3, [1, 0, 1]))
 
 GUARDS = {  # id: (call, exception type, message, or None for any message)
     "prime-field-1": (lambda: PrimeField(1), ValueError, "modulus must be >= 2"),
@@ -175,8 +183,9 @@ class TestTupleHazards:
 
 
 class TestFpGcd:
-    """FqPoly.gcd, Euclid on plain coefficient lists, against plain_gcd,
-    Euclid on FqPoly's divmod, over F_p, F_4 and F_9."""
+    """FqPoly.gcd, Euclid on FqPoly's `%`, against plain_gcd, Euclid with a
+    long division of its own on plain coefficient lists, over F_p, F_4 and
+    F_9, and over F_p against sympy's gcd as well."""
 
     @pytest.mark.parametrize("field", [
         FqPoly(2).field, FqPoly(3).field, FqPoly(65521).field,
@@ -190,6 +199,7 @@ class TestFpGcd:
             return random_monic(rng, field, degree).scale(random_unit(rng, field))
 
         zero, unit = FqPoly(field), FqPoly(field, [random_unit(rng, field)])
+        checked = []
         for _ in range(150):
             a, b = poly(12), poly(12)
             common = poly(5)  # a nontrivial gcd
@@ -200,8 +210,19 @@ class TestFpGcd:
                 g = u.gcd(v)
                 assert g == plain_gcd(u, v), (u, v)
                 assert g.is_zero or g.is_monic
+                checked.append((u, v, g))
         assert zero.gcd(zero) == zero
         assert unit.gcd(zero) == FqPoly(field, [field.one])
+        if field.m == 1:
+            sympy = pytest.importorskip("sympy")
+            x = sympy.Symbol("x")
+
+            def sympy_poly(u):
+                return sympy.Poly(u.coeffs[::-1] or [0], x, modulus=field.p)
+
+            for u, v, g in checked:
+                h = sympy_poly(u).gcd(sympy_poly(v))
+                assert FqPoly(field, h.all_coeffs()[::-1]) == g, (u, v)
 
 
 class TestFpIrreducible:
