@@ -39,7 +39,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
@@ -276,7 +275,8 @@ def _emit(rendered: str, output: str | None, code: int) -> int:
     error line when the output cannot be written."""
     try:
         if output:
-            Path(output).write_text(rendered, encoding="utf-8")
+            with open(output, "w", encoding="utf-8") as stream:
+                stream.write(rendered)
         elif sys.stdout is None:  # fd 1 was closed when Python started
             raise OSError("stdout is closed")
         else:
@@ -430,7 +430,8 @@ def main(argv=None) -> int:
             raise ValueError("supply exactly one input: a positional expression "
                              "or --input FILE")
         if args.input is not None:
-            expression = Path(args.input).read_text(encoding="utf-8").strip()
+            with open(args.input, encoding="utf-8") as stream:
+                expression = stream.read().strip()
         else:
             expression = args.expression
         f = parse_poly(expression)

@@ -26,9 +26,9 @@ irreducible and f mod p = phibar^n, read off the phi-expansion
 send each phi-expansion and its field F_phi through `_analyze_phi`, which
 gives one list of factor groups (q, a) per phi: at most a factors over Z_p,
 whose degrees are multiples of q and sum to q * a.  `analyze` then builds
-one `AnalysisReport` from these facts, a namedtuple that nothing changes:
-its __new__ reads the bounds and the verdict, and its `notes` word the
-facts.
+one `AnalysisReport` from these facts.  It, `PhiReport` and `SideAnalysis`
+subclass collections.namedtuple, so nothing changes them; the report's
+__new__ reads the bounds and the verdict, and its `notes` word the facts.
 
 Verdicts are one-directional: the tool certifies IRREDUCIBLE or a BOUNDED
 factor count, never reducibility.
@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .expr import render_poly
-from .polygon import NewtonPolygon, Side, build_polygon, ratio
+from .polygon import NewtonPolygon, build_polygon, ratio
 from .polyring import IntPoly, PhiExpansion, phi_expand
 from .residual import residual_polynomial
-from .residue_field import ExtField, FqPoly
+from .residue_field import ExtField
 # The traced benchmark run hooks these two names where criteria looks them up;
 # ext_count_irreducible_factors is the one factor_degrees call per side.
 from .residue_field import factor_degrees as ext_count_irreducible_factors
@@ -72,14 +71,13 @@ def _count_word(n: int) -> str:
     return _NUM_WORDS.get(n, str(n))
 
 
-class SideAnalysis(NamedTuple):
-    """One principal side with its residual polynomial over F_phi (ascending
-    in y) and the factor groups (q, a) it gives: a residual factor pair
-    (d, a) of `factor_degrees` gives q = e * deg(phi) * d."""
+class SideAnalysis(namedtuple("SideAnalysis", "side residual groups")):
+    """One principal Side with its residual polynomial over F_phi (an FqPoly
+    ascending in y) and the tuple of factor groups (q, a) it gives: a
+    residual factor pair (d, a) of `factor_degrees` gives
+    q = e * deg(phi) * d."""
 
-    side: Side
-    residual: FqPoly
-    groups: tuple
+    __slots__ = ()
 
     @property
     def factor_count(self) -> int:
@@ -87,18 +85,17 @@ class SideAnalysis(NamedTuple):
         return sum(a for _, a in self.groups)
 
 
-class PhiReport(NamedTuple):
-    """Per-phi polygon data: N_phi(f), its principal sides, and residuals.
+class PhiReport(namedtuple("PhiReport", "expansion polygon sides exact_power_exponent")):
+    """Per-phi polygon data: the PhiExpansion, N_phi(f) as a NewtonPolygon,
+    and the tuple of SideAnalysis of its principal sides.
 
     `exact_power_exponent` is the exact multiplicity w with phi^w | f in
-    Z[x] (leading run of INFINITY valuations); it contributes the group
-    (deg phi, w) of w certified irreducible factors on top of the sides'.
+    Z[x] (leading run of INFINITY valuations), an int; it contributes the
+    group (deg phi, w) of w certified irreducible factors on top of the
+    sides'.
     """
 
-    expansion: PhiExpansion
-    polygon: NewtonPolygon
-    sides: tuple
-    exact_power_exponent: int
+    __slots__ = ()
 
     @property
     def phi(self) -> IntPoly:

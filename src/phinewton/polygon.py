@@ -3,31 +3,29 @@
 All geometry is exact integer arithmetic: points are lattice points (index,
 valuation), hull comparisons are integer cross products, and a side keeps its
 slope as the coprime pair h, e.  Points at INFINITY never become vertices.
+Side and NewtonPolygon subclass collections.namedtuple with no instance
+dict, so they are immutable and compare as tuples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .valuation import INFINITY
 
 
-class Side(NamedTuple):
-    """One edge of a Newton polygon.
+class Side(namedtuple("Side", "start end length h e degree")):
+    """One edge of a Newton polygon, from the lattice point `start` to `end`
+    (pairs of ints), with the int fields below.
 
     For a side of slope -h/e in lowest terms (h >= 0, e >= 1), the degree is
-    d = gcd(rise, length) = length/e, where rise = end[1] - start[1] = -h*d.
-    An ascending side keeps its slope h/e as the same pair; its endpoints
-    give the sign.
+    d = gcd(rise, length) = length/e, where rise = end[1] - start[1] = -h*d
+    and length = end[0] - start[0].  An ascending side keeps its slope h/e
+    as the same pair; its endpoints give the sign.
     """
 
-    start: tuple[int, int]
-    end: tuple[int, int]
-    length: int
-    h: int
-    e: int
-    degree: int
+    __slots__ = ()
 
     @classmethod
     def from_endpoints(cls, start, end) -> "Side":
@@ -47,15 +45,15 @@ class Side(NamedTuple):
         return (u - u0) * self.length - (u1 - u0) * (index - i0)
 
 
-class NewtonPolygon(NamedTuple):
-    """Lower convex envelope: hull vertices and merged sides.
+class NewtonPolygon(namedtuple("NewtonPolygon", "vertices sides")):
+    """Lower convex envelope: the tuple of hull vertices and the tuple of
+    merged sides.
 
     Sides have strictly increasing slopes (collinear segments are merged),
     so two polygons are equal when their vertex chains coincide.
     """
 
-    vertices: tuple
-    sides: tuple
+    __slots__ = ()
 
     def principal_part(self) -> "NewtonPolygon":
         """The sub-polygon of sides with strictly negative slope."""

@@ -1,10 +1,11 @@
 """Dense univariate polynomials over Z: Euclidean division by monic divisors,
 phi-expansion, and Gauss valuations of the expansion coefficients.
 
-IntPoly is a namedtuple of one field, `coeffs`: arbitrary-precision Python
-integers in ascending degree order with no trailing zeros.  Arithmetic is
-exact throughout; products and divisions run on residue_field's _product
-and _divide, the kernels of FqPoly's too.
+IntPoly and PhiExpansion subclass collections.namedtuple.  IntPoly has one
+field, `coeffs`: arbitrary-precision Python integers in ascending degree
+order with no trailing zeros.  Arithmetic is exact throughout; products and
+divisions run on residue_field's _product and _divide, the kernels of
+FqPoly's too.
 
 phi_expand reads every integer coefficient of every a_i once, in one pass
 that yields both its valuation nu and its unit (c / p^nu) mod p.  The
@@ -17,7 +18,6 @@ principal polygon reads no point past (w, 0).
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from .residue_field import FqPoly, _divide, _power, _product
 from .valuation import INFINITY, ExtInt, _split
@@ -171,8 +171,9 @@ def _intpoly(cs: list) -> IntPoly:
     return tuple.__new__(IntPoly, (tuple(cs),))
 
 
-class PhiExpansion(NamedTuple):
-    """The unique writing f = sum a_i * phi^i with deg a_i < deg phi.
+class PhiExpansion(namedtuple("PhiExpansion", "f phi coeffs valuations splits p")):
+    """The unique writing f = sum a_i * phi^i with deg a_i < deg phi, for
+    IntPolys f and phi and the int prime p; the other fields are tuples.
 
     `coeffs[i]` is a_i (zero coefficients kept in place) and `valuations[i]`
     is its Gauss valuation u_i, INFINITY when a_i = 0.  `splits[i][j]` is
@@ -182,12 +183,7 @@ class PhiExpansion(NamedTuple):
     a_0 .. a_upto only, with upto < `length`.
     """
 
-    f: IntPoly
-    phi: IntPoly
-    coeffs: tuple
-    valuations: tuple
-    splits: tuple
-    p: int
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -2,11 +2,12 @@
 
 One class, FqPoly, serves every finite field.  Its field is either a
 PrimeField (built from a prime p) or an ExtField F_p[x]/(phibar) for a
-monic irreducible phibar.  All three are namedtuples, and so immutable,
-equal and hashed as tuples; each __new__ checks its arguments as a
-constructor would.  Both field types offer the same small
-interface: p, m, q = p^m, a `modulus` that reduces an element with `%`,
-`zero`, `one`, `elem(value)`, `inv(a)` and `pth_root(a)`.
+monic irreducible phibar.  All three, and the FactorizationFp record,
+subclass collections.namedtuple, and so are immutable, equal and hashed as
+tuples; each of the three checks its arguments in __new__ as a
+constructor would.  Both field types offer the same small interface: p,
+m, q = p^m, a `modulus` that reduces an element with `%`, `zero`, `one`,
+`elem(value)`, `inv(a)` and `pth_root(a)`.
 
 * Over F_p the modulus is the int p, and elements are plain ints in [0, p).
 * Over F_phi the modulus is phibar, an FqPoly over F_p, and elements are
@@ -74,7 +75,6 @@ import random
 import struct
 from collections import namedtuple
 from itertools import zip_longest
-from typing import NamedTuple
 
 
 def _term_str(coeff: str, power: int, var: str) -> str:
@@ -599,12 +599,12 @@ def factor_degrees(g: FqPoly) -> tuple[tuple[int, int], ...]:
                  for prod, e in _distinct_degree(part))
 
 
-class FactorizationFp(NamedTuple):
-    """Complete factorization over F_p: unit * prod(factor^multiplicity)."""
+class FactorizationFp(namedtuple("FactorizationFp", "factors unit p")):
+    """Complete factorization over F_p: unit * prod(factor^multiplicity),
+    with `factors` the pairs ((FqPoly, int), ...), monic irreducible and
+    canonically sorted, and the ints `unit` and `p`."""
 
-    factors: tuple  # ((FqPoly, int), ...), monic irreducible, canonically sorted
-    unit: int
-    p: int
+    __slots__ = ()
 
     @property
     def factor_count(self) -> int:

@@ -17,8 +17,6 @@ and refuses larger numbers.
 
 from __future__ import annotations
 
-from typing import Union
-
 
 class _Infinity:
     """Valuation of zero; callers test it with `is INFINITY`."""
@@ -35,7 +33,7 @@ class _Infinity:
 INFINITY = _Infinity()
 
 # A valuation value: a non-negative integer, or INFINITY for the zero element.
-ExtInt = Union[int, _Infinity]
+ExtInt = int | _Infinity
 
 
 # Miller-Rabin with the 13 primes up to 41 as bases is a proof of primality

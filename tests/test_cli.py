@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -24,6 +26,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_closing_files(capsys, *argv):
+    """run_cli, failing if main leaves a file for the collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(capsys, *argv)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)], caught
+    return result
 
 
 def run_subprocess(*argv):
@@ -74,7 +86,7 @@ class TestRuns:
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
-        code, out, _ = run_cli(
+        code, out, _ = run_cli_closing_files(
             capsys, "x^2+2x+2", "-p", "2", "--format", "json",
             "--output", str(target),
         )
@@ -211,12 +223,13 @@ def test_cli_imports_no_argparse_gettext_or_locale():
 
 
 def test_cli_imports_no_dataclasses_inspect_or_json():
-    """Against a bare interpreter, since site loads other modules on other
-    hosts."""
+    """Against a bare interpreter started with -S: site, and the .pth files
+    it runs, load other modules on other hosts, which would hide an import
+    that the CLI adds."""
     src = str(Path(phinewton.__file__).resolve().parents[1])
 
     def loaded(code):
-        proc = subprocess.run([sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+        proc = subprocess.run([sys.executable, "-S", "-c", code + "import sys; print(*sys.modules)"],
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -224,7 +237,8 @@ def test_cli_imports_no_dataclasses_inspect_or_json():
 
     added = loaded("import phinewton.cli\n") - loaded("")
     assert "phinewton.cli" in added
-    assert not added & {"dataclasses", "inspect", "json", "fractions", "decimal", "numbers"}
+    assert not added & {"dataclasses", "inspect", "json", "fractions", "decimal", "numbers",
+                        "typing", "pathlib", "urllib.parse"}
 
 
 class TestHostileInput:
@@ -577,7 +591,7 @@ class TestInputFile(object):
     def test_reads_file(self, tmp_path, capsys):
         src = tmp_path / "poly.txt"
         src.write_text("x^2+2x+2\n", encoding="utf-8")
-        code, out, _ = run_cli(capsys, "--input", str(src), "-p", "2")
+        code, out, _ = run_cli_closing_files(capsys, "--input", str(src), "-p", "2")
         assert code == 0
         assert "IRREDUCIBLE" in out
 

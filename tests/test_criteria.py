@@ -503,6 +503,8 @@ class TestCopyAndPickle:
         "fp-poly": lambda: FqPoly(7, [3, 0, 5, 1]),
         "f4-poly": lambda: FqPoly(F4, [[1], [0, 1], 1]),
         "int-poly": lambda: IntPoly([-5, 0, 2**70, 1]),
+        # the one record that no report reaches
+        "factorization": lambda: fp_factorize(FqPoly(7, [3, 0, 5, 1]) * FqPoly(7, [2, 2])**2),
         "full-report": lambda: analyze(degree12_input(), 2),
         "single-phi-report": lambda: analyze(degree12_input(), 2, phi=PHI_QUAD),
         "failed-gate-report": lambda: analyze(IntPoly([1, 0, 0, 0, 1]), 2,

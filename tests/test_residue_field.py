@@ -18,6 +18,7 @@ from oracles import (
     recompose_factorization,
 )
 from phinewton import is_prime, residue_field
+from phinewton.criteria import analyze
 from phinewton.expr import parse_poly
 from phinewton.polyring import IntPoly
 from phinewton.residue_field import (
@@ -163,8 +164,20 @@ def test_input_guards(call, error, message):
 
 
 class TestTupleHazards:
-    """FqPoly and the fields are tuples; these pin the behaviour that plain
-    tuple methods would otherwise give them."""
+    """FqPoly, the fields and the records are tuples; these pin the behaviour
+    that plain tuple methods would otherwise give them."""
+
+    @pytest.mark.parametrize("name", ["Side", "NewtonPolygon", "PhiExpansion",
+                                      "FactorizationFp", "SideAnalysis", "PhiReport"])
+    def test_records_take_no_new_attribute(self, name):
+        # a namedtuple subclass without __slots__ = () grows a __dict__
+        pr = analyze(parse_poly("x^3+2"), 2, phi=parse_poly("x")).phi_reports[0]
+        record = {"Side": pr.sides[0].side, "NewtonPolygon": pr.polygon,
+                  "PhiExpansion": pr.expansion, "SideAnalysis": pr.sides[0],
+                  "PhiReport": pr, "FactorizationFp": fp_factorize(FqPoly(3, [1, 0, 1]))}[name]
+        assert type(record).__name__ == name
+        with pytest.raises(AttributeError):
+            record.foo = 1
 
     def test_int_times_poly_raises(self):
         with pytest.raises(TypeError):
